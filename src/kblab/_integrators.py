@@ -48,13 +48,13 @@ def coefficient_stages(model: LtvModel, grid):
     return out
 
 
-def transition_steps(model: LtvModel, grid) -> np.ndarray:
-    """Batched RK4 one-step transition matrices for dz = A(t) z dt.
+def rk4_linear_steps(model: LtvModel, lo, mid, hi, h) -> np.ndarray:
+    """Batched RK4 one-step matrices of dz = A(t) z dt.
 
-    The product step[k-1] @ ... @ step[0] is the fundamental matrix at grid[k].
+    Step k starts at lo[k], has width h[k], and evaluates A at the explicit
+    stage times lo[k], mid[k], hi[k].
     """
-    lo, mid, hi = _stage_times(grid)
-    h = (grid[1:] - grid[:-1])[:, None, None]
+    h = h[:, None, None]
     a_lo, a_mid, a_hi = model.A_at(lo), model.A_at(mid), model.A_at(hi)
     eye = np.eye(model.m)
     k1 = a_lo
@@ -62,6 +62,14 @@ def transition_steps(model: LtvModel, grid) -> np.ndarray:
     k3 = a_mid @ (eye + (h / 2.0) * k2)
     k4 = a_hi @ (eye + h * k3)
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def transition_steps(model: LtvModel, grid) -> np.ndarray:
+    """Batched RK4 one-step transition matrices for dz = A(t) z dt on the grid.
+
+    The product step[k-1] @ ... @ step[0] is the fundamental matrix at grid[k].
+    """
+    return rk4_linear_steps(model, *_stage_times(grid), grid[1:] - grid[:-1])
 
 
 def accumulate_transitions(steps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
@@ -205,22 +213,9 @@ def gain_steps(model: LtvModel, grid, msteps: np.ndarray) -> np.ndarray:
 
     D_k := (Phi_step_k - M_k) pinv(C_k dt), a consistent realization of
     P_k C_k^T R_k^-1 chosen so that Phi_step_k - M_k = D_k (C_k dt) holds
-    exactly whenever C_k has full row rank (always for square invertible C).
-    That identity is what makes the mismatched-pair error decomposition exact
-    in the discrete algebra.
+    exactly whenever C_k has full column rank (pinv(C) C = I; always for
+    square invertible C). That identity is what makes the mismatched-pair
+    error decomposition exact in the discrete algebra.
     """
-    phisteps = transition_steps(model, grid)
-    c_lo = model.C_at(grid[:-1])
-    h = grid[1:] - grid[:-1]
-    diff = phisteps - msteps
-    n_steps, m, _ = diff.shape
-    n = model.n
-    out = np.empty((n_steps, m, n))
-    const_c = np.ptp(c_lo, axis=0).max() == 0.0 and np.ptp(h) == 0.0
-    if const_c:
-        pinv = np.linalg.pinv(c_lo[0] * h[0])
-        out = diff @ pinv
-    else:
-        for k in range(n_steps):
-            out[k] = diff[k] @ np.linalg.pinv(c_lo[k] * h[k])
-    return out
+    h = (grid[1:] - grid[:-1])[:, None, None]
+    return (transition_steps(model, grid) - msteps) @ np.linalg.pinv(model.C_at(grid[:-1]) * h)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .csvio import write_manifest, write_matrix_path, write_table
 from .kalman import (
-    filter_pieces,
     lyapunov_path,
     mean_decomposition_diagnostics,
     mismatched_mc,
@@ -128,6 +127,10 @@ def cmd_stability_cov(args) -> int:
 
 def cmd_stability_mean(args) -> int:
     cfg = _load_config(args)
+    if np.array_equal(cfg.m0, cfg.mbar):
+        print("error: stability-mean requires mbar != m0 in [init] "
+              "(a zero initial mean gap has no terminal/initial ratio)", file=sys.stderr)
+        return CONFIG_ERROR
     t0 = time.time()
     sweep = mismatched_mc(cfg.model, cfg)
     write_table(Path(args.out) / "per_seed.csv",
@@ -138,7 +141,8 @@ def cmd_stability_mean(args) -> int:
 
     # one full sample path with the decomposition terms and the Lyapunov value
     obs = generate_observation_path(cfg)
-    pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar))
+    pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
+                           pieces=sweep.pieces, piecesbar=sweep.piecesbar)
     diag = mean_decomposition_diagnostics(pair)
     v = lyapunov_path(pair.psibar, pair.runbar.riccati, pair.gap[0][:, None])[:, 0]
     grid = pair.grid
@@ -172,7 +176,7 @@ def cmd_nongaussian(args) -> int:
     init = (cfg.m0, cfg.P0)
     ext = integrate_extended_system(cfg.model, obs.grid, obs, init)
     mix = mixture_filter(cfg.model, obs, cfg.atoms, init, ext=ext)
-    bank = bank_oracle(cfg.model, obs, cfg.atoms, init)
+    bank = bank_oracle(cfg.model, obs, cfg.atoms, init, pieces=ext.gauss_run.pieces)
     ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar))
     freqs = [[0.5] * cfg.model.m, [1.0] * cfg.model.m, [2.0] * cfg.model.m]
     rep = merging_report(mix, ref, ref.riccati, freqs)
@@ -213,8 +217,7 @@ def cmd_smallnoise(args) -> int:
     t0 = time.time()
     sweep = epsilon_sweep(cfg.model, cfg)
     fit = fit_scaling(sweep)
-    pieces = filter_pieces(cfg.model, cfg.grid(), cfg.P0)
-    est = exponential_stability_estimate(pieces.propagator())
+    est = exponential_stability_estimate(sweep.pieces_zero.propagator())
 
     write_table(Path(args.out) / "sweep.csv",
                 ["epsilon", "seed", "sup_mean_gap", "sup_cov_gap"],

@@ -7,19 +7,24 @@ coarse step the mean update is
 
 with M_k the RK4 one-step matrix of the closed-loop flow and
 D_k = (Phi_step_k - M_k) pinv(C_k dt) the consistent gain. Because
-Phi_step_k - M_k = D_k C_k dt holds exactly for full-row-rank C, two filters
-differing only in their initialization satisfy the exact discrete recursion
+Phi_step_k - M_k = D_k C_k dt holds exactly for C of full column rank
+(pinv(C) C = I), two filters differing only in their initialization satisfy
+the exact discrete recursion
 
     gap_{k+1} = Mbar_k gap_k + (D_k - Dbar_k) dnu_k,
 
 dnu being the correct filter's innovation, which makes the mean-gap
 decomposition gap_t = Psibar_t (m0 - mbar) + Psibar_t Zhat_t an algebraic
-identity of the implementation rather than an approximation.
+identity of the implementation rather than an approximation. For C of lower
+column rank the identity, and with it the decomposition, is inexact.
+
+Observation paths may carry one seed per column; filters, pairs and the
+decomposition then run on every column at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from ._integrators import accumulate_transitions, gain_steps
 from .model import LtvModel
 from .propagate import MatrixPath, same_grid
 from .riccati import RiccatiSolution, integrate_dre
-from .simulate import ObservationPath
+from .simulate import ObservationPath, generate_observation_path
 
 
 @dataclass
@@ -59,12 +64,12 @@ class FilterRun:
     """One filter trajectory driven by an observation path."""
 
     grid: np.ndarray
-    means: np.ndarray           # (K+1, m)
-    innovations: np.ndarray     # (K, n), dnu_k = dy_k - C_k x_k dt
+    means: np.ndarray           # (K+1, m); (K+1, m, S) for S seed columns
+    innovations: np.ndarray     # (K, n), dnu_k = dy_k - C_k x_k dt; (K, n, S)
     riccati: RiccatiSolution
-    init_mean: np.ndarray
+    init_mean: np.ndarray       # (m,); (m, S)
     pieces: FilterPieces
-    source_seed: int = 0
+    source_seed: int | tuple = 0
 
     @property
     def terminal(self) -> np.ndarray:
@@ -100,9 +105,12 @@ def run_filter(model: LtvModel, obs: ObservationPath, init, eps_gain: float = 0.
 
     eps_gain selects the Riccati flow feeding the gain (0 recovers the
     noise-free gain); the same observation increments are consumed either way.
+    Observations with seed columns start every column from the same mean.
     """
     mean0, P0 = init
     mean0 = np.asarray(mean0, dtype=float).reshape(model.m)
+    if obs.increments.ndim == 3:
+        mean0 = np.repeat(mean0[:, None], obs.increments.shape[2], axis=1)
     if pieces is None:
         pieces = filter_pieces(model, obs.grid, P0, eps_gain=eps_gain)
     elif not np.array_equal(pieces.grid, obs.grid):
@@ -120,9 +128,9 @@ class PairRun:
     run: FilterRun              # correct initialization
     runbar: FilterRun           # mismatched initialization
     psibar: MatrixPath          # propagator of the mismatched closed loop
-    mean_gap: np.ndarray        # (K+1,) Euclidean norms
+    mean_gap: np.ndarray        # (K+1,) Euclidean norms; (K+1, S)
     cov_gap: np.ndarray         # (K+1,) spectral norms ||P - Pbar||
-    gap: np.ndarray             # (K+1, m)
+    gap: np.ndarray             # (K+1, m); (K+1, m, S)
 
     @property
     def grid(self):
@@ -141,14 +149,17 @@ def mismatched_pair(model: LtvModel, obs: ObservationPath, correct, wrong,
 
 @dataclass
 class DecompositionDiagnostics:
-    """Pathwise pieces of the mean-gap decomposition and its residual."""
+    """Pathwise pieces of the mean-gap decomposition and its residual.
+
+    Arrays carry a trailing seed axis S when the pair has seed columns.
+    """
 
     term1: np.ndarray           # (K+1, m) Psibar_t (m0 - mbar)
     zhat: np.ndarray            # (K+1, m) martingale-part integrand sum
     term2: np.ndarray           # (K+1, m) Psibar_t Zhat_t
     residual: np.ndarray        # (K+1,) reconstruction residual norms
-    max_residual: float
-    zhat_drift: float           # ||Zhat_T - Zhat_{T/2}||, stabilization evidence
+    max_residual: float         # over nodes and seeds
+    zhat_drift: float           # ||Zhat_T - Zhat_{T/2}|| (max over seeds), stabilization evidence
 
     @property
     def zhat_norm(self) -> np.ndarray:
@@ -162,20 +173,21 @@ def mean_decomposition_diagnostics(pair: PairRun) -> DecompositionDiagnostics:
     filter's innovations — the discrete realization of the continuous-time
     martingale integrand (P_s - Pbar_s) C^T R^-1 dnu_s. The residual against
     the measured gap is an algebraic-identity check of the filter integrator.
+    Seed columns of the pair are decomposed column by column.
     """
     psibar = pair.psibar.values
     psibar_inv = np.linalg.inv(psibar)
     ddiff = pair.run.pieces.gains - pair.runbar.pieces.gains
     innov = pair.run.innovations
-    incr = np.einsum("kij,kjl,kl->ki", psibar_inv[1:], ddiff, innov)
-    zhat = np.zeros((len(pair.grid), pair.run.means.shape[1]))
+    incr = np.einsum("kij,kjl,kl...->ki...", psibar_inv[1:], ddiff, innov)
+    zhat = np.zeros((len(pair.grid),) + incr.shape[1:])
     np.cumsum(incr, axis=0, out=zhat[1:])
     d0 = pair.run.init_mean - pair.runbar.init_mean
-    term1 = np.einsum("kij,j->ki", psibar, d0)
-    term2 = np.einsum("kij,kj->ki", psibar, zhat)
+    term1 = np.einsum("kij,j...->ki...", psibar, d0)
+    term2 = np.einsum("kij,kj...->ki...", psibar, zhat)
     resid = np.linalg.norm(pair.gap - (term1 + term2), axis=1)
     half = len(pair.grid) // 2
-    drift = float(np.linalg.norm(zhat[-1] - zhat[half]))
+    drift = float(np.linalg.norm(zhat[-1] - zhat[half], axis=0).max())
     return DecompositionDiagnostics(term1=term1, zhat=zhat, term2=term2,
                                     residual=resid, max_residual=float(resid.max()),
                                     zhat_drift=drift)
@@ -237,6 +249,8 @@ class MismatchedSweep:
     max_residuals: np.ndarray       # (S,) reconstruction-identity residuals
     gap_paths: np.ndarray           # (K+1, S) mean-gap norms
     grid: np.ndarray
+    pieces: FilterPieces            # correct filter, shared by every seed
+    piecesbar: FilterPieces         # mismatched filter
 
     @property
     def worst_ratio(self) -> float:
@@ -246,54 +260,21 @@ class MismatchedSweep:
 def mismatched_mc(model: LtvModel, cfg, n_seeds=None, noise_off=False) -> MismatchedSweep:
     """Run correct/mismatched filter pairs over seeds cfg.seed + i, batched.
 
-    The truth initial state is drawn per seed from N(m0, P0) (plus atoms when
-    configured); both filters of a pair consume the identical observation
+    The observations of seed s are generate_observation_path(cfg, seed=s), one
+    seed column each; both filters of a pair consume the identical
     increments. Reconstruction residuals are tracked pathwise per seed.
     """
-    from .simulate import RngStream, draw_initial_state, fine_grid, simulate_observations
-    from ._integrators import transition_steps
-
     n_seeds = cfg.mc_runs if n_seeds is None else n_seeds
     seeds = tuple(cfg.seed + i for i in range(n_seeds))
-    grid = cfg.grid()
-    fg = fine_grid(grid, cfg.substeps)
-    m, n = model.m, model.n
-
-    pieces = filter_pieces(model, grid, cfg.P0)
-    piecesbar = filter_pieces(model, grid, cfg.Pbar)
-    psibar = accumulate_transitions(piecesbar.msteps)
-    psibar_inv = np.linalg.inv(psibar)
-    wmats = psibar_inv[1:] @ (pieces.gains - piecesbar.gains)   # (K, m, n)
-
-    phi_fine = accumulate_transitions(transition_steps(model, fg))
-    x0s = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator())
-                    for s in seeds], axis=1)
-    truth_all = np.einsum("kij,js->kis", phi_fine, x0s)
-    incs = np.empty((len(grid) - 1, n, n_seeds))
-    for j, s in enumerate(seeds):
-        rng = None if noise_off else RngStream(s, "W").generator()
-        obs_j = simulate_observations(model, truth_all[:, :, j], fg, cfg.substeps,
-                                      rng, seed=s)
-        incs[:, :, j] = obs_j.increments
-
-    xf0 = np.repeat(cfg.m0[:, None], n_seeds, axis=1)
-    xb0 = np.repeat(cfg.mbar[:, None], n_seeds, axis=1)
-    means, innov = _scan(pieces, incs, xf0)
-    meansbar, _ = _scan(piecesbar, incs, xb0)
-    gap = means - meansbar                                      # (K+1, m, S)
-    gap_norm = np.linalg.norm(gap, axis=1)
-
-    zinc = np.einsum("kmn,kns->kms", wmats, innov)
-    zhat = np.zeros_like(gap)
-    np.cumsum(zinc, axis=0, out=zhat[1:])
-    d0 = cfg.m0 - cfg.mbar
-    recon = np.einsum("kij,kjs->kis", psibar, d0[None, :, None] + zhat)
-    resid = np.linalg.norm(gap - recon, axis=1)
+    obs = generate_observation_path(cfg, seed=seeds, noise_off=noise_off)
+    pair = mismatched_pair(model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar))
+    diag = mean_decomposition_diagnostics(pair)
     return MismatchedSweep(seeds=seeds,
-                           initial_gap=float(np.linalg.norm(d0)),
-                           terminal_gaps=gap_norm[-1].copy(),
-                           max_residuals=resid.max(axis=0),
-                           gap_paths=gap_norm, grid=grid)
+                           initial_gap=float(np.linalg.norm(cfg.m0 - cfg.mbar)),
+                           terminal_gaps=pair.mean_gap[-1].copy(),
+                           max_residuals=diag.residual.max(axis=0),
+                           gap_paths=pair.mean_gap, grid=obs.grid,
+                           pieces=pair.run.pieces, piecesbar=pair.runbar.pieces)
 
 
 __all__ = [

@@ -8,9 +8,9 @@ import numpy as np
 
 from ._integrators import (
     accumulate_transitions,
-    coefficient_stages,
     make_grid,
     riccati_sweep,
+    rk4_linear_steps,
     transition_steps,
 )
 from .model import LtvModel
@@ -86,16 +86,7 @@ def _half_step_transitions(model: LtvModel, grid) -> np.ndarray:
     """RK4 one-step matrices for the half intervals [t_k, t_k + h/2]."""
     lo = grid[:-1]
     hh = 0.5 * (grid[1:] - grid[:-1])
-    h = hh[:, None, None]
-    a_lo = model.A_at(lo)
-    a_mid = model.A_at(lo + 0.5 * hh)
-    a_hi = model.A_at(lo + hh)
-    eye = np.eye(model.m)
-    k1 = a_lo
-    k2 = a_mid @ (eye + (h / 2.0) * k1)
-    k3 = a_mid @ (eye + (h / 2.0) * k2)
-    k4 = a_hi @ (eye + h * k3)
-    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rk4_linear_steps(model, lo, lo + 0.5 * hh, lo + hh, hh)
 
 
 def accumulated_information(model: LtvModel, phi: MatrixPath,

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._integrators import riccati_sweep
+from ._integrators import accumulate_transitions, riccati_sweep
 from .model import LtvModel
-from .propagate import MatrixPath, closed_loop_propagator, same_grid
+from .propagate import MatrixPath, same_grid
 
 
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
@@ -97,13 +97,15 @@ def error_factorization_check(model: LtvModel, P0, Pbar0, grid):
 
     The difference of two Riccati solutions factorizes through the two
     closed-loop propagators: P_t - Pbar_t = Psi_t (P0 - Pbar0) Psibar_t^T.
+    The propagators are the products of the one-step matrices each sweep
+    returns (bitwise what closed_loop_propagator rebuilds from the path).
     Returns (residual path ||lhs - rhs||_2 per node, max residual, pieces).
     """
     grid = np.asarray(grid, dtype=float)
     sol = integrate_dre(model, P0, grid)
     solbar = integrate_dre(model, Pbar0, grid)
-    psi = closed_loop_propagator(model, sol.path, grid)
-    psibar = closed_loop_propagator(model, solbar.path, grid)
+    psi = MatrixPath(grid, accumulate_transitions(sol.closed_loop_steps), label="Psi")
+    psibar = MatrixPath(grid, accumulate_transitions(solbar.closed_loop_steps), label="Psi")
     d0 = np.asarray(P0, dtype=float) - np.asarray(Pbar0, dtype=float)
     lhs = sol.values - solbar.values
     rhs = psi.values @ d0 @ np.swapaxes(psibar.values, 1, 2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import accumulate_transitions, make_grid, transition_steps
+from ._integrators import make_grid, transition_steps
 from .model import ExperimentConfig, LtvModel
 from .riccati import psd_sqrt
 
@@ -54,10 +54,10 @@ class ObservationPath:
     """Coarse-grid observation increments plus the generating truth trajectory."""
 
     grid: np.ndarray            # coarse grid, K+1 nodes
-    increments: np.ndarray      # (K, n) observation increments dy_k
-    truth: np.ndarray           # (K+1, m) state at the coarse nodes
+    increments: np.ndarray      # (K, n) observation increments dy_k; (K, n, S) for S seeds
+    truth: np.ndarray           # (K+1, m) state at the coarse nodes; (K+1, m, S) for S seeds
     substeps: int
-    seed: int
+    seed: int | tuple           # one seed, or one per column
     eps: float
 
     def __post_init__(self):
@@ -106,20 +106,25 @@ def draw_initial_state(cfg: ExperimentConfig, rng: np.random.Generator) -> np.nd
 
 
 def simulate_truth(model: LtvModel, x0, grid, eps: float = 0.0,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Integrate the signal process on the given grid.
+                   rng=None) -> np.ndarray:
+    """Integrate the signal process on the given grid, for one or many seeds.
 
+    x0 is one initial state (m,) or one seed per column (m, S); the result is
+    (K+1, m) or (K+1, m, S) accordingly.
     eps = 0: one RK4 transition per grid step (deterministic, no RNG use).
-    eps > 0: Euler-Maruyama, x_{j+1} = x_j + A x_j h + eps F sqrt(h) xi_j.
+    eps > 0: Euler-Maruyama, x_{j+1} = x_j + A x_j h + eps F sqrt(h) xi_j,
+    with xi drawn from rng, or for seed columns from a sequence of
+    generators, one per column.
     """
     grid = np.asarray(grid, dtype=float)
-    x0 = np.asarray(x0, dtype=float).reshape(model.m)
+    x0 = np.asarray(x0, dtype=float)
+    x0 = x0.reshape(model.m) if x0.ndim < 2 else x0
     n_steps = len(grid) - 1
-    out = np.empty((n_steps + 1, model.m))
+    out = np.empty((n_steps + 1,) + x0.shape)
     out[0] = x0
+    x = x0
     if eps == 0.0:
         steps = transition_steps(model, grid)
-        x = x0
         for k in range(n_steps):
             x = steps[k] @ x
             out[k + 1] = x
@@ -129,8 +134,12 @@ def simulate_truth(model: LtvModel, x0, grid, eps: float = 0.0,
     h = grid[1:] - grid[:-1]
     a = model.A_at(grid[:-1])
     f = model.F_at(grid[:-1])
-    xi = rng.standard_normal((n_steps, model.m))
-    x = x0
+    if x0.ndim == 1:
+        xi = rng.standard_normal((n_steps, model.m))
+    else:
+        xi = np.empty((n_steps,) + x0.shape)
+        for j, g in enumerate(rng):
+            xi[:, :, j] = g.standard_normal((n_steps, model.m))
     for k in range(n_steps):
         x = x + h[k] * (a[k] @ x) + (eps * np.sqrt(h[k])) * (f[k] @ xi[k])
         out[k + 1] = x
@@ -167,24 +176,42 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
                            substeps=substeps, seed=seed, eps=eps)
 
 
-def generate_observation_path(cfg: ExperimentConfig, seed: int | None = None,
+def generate_observation_path(cfg: ExperimentConfig, seed=None,
                               eps: float = 0.0, x0: np.ndarray | None = None,
                               noise_off: bool = False) -> ObservationPath:
     """Full pipeline: draw x0, integrate the truth, emit observation increments.
 
-    `seed` defaults to cfg.seed; `noise_off` zeroes the observation noise
-    (test hook) while keeping everything else identical.
+    `seed` is one seed (default cfg.seed) or a tuple of seeds; a tuple gives
+    one column per seed: increments (K, n, S) and truth (K+1, m, S). Every
+    seed draws its own "x0", "V" and "W" streams, so a column is the path of
+    that seed alone (bitwise for m = 1; for m > 1 the batched matrix products
+    may round differently). The truth is integrated for all columns at once;
+    the observations are aggregated one column at a time, which keeps only
+    one column of fine-grid draws in memory. `noise_off` zeroes the
+    observation noise (test hook) while keeping everything else identical.
     """
     seed = cfg.seed if seed is None else seed
+    batch = isinstance(seed, tuple)
+    seeds = seed if batch else (seed,)
     grid = cfg.grid()
     sub = cfg.substeps
     fg = fine_grid(grid, sub)
     if x0 is None:
-        x0 = draw_initial_state(cfg, RngStream(seed, "x0").generator())
-    vrng = RngStream(seed, "V").generator() if eps > 0 else None
+        x0 = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator())
+                       for s in seeds], axis=-1)
+    vrng = [RngStream(s, "V").generator() for s in seeds] if eps > 0 else None
+    if not batch:
+        x0 = np.reshape(x0, cfg.model.m)
+        vrng = None if vrng is None else vrng[0]
     truth_fine = simulate_truth(cfg.model, x0, fg, eps=eps, rng=vrng)
-    wrng = None if noise_off else RngStream(seed, "W").generator()
-    return simulate_observations(cfg.model, truth_fine, fg, sub, wrng, seed=seed, eps=eps)
+    wrngs = [None if noise_off else RngStream(s, "W").generator() for s in seeds]
+    if not batch:
+        return simulate_observations(cfg.model, truth_fine, fg, sub, wrngs[0], seed=seed, eps=eps)
+    inc = np.stack([simulate_observations(cfg.model, truth_fine[:, :, j], fg, sub, w,
+                                          seed=s, eps=eps).increments
+                    for j, (s, w) in enumerate(zip(seeds, wrngs))], axis=-1)
+    return ObservationPath(grid=fg[::sub], increments=inc, truth=truth_fine[::sub],
+                           substeps=sub, seed=seed, eps=eps)
 
 
 __all__ = [

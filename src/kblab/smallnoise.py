@@ -14,44 +14,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kalman import _scan, filter_pieces
+from .kalman import FilterPieces, filter_pieces, run_filter
 from .model import ExperimentConfig, LtvModel
 from .propagate import MatrixPath
-from .riccati import covariance_gap, integrate_dre
-from .simulate import (
-    RngStream,
-    draw_initial_state,
-    fine_grid,
-    generate_observation_path,
-    simulate_observations,
-)
+from .riccati import covariance_gap
+from .simulate import generate_observation_path
 
 
 @dataclass
 class EpsilonPairResult:
     eps: float
-    seed: int
-    sup_mean_gap: float
+    seed: int | tuple
+    sup_mean_gap: float | np.ndarray    # (S,) for a tuple of seeds
     sup_cov_gap: float
-    mean_gap_path: np.ndarray   # (K+1,)
+    mean_gap_path: np.ndarray   # (K+1,); (K+1, S)
     cov_gap_path: np.ndarray    # (K+1,)
 
 
-def run_epsilon_pair(model: LtvModel, cfg: ExperimentConfig, eps: float, seed: int,
+def run_epsilon_pair(model: LtvModel, cfg: ExperimentConfig, eps: float, seed,
                      pieces_eps=None, pieces_zero=None) -> EpsilonPairResult:
-    """One (eps, seed) cell: identical initialization, identical observations."""
+    """One (eps, seed) cell: identical initialization, identical observations.
+
+    A tuple of seeds runs one cell per seed, as seed columns.
+    """
     grid = cfg.grid()
     if pieces_eps is None:
         pieces_eps = filter_pieces(model, grid, cfg.P0, eps_gain=eps)
     if pieces_zero is None:
         pieces_zero = filter_pieces(model, grid, cfg.P0, eps_gain=0.0)
     obs = generate_observation_path(cfg, seed=seed, eps=eps)
-    means_eps, _ = _scan(pieces_eps, obs.increments, cfg.m0)
-    means_zero, _ = _scan(pieces_zero, obs.increments, cfg.m0)
-    mean_gap = np.linalg.norm(means_eps - means_zero, axis=1)
+    run_eps = run_filter(model, obs, (cfg.m0, cfg.P0), pieces=pieces_eps)
+    run_zero = run_filter(model, obs, (cfg.m0, cfg.P0), pieces=pieces_zero)
+    mean_gap = np.linalg.norm(run_eps.means - run_zero.means, axis=1)
     _, cov_path, sup_cov, _ = covariance_gap(eps, pieces_eps.riccati, pieces_zero.riccati)
     return EpsilonPairResult(eps=eps, seed=seed,
-                             sup_mean_gap=float(mean_gap.max()),
+                             sup_mean_gap=mean_gap.max(axis=0),
                              sup_cov_gap=sup_cov,
                              mean_gap_path=mean_gap, cov_gap_path=cov_path)
 
@@ -62,6 +59,7 @@ class EpsilonSweep:
     seeds: tuple
     sup_mean_gaps: np.ndarray   # (n_eps, n_seeds)
     sup_cov_gaps: np.ndarray    # (n_eps, n_seeds)
+    pieces_zero: FilterPieces | None = None   # the noise-free-gain filter of the sweep
     median_mean: np.ndarray = field(init=False)
     median_cov: np.ndarray = field(init=False)
 
@@ -70,41 +68,13 @@ class EpsilonSweep:
         self.median_cov = np.median(self.sup_cov_gaps, axis=1)
 
 
-def _batched_truth(model, x0s, fine, eps, noises):
-    """Truth trajectories across seed columns: x0s (m, S), noises (N, m, S).
-
-    eps = 0 propagates with the RK4 transition steps (matching simulate_truth);
-    eps > 0 is Euler-Maruyama with the supplied noise draws.
-    """
-    from ._integrators import transition_steps
-
-    n_steps = len(fine) - 1
-    out = np.empty((n_steps + 1,) + x0s.shape)
-    x = x0s
-    out[0] = x
-    if eps == 0.0:
-        steps = transition_steps(model, fine)
-        for k in range(n_steps):
-            x = steps[k] @ x
-            out[k + 1] = x
-        return out
-    h = fine[1:] - fine[:-1]
-    a = model.A_at(fine[:-1])
-    f = model.F_at(fine[:-1])
-    for k in range(n_steps):
-        x = x + h[k] * (a[k] @ x) + (eps * np.sqrt(h[k])) * (f[k] @ noises[k])
-        out[k + 1] = x
-    return out
-
-
 def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig,
                   epsilons=None, n_seeds=None) -> EpsilonSweep:
     """Run the (eps, seed) grid with seed s = cfg.seed + s_index.
 
     Epsilons are processed in descending order (the convention the per-seed
-    monotonicity check relies on). Seed columns are batched through the same
-    labeled noise streams as the per-seed path generator, so each cell's
-    statistics are reproducible.
+    monotonicity check relies on). Each eps runs every seed at once through
+    run_epsilon_pair.
     """
     epsilons = tuple(sorted(cfg.epsilons if epsilons is None else epsilons, reverse=True))
     n_seeds = cfg.mc_runs if n_seeds is None else n_seeds
@@ -112,35 +82,17 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig,
         raise ValueError("no epsilon values configured")
     seeds = tuple(cfg.seed + i for i in range(n_seeds))
     grid = cfg.grid()
-    fg = fine_grid(grid, cfg.substeps)
-    n_fine = len(fg) - 1
-    m, n = model.m, model.n
 
     pieces_zero = filter_pieces(model, grid, cfg.P0, eps_gain=0.0)
-    filt0 = np.stack([cfg.m0.copy() for _ in seeds], axis=1)
-    x0s = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator())
-                    for s in seeds], axis=1)
-
     sup_mean = np.empty((len(epsilons), n_seeds))
     sup_cov = np.empty((len(epsilons), n_seeds))
-    vnoise = np.stack([RngStream(s, "V").generator().standard_normal((n_fine, m))
-                       for s in seeds], axis=2)
     for i, eps in enumerate(epsilons):
         pieces_eps = filter_pieces(model, grid, cfg.P0, eps_gain=eps) if eps else pieces_zero
-        truth = _batched_truth(model, x0s, fg, eps, vnoise)
-        incs = np.empty((len(grid) - 1, n, n_seeds))
-        for j, s in enumerate(seeds):
-            obs = simulate_observations(model, truth[:, :, j], fg, cfg.substeps,
-                                        RngStream(s, "W").generator(), seed=s, eps=eps)
-            incs[:, :, j] = obs.increments
-        means_eps, _ = _scan(pieces_eps, incs, filt0)
-        means_zero, _ = _scan(pieces_zero, incs, filt0)
-        gaps = np.linalg.norm(means_eps - means_zero, axis=1)   # (K+1, S)
-        sup_mean[i] = gaps.max(axis=0)
-        _, _, sup_c, _ = covariance_gap(eps, pieces_eps.riccati, pieces_zero.riccati)
-        sup_cov[i] = sup_c
-    return EpsilonSweep(epsilons=epsilons, seeds=seeds,
-                        sup_mean_gaps=sup_mean, sup_cov_gaps=sup_cov)
+        cell = run_epsilon_pair(model, cfg, eps, seeds, pieces_eps, pieces_zero)
+        sup_mean[i] = cell.sup_mean_gap
+        sup_cov[i] = cell.sup_cov_gap
+    return EpsilonSweep(epsilons=epsilons, seeds=seeds, sup_mean_gaps=sup_mean,
+                        sup_cov_gaps=sup_cov, pieces_zero=pieces_zero)
 
 
 @dataclass

@@ -83,6 +83,15 @@ def test_nongaussian_command(tmp_path):
     assert header.endswith("w_1,w_2")
 
 
+def test_stability_mean_requires_initial_gap(tmp_path, capsys):
+    # the shipped rotation_partial document leaves mbar at its default, m0
+    code = cli.main(["stability-mean", "--config", str(CONFIG_DIR / "rotation_partial.cfg"),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "mbar != m0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_nongaussian_requires_atoms(tmp_path):
     cfg = replace(builtin_scenario("scalar_basic"), horizon=1.0)
     code = cli.main(["nongaussian", "--config", write_cfg(tmp_path, cfg),

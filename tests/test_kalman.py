@@ -122,6 +122,39 @@ def test_mismatched_mc_noise_off_reproducible():
     assert np.array_equal(a.terminal_gaps, b.terminal_gaps)
 
 
+def _single_seed_terminal_gaps(cfg, seeds):
+    return np.array([mismatched_pair(cfg.model, generate_observation_path(cfg, seed=s),
+                                     (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar)).mean_gap[-1]
+                     for s in seeds])
+
+
+def test_mismatched_mc_equals_single_seed_pairs_scalar():
+    cfg = replace(builtin_scenario("scalar_unstable"), horizon=30.0, dt=0.02, mc_runs=3)
+    sweep = mismatched_mc(cfg.model, cfg)
+    assert np.array_equal(sweep.terminal_gaps, _single_seed_terminal_gaps(cfg, sweep.seeds))
+
+
+def test_mismatched_mc_matches_single_seed_pairs_rotation():
+    # batched (m, S) and single-seed (m,) matrix products round differently
+    cfg = replace(builtin_scenario("rotation"), horizon=15.0, dt=0.02, mc_runs=3)
+    sweep = mismatched_mc(cfg.model, cfg)
+    single = _single_seed_terminal_gaps(cfg, sweep.seeds)
+    assert np.abs(sweep.terminal_gaps - single).max() <= 1e-6 * np.abs(single).max()
+
+
+def test_mismatched_mc_carries_its_filter_pieces():
+    cfg = replace(builtin_scenario("scalar_unstable"), horizon=2.0, mc_runs=2)
+    sweep = mismatched_mc(cfg.model, cfg)
+    assert np.array_equal(sweep.pieces.riccati.init, cfg.P0)
+    assert np.array_equal(sweep.piecesbar.riccati.init, cfg.Pbar)
+    pair = mismatched_pair(cfg.model, generate_observation_path(cfg, seed=sweep.seeds),
+                           (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
+                           pieces=sweep.pieces, piecesbar=sweep.piecesbar)
+    diag = mean_decomposition_diagnostics(pair)
+    assert diag.residual.shape == (len(sweep.grid), 2)
+    assert np.array_equal(diag.residual.max(axis=0), sweep.max_residuals)
+
+
 def test_lyapunov_value_nonincreasing():
     cfg = builtin_scenario("scalar_basic")
     grid = make_grid(10.0, cfg.dt)

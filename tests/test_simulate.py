@@ -128,3 +128,39 @@ def test_eps_zero_consumes_no_system_noise():
     b = generate_observation_path(cfg, seed=7, eps=0.0)
     assert np.array_equal(a.increments, b.increments)
     assert np.array_equal(a.truth, b.truth)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_seed_columns_equal_single_seed_paths_scalar(eps):
+    cfg = replace(builtin_scenario("smallnoise_stable"), horizon=2.0, substeps=3)
+    seeds = (3, 4, 5)
+    batch = generate_observation_path(cfg, seed=seeds, eps=eps)
+    assert batch.increments.shape == (len(batch.grid) - 1, 1, 3)
+    assert batch.truth.shape == (len(batch.grid), 1, 3)
+    assert batch.seed == seeds
+    for j, s in enumerate(seeds):
+        one = generate_observation_path(cfg, seed=s, eps=eps)
+        assert np.array_equal(one.grid, batch.grid)
+        assert np.array_equal(one.increments, batch.increments[:, :, j])
+        assert np.array_equal(one.truth, batch.truth[:, :, j])
+
+
+def test_seed_columns_match_single_seed_paths_matrix():
+    cfg = replace(builtin_scenario("rotation"), horizon=5.0, dt=0.01, substeps=2)
+    batch = generate_observation_path(cfg, seed=(7, 8), eps=0.0)
+    for j, s in enumerate((7, 8)):
+        one = generate_observation_path(cfg, seed=s)
+        assert np.abs(one.truth - batch.truth[:, :, j]).max() <= 1e-12
+        assert np.abs(one.increments - batch.increments[:, :, j]).max() <= 1e-12
+
+
+def test_truth_columns_take_one_noise_stream_each():
+    mdl = constant_model([[-0.5, 1.0], [0.0, -0.2]], [[1.0, 0.0]], [[1.0]], F=np.eye(2))
+    fg = make_grid(1.0, 0.01)
+    x0s = np.array([[1.0, -2.0], [0.5, 0.0]])
+    batch = simulate_truth(mdl, x0s, fg, eps=0.3,
+                           rng=[RngStream(s, "V").generator() for s in (1, 2)])
+    assert batch.shape == (len(fg), 2, 2)
+    for j, s in enumerate((1, 2)):
+        one = simulate_truth(mdl, x0s[:, j], fg, eps=0.3, rng=RngStream(s, "V").generator())
+        assert np.abs(one - batch[:, :, j]).max() <= 1e-12

@@ -45,6 +45,18 @@ def test_pair_matches_sweep_cell_bitwise():
     assert r.sup_cov_gap == sweep.sup_cov_gaps[1, 2]
 
 
+def test_every_sweep_cell_equals_its_pair():
+    cfg = small_cfg(horizon=4.0, mc_runs=3)
+    sweep = epsilon_sweep(cfg.model, cfg, epsilons=(0.1, 0.05, 0.025))
+    for i, eps in enumerate(sweep.epsilons):
+        pieces_eps = filter_pieces(cfg.model, cfg.grid(), cfg.P0, eps_gain=eps)
+        for j, seed in enumerate(sweep.seeds):
+            r = run_epsilon_pair(cfg.model, cfg, eps, seed, pieces_eps=pieces_eps,
+                                 pieces_zero=sweep.pieces_zero)
+            assert r.sup_mean_gap == sweep.sup_mean_gaps[i, j]
+            assert r.sup_cov_gap == sweep.sup_cov_gaps[i, j]
+
+
 def test_sweep_requires_epsilons():
     cfg = replace(small_cfg(), epsilons=())
     with pytest.raises(ValueError):
