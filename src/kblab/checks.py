@@ -1,8 +1,10 @@
-"""Verification registry: every analytic-oracle check runnable as a batch.
+"""Acceptance criteria: the paper's stability claims as a runnable registry.
 
-Each check returns (passed, detail). The registry powers `kblab verify` and
-the acceptance test module; expensive experiment runs are cached per process
-so overlapping checks share work.
+Each check returns (passed, detail). The registry holds only the acceptance
+criteria; every unit-level assertion lives in tests/. `kblab verify` runs the
+registry without pytest, and tests/test_acceptance.py runs each entry as one
+test. The small-noise sweep is cached per process because two criteria share
+it.
 
 One check is registered with known_fail=True: the small-noise mean-gap slope
 band [0.7, 1.3]. The measured slope is ~2.0 — the filter-gain difference is
@@ -13,71 +15,42 @@ achievable rate. The check asserts the band unchanged and is expected to fail.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 
-from . import scenarios
 from ._integrators import make_grid
 from .kalman import (
     filter_pieces,
     lyapunov_increments,
-    mean_decomposition_diagnostics,
     mismatched_mc,
-    mismatched_pair,
     run_filter,
     window_decrease_margin,
 )
-from .model import (
-    ConfigError,
-    ExperimentConfig,
-    config_equal,
-    constant_model,
-    eval_coefficients,
-    parse_config,
-    rotation_damped_model,
-    serialize_config,
-    validate_config,
-)
+from .model import constant_model, serialize_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
 from .propagate import (
-    MatrixPath,
     accumulated_information,
     closed_loop_propagator,
     fundamental_matrix,
     psi_decay_integral,
     uco_gramian,
 )
-from .riccati import (
-    closed_form_dre,
-    covariance_gap,
-    error_factorization_check,
-    integrate_dre,
-    psd_sqrt,
-)
-from .simulate import (
-    RngStream,
-    draw_initial_state,
-    fine_grid,
-    generate_observation_path,
-    simulate_truth,
-)
-from .smallnoise import (
-    EpsilonSweep,
-    epsilon_sweep,
-    exponential_stability_estimate,
-    fit_scaling,
-    run_epsilon_pair,
-    two_time_decay_constant,
-)
+from .riccati import closed_form_dre, error_factorization_check, integrate_dre
+from .scenarios import builtin_scenario
+from .simulate import generate_observation_path
+from .smallnoise import epsilon_sweep, exponential_stability_estimate, fit_scaling
 
 
 @dataclass
 class Check:
     name: str
-    group: str
     fn: object
     known_fail: bool = False
 
@@ -85,7 +58,6 @@ class Check:
 @dataclass
 class CheckResult:
     name: str
-    group: str
     passed: bool
     detail: str
     known_fail: bool = False
@@ -101,9 +73,9 @@ class CheckResult:
 CHECKS: list[Check] = []
 
 
-def check(name, group, known_fail=False):
+def check(name, known_fail=False):
     def wrap(fn):
-        CHECKS.append(Check(name=name, group=group, fn=fn, known_fail=known_fail))
+        CHECKS.append(Check(name=name, fn=fn, known_fail=known_fail))
         return fn
     return wrap
 
@@ -111,361 +83,46 @@ def check(name, group, known_fail=False):
 def run_checks(name_filter: str | None = None) -> list[CheckResult]:
     results = []
     for c in CHECKS:
-        if name_filter and name_filter not in c.name and name_filter not in c.group:
+        if name_filter and name_filter not in c.name:
             continue
         t0 = time.time()
         try:
             passed, detail = c.fn()
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=c.name, group=c.group, passed=bool(passed),
-                                   detail=detail, known_fail=c.known_fail,
-                                   elapsed=time.time() - t0))
+        results.append(CheckResult(name=c.name, passed=bool(passed), detail=detail,
+                                   known_fail=c.known_fail, elapsed=time.time() - t0))
     return results
 
 
-def _sc(name) -> ExperimentConfig:
-    return scenarios.builtin_scenario(name)
-
-
-# ---------------------------------------------------------------------------
-# model
-
-
-@check("eval-constant-schedule", "model")
-def _check_eval_constant():
-    mdl = constant_model(np.zeros((2, 2)), np.eye(2), np.eye(2))
-    co = eval_coefficients(mdl, 3.7)
-    ok = (np.all(co.A == 0) and np.array_equal(co.C, np.eye(2))
-          and np.array_equal(co.R, np.eye(2)) and np.array_equal(co.R_inv, np.eye(2)))
-    return ok, "constant schedules evaluate to their base matrices at t=3.7"
-
-
-@check("eval-periodic-sine", "model")
-def _check_eval_periodic():
-    from .model import periodic_model
-
-    mdl = periodic_model([[0.0]], [[1.0]], C=[[1.0]], R=[[1.0]], omega=1.0)
-    a = eval_coefficients(mdl, np.pi / 2).A[0, 0]
-    return abs(a - 1.0) < 1e-12, f"A(pi/2) = {a:.15g} for A(t) = sin(t)"
-
-
-@check("eval-rotation-family", "model")
-def _check_eval_rotation():
-    mdl = rotation_damped_model(omega=1.0, damping=0.0)
-    a = eval_coefficients(mdl, 2.3).A
-    ok = np.array_equal(a, np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    return ok, f"undamped rotation generator {a.tolist()}"
-
-
-@check("rinv-consistency", "model")
-def _check_rinv():
-    worst = 0.0
-    for name in ("scalar_basic", "rotation", "periodic3"):
-        cfg = _sc(name)
-        for t in np.linspace(0.0, cfg.horizon, 37):
-            co = eval_coefficients(cfg.model, t)
-            worst = max(worst, np.abs(co.R @ co.R_inv - np.eye(cfg.model.n)).max())
-    return worst <= 1e-12, f"max ||R Rinv - I|| = {worst:.2e} over sampled grids"
-
-
-@check("validate-p0-singular", "model")
-def _check_validate_p0():
-    cfg = _sc("scalar_basic")
-    from dataclasses import replace
-
-    bad = replace(cfg, P0=np.zeros((1, 1)))
-    rep = validate_config(bad)
-    ok = any("P0 not invertible" in m for m in rep.messages)
-    return ok, f"report: {rep}"
-
-
-@check("validate-atom-weights", "model")
-def _check_validate_weights():
-    cfg = _sc("two_atom")
-    from dataclasses import replace
-
-    bad = replace(cfg, atoms=(([1.0], 0.5), ([-1.0], 0.6)))
-    rep = validate_config(bad)
-    ok = any("sum 1.1" in m for m in rep.messages)
-    return ok, f"report: {rep}"
-
-
-@check("validate-builtin-scenarios", "model")
-def _check_validate_all():
-    bad = [n for n in scenarios.SCENARIOS if not validate_config(_sc(n)).ok]
-    return not bad, f"non-clean scenarios: {bad or 'none'}"
-
-
-@check("config-roundtrip", "model")
-def _check_roundtrip():
-    bad = []
-    for n in scenarios.SCENARIOS:
-        cfg = _sc(n)
-        if not config_equal(cfg, parse_config(serialize_config(cfg))):
-            bad.append(n)
-    return not bad, f"serialize/parse fixed point on all scenarios; failures: {bad or 'none'}"
-
-
-@check("config-error-reporting", "model")
-def _check_config_errors():
-    cases = [
-        ("[model]\nm = 2\nC0.shape = 2 3\nC0.data = 1 2 3 4 5 6\n", "dimension mismatch"),
-        ("[model]\nm = 1\nbogus_key = 3\n", "unknown key"),
-        ("[model]\nm = 1\n\n[run]\ndt = zebra\n", "malformed number"),
-    ]
-    for text, frag in cases:
-        try:
-            parse_config(text)
-            return False, f"no error raised for {frag!r} case"
-        except ConfigError as exc:
-            if frag not in str(exc) or "line" not in str(exc):
-                return False, f"error lacks context: {exc}"
-    return True, "dimension mismatch / unknown key / malformed number all carry line context"
-
-
-# ---------------------------------------------------------------------------
-# propagate
-
-
-@check("phi-zero-generator", "propagate")
-def _check_phi_zero():
-    mdl = constant_model(np.zeros((2, 2)), np.eye(2), np.eye(2))
-    phi = fundamental_matrix(mdl, make_grid(3.0, 0.01))
-    err = np.abs(phi.values - np.eye(2)).max()
-    return err == 0.0, f"A = 0 gives Phi = I exactly (max dev {err:.1e})"
-
-
-@check("phi-exponential", "propagate")
-def _check_phi_exp():
-    mdl = constant_model([[1.0]], [[1.0]], [[1.0]])
-    phi = fundamental_matrix(mdl, make_grid(1.0, 1e-3))
-    err = abs(phi.values[-1, 0, 0] - np.e)
-    return err <= 1e-9, f"|Phi(1) - e| = {err:.2e}"
-
-
-@check("phi-rotation", "propagate")
-def _check_phi_rot():
-    mdl = rotation_damped_model(omega=1.0, damping=0.0)
-    grid = make_grid(np.pi / 2, np.pi / 2 / 2000)
-    phi = fundamental_matrix(mdl, grid)
-    err = np.abs(phi.values[-1] - np.array([[0.0, 1.0], [-1.0, 0.0]])).max()
-    return err <= 1e-9, f"quarter-turn rotation error {err:.2e}"
-
-
-@check("phi-cocycle", "propagate")
-def _check_cocycle():
-    cfg = _sc("periodic3")
-    g1 = make_grid(2.0, 1e-3)
-    g2 = make_grid(5.0, 1e-3)
-    phi = fundamental_matrix(cfg.model, g2)
-    seg = fundamental_matrix(cfg.model, g2[g2 >= 2.0 - 1e-12])
-    err = np.abs(seg.values[-1] @ phi.at(2.0) - phi.values[-1]).max()
-    return err <= 1e-8, f"Phi(5) vs Phi(5,2) Phi(2): {err:.2e} (grid {len(g1)}+{len(seg)})"
-
-
-@check("grid-order-phi", "order")
-def _check_order_phi():
-    mdl = constant_model([[1.0]], [[1.0]], [[1.0]])
-    errs = [abs(fundamental_matrix(mdl, make_grid(1.0, dt)).values[-1, 0, 0] - np.e)
-            for dt in (0.02, 0.01)]
-    ratio = errs[0] / errs[1]
-    return 8.0 <= ratio <= 32.0, f"Phi error ratio dt 0.02/0.01 = {ratio:.2f}"
-
-
-@check("grid-order-riccati", "order")
-def _check_order_ric():
-    mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
-    errs = [abs(integrate_dre(mdl, [[1.0]], make_grid(1.0, dt)).values[-1, 0, 0] - 0.5)
-            for dt in (0.02, 0.01)]
-    ratio = errs[0] / errs[1]
-    return 8.0 <= ratio <= 32.0, f"Riccati error ratio dt 0.02/0.01 = {ratio:.2f}"
-
-
-@check("info-constant-and-zero", "propagate")
-def _check_info_const():
-    mdl = constant_model(np.zeros((2, 2)), np.eye(2), np.eye(2))
-    grid = make_grid(4.0, 1e-3)
-    info = accumulated_information(mdl, fundamental_matrix(mdl, grid))
-    err = np.abs(info.values - grid[:, None, None] * np.eye(2)).max()
-    mdl0 = constant_model(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
-    z = np.abs(accumulated_information(mdl0, fundamental_matrix(mdl0, grid)).values).max()
-    return err <= 1e-12 and z == 0.0, f"t*I error {err:.1e}; C = 0 path max {z:.1e}"
-
-
-@check("info-exponential", "propagate")
-def _check_info_exp():
-    mdl = constant_model([[1.0]], [[1.0]], [[1.0]])
-    grid = make_grid(1.0, 1e-3)
-    info = accumulated_information(mdl, fundamental_matrix(mdl, grid))
-    target = (np.e ** 2 - 1.0) / 2.0
-    err = abs(info.values[-1, 0, 0] - target)
-    return err <= 1e-8, f"int e^2s ds error {err:.2e} (target {target:.9f})"
-
-
-@check("info-psd-monotone", "propagate")
-def _check_info_monotone():
-    cfg = _sc("periodic3")
-    grid = make_grid(5.0, 1e-3)
-    info = accumulated_information(cfg.model, fundamental_matrix(cfg.model, grid))
-    d = np.diff(info.values, axis=0)
-    worst = np.linalg.eigvalsh(d)[:, 0].min()
-    return worst >= -1e-12, f"min eigenvalue of info increments {worst:.2e}"
-
-
-@check("uco-constant-identity", "propagate")
-def _check_uco_const():
-    mdl = constant_model(np.zeros((2, 2)), np.eye(2), np.eye(2))
-    phi = fundamental_matrix(mdl, make_grid(10.0, 1e-2))
-    est = uco_gramian(mdl, phi, 2.0)
-    err = max(abs(est.rho1 - 2.0), abs(est.rho2 - 2.0))
-    return err <= 1e-8, f"constant identity system: rho1={est.rho1:.10f}, rho2={est.rho2:.10f}"
-
-
-@check("uco-unobservable", "propagate")
-def _check_uco_unobs():
-    mdl = constant_model(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
-    phi = fundamental_matrix(mdl, make_grid(5.0, 1e-2))
-    est = uco_gramian(mdl, phi, 1.0)
-    ok = est.rho1 == 0.0 and est.rho2 == 0.0 and not est.uco_plausible
-    return ok, f"C = 0: rho1={est.rho1}, rho2={est.rho2}, plausible={est.uco_plausible}"
-
-
-@check("uco-partial-observation", "propagate")
-def _check_uco_rank1():
-    mdl = constant_model(np.zeros((2, 2)), [[1.0, 0.0]], [[1.0]])
-    phi = fundamental_matrix(mdl, make_grid(5.0, 1e-2))
-    est = uco_gramian(mdl, phi, 1.0)
-    ok = abs(est.rho1) <= 1e-12 and abs(est.rho2 - 1.0) <= 1e-8 and not est.uco_plausible
-    return ok, f"static rank-1 Gramian: lambda range [{est.rho1:.1e}, {est.rho2:.6f}]"
-
-
-@check("uco-rotation-full-period", "propagate")
-def _check_uco_rotation_period():
-    cfg = _sc("rotation_partial")
-    phi = fundamental_matrix(cfg.model, cfg.grid())
-    est = uco_gramian(cfg.model, phi, cfg.uco_window)
-    ok = est.uco_plausible and abs(est.rho1 - np.pi) < 1e-2
-    return ok, f"partial observation over full periods: rho1 = {est.rho1:.6f} (~pi)"
-
-
-@cache
-def _psi_decay_data():
-    mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
-    grid = make_grid(100.0, 1e-3)
-    sol = integrate_dre(mdl, [[1.0]], grid)
-    psi = closed_loop_propagator(mdl, sol.path, grid)
-    integral, tails = psi_decay_integral(psi)
-    rho3 = uco_gramian(mdl, psi, 1.0, normalize="start", free_flow=False).rho1
-    return float(integral[0, 0]), tails, float(rho3)
-
-
-@check("psi-decay-unobservable", "propagate")
-def _check_psi_unobs():
-    mdl = constant_model([[0.0]], [[0.0]], [[1.0]])
-    grid = make_grid(10.0, 1e-2)
-    sol = integrate_dre(mdl, [[1.0]], grid)
-    psi = closed_loop_propagator(mdl, sol.path, grid)
-    integral, tails = psi_decay_integral(psi)
-    ok = abs(integral[0, 0] - 10.0) <= 1e-9 and tails[0][1] >= 4.9
-    return ok, f"C = 0: integral grows with T ({integral[0, 0]:.6f}), tail {tails[0][1]:.3f} not shrinking"
-
-
-@check("psi-decay-analytic-rho3", "propagate")
-def _check_psi_bound_analytic():
-    # For this scenario every end-anchored window integral is >= 1, so rho3 = 1
-    # is admissible and the bound is P^-1 * window / rho3 = 1.
-    integral, _, _ = _psi_decay_data()
-    return integral <= 1.0, f"integral {integral:.9f} <= 1.0 (analytic admissible rho3 = 1)"
-
-
-# ---------------------------------------------------------------------------
-# riccati
-
-
-@check("scalar-riccati-analytic", "riccati")
-def _check_scalar_ric():
-    grid = make_grid(1.0, 1e-3)
-    mdl0 = constant_model([[0.0]], [[1.0]], [[1.0]])
-    sol0 = integrate_dre(mdl0, [[1.0]], grid)
-    e0 = np.abs(sol0.values[:, 0, 0] - 1.0 / (1.0 + grid)).max()
-    mdl1 = constant_model([[1.0]], [[1.0]], [[1.0]])
-    sol1 = integrate_dre(mdl1, [[1.0]], grid)
-    ea = np.exp(2 * grid) / (1.0 + (np.exp(2 * grid) - 1.0) / 2.0)
-    e1 = np.abs(sol1.values[:, 0, 0] - ea).max()
-    ok = e0 <= 1e-9 and e1 <= 1e-8
-    return ok, f"p0/(1+p0 t) err {e0:.2e}; growth form err {e1:.2e} (p(1)={sol1.values[-1, 0, 0]:.9f})"
-
-
-@check("scalar-psi-analytic", "riccati")
-def _check_scalar_psi():
-    mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
-    grid = make_grid(3.0, 1e-3)
-    sol = integrate_dre(mdl, [[1.0]], grid)
-    psi = closed_loop_propagator(mdl, sol.path, grid)
-    err = np.abs(psi.values[:, 0, 0] - 1.0 / (1.0 + grid)).max()
-    return err <= 1e-8, f"Psi vs 1/(1+t): {err:.2e} (Psi(3) = {psi.values[-1, 0, 0]:.9f})"
-
-
-@check("riccati-zero-fixed-point", "riccati")
-def _check_zero_fp():
-    mdl = constant_model([[1.0]], [[1.0]], [[1.0]])
-    sol = integrate_dre(mdl, [[0.0]], make_grid(2.0, 1e-2))
-    mx = np.abs(sol.values).max()
-    return mx == 0.0, f"P0 = 0 stays exactly 0 (max {mx:.1e})"
-
-
-@check("closed-form-reductions", "riccati")
-def _check_cf_reductions():
-    mdl = constant_model(np.zeros((2, 2)), np.eye(2), np.eye(2))
-    grid = make_grid(4.0, 1e-3)
-    phi = fundamental_matrix(mdl, grid)
-    info = accumulated_information(mdl, phi)
-    cf = closed_form_dre(mdl, np.eye(2), phi, info)
-    target = np.eye(2) / (1.0 + grid)[:, None, None]
-    e1 = np.abs(cf.values - target).max()
-    cf0 = closed_form_dre(mdl, np.zeros((2, 2)), phi, info)
-    e0 = np.abs(cf0.values).max()
-    return e1 <= 1e-10 and e0 == 0.0, f"(1+t)^-1 I err {e1:.2e}; P0 = 0 gives 0 (max {e0:.1e})"
-
-
-@cache
-def _riccati_oracle_run():
+@check("criterion-1-riccati-oracle")
+def _check_criterion1():
     t0 = time.time()
     rng = np.random.default_rng(2024)
-    rows = []
     worst = 0.0
-    specs = [
-        ("constant", constant_model(
-            [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.2], [0.0, -0.1, -0.3]], np.eye(3), np.eye(3))),
-        ("periodic", _sc("periodic3").model),
-        ("rotation_damped", _sc("rotation").model),
-    ]
+    families = (
+        constant_model([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.2], [0.0, -0.1, -0.3]], np.eye(3), np.eye(3)),
+        builtin_scenario("periodic3").model,
+        builtin_scenario("rotation").model,
+    )
     grid = make_grid(5.0, 1e-3)
-    for fam, mdl in specs:
+    for mdl in families:
         m = mdl.m
         phi = fundamental_matrix(mdl, grid)
         info = accumulated_information(mdl, phi)
-        for draw in range(3):
+        for _ in range(3):
             L = rng.standard_normal((m, m))
             P0 = L @ L.T + 0.1 * np.eye(m)
             sol = integrate_dre(mdl, P0, grid)
             cf = closed_form_dre(mdl, P0, phi, info)
-            err = float(np.linalg.norm(sol.values - cf.values, ord=2, axis=(1, 2)).max())
-            rows.append((fam, draw, err))
-            worst = max(worst, err)
-    return worst, rows, time.time() - t0
-
-
-@check("criterion-1-riccati-oracle", "acceptance")
-def _check_criterion1():
-    worst, rows, elapsed = _riccati_oracle_run()
+            worst = max(worst, float(np.linalg.norm(sol.values - cf.values, ord=2, axis=(1, 2)).max()))
+    elapsed = time.time() - t0
     ok = worst <= 1e-6 and elapsed <= 10.0
     return ok, (f"DRE vs closed form on [0,5], dt=1e-3, 3 seeded SPD P0 per family: "
                 f"worst spectral-norm gap {worst:.2e} (tol 1e-6), runtime {elapsed:.1f}s (limit 10s)")
 
 
-@check("criterion-2-scalar-analytic-suite", "acceptance")
+@check("criterion-2-scalar-analytic-suite")
 def _check_criterion2():
     grid = make_grid(1.0, 1e-3)
     mdl0 = constant_model([[0.0]], [[1.0]], [[1.0]])
@@ -483,9 +140,15 @@ def _check_criterion2():
                 f"factorization residual {e_fac:.1e} (all tol 1e-8)")
 
 
-@check("criterion-3-psi-decay", "acceptance")
+@check("criterion-3-psi-decay")
 def _check_criterion3():
-    integral, tails, rho3 = _psi_decay_data()
+    mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
+    grid = make_grid(100.0, 1e-3)
+    sol = integrate_dre(mdl, [[1.0]], grid)
+    psi = closed_loop_propagator(mdl, sol.path, grid)
+    integral, tails = psi_decay_integral(psi)
+    integral = float(integral[0, 0])
+    rho3 = float(uco_gramian(mdl, psi, 1.0, normalize="start", free_flow=False).rho1)
     bound = 1.0 / rho3  # window=1, P^-1=1
     in_window = 0.989 <= integral <= 0.9902
     tail_ok = tails[0][1] <= 0.011
@@ -494,255 +157,16 @@ def _check_criterion3():
                 f"{bound:.4f} (start-anchored rho3 = {rho3:.4f}); tail int_50^100 = {tails[0][1]:.6f} <= 0.011")
 
 
-@check("factorization-scalar-value", "riccati")
-def _check_fac_scalar():
-    mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
-    resid, mx, pieces = error_factorization_check(mdl, [[1.0]], [[2.0]], make_grid(1.0, 1e-3))
-    e1 = pieces["sol"].values[-1, 0, 0] - pieces["solbar"].values[-1, 0, 0]
-    ok = abs(e1 + 1.0 / 6.0) <= 1e-9 and mx <= 1e-8
-    return ok, f"E(1) = {e1:.9f} (analytic -1/6); max residual {mx:.2e}"
-
-
-@check("factorization-rotation", "riccati")
-def _check_fac_rotation():
-    cfg = _sc("rotation")
-    _, mx, _ = error_factorization_check(cfg.model, cfg.P0, cfg.Pbar, make_grid(10.0, 1e-3))
-    return mx <= 1e-6, f"2x2 rotation factorization residual {mx:.2e} over [0,10]"
-
-
-@check("covariance-gap-trivial", "riccati")
-def _check_cov_gap_trivial():
-    cfg = _sc("smallnoise_stable")
-    grid = make_grid(5.0, cfg.dt)
-    p = integrate_dre(cfg.model, cfg.P0, grid, eps=0.0)
-    q0 = integrate_dre(cfg.model, cfg.P0, grid, eps=0.0)
-    _, _, sup0, _ = covariance_gap(0.0, q0, p)
-    mdl_f0 = constant_model([[-0.5]], [[1.0]], [[1.0]], F=[[0.0]])
-    pf = integrate_dre(mdl_f0, cfg.P0, grid, eps=0.0)
-    qf = integrate_dre(mdl_f0, cfg.P0, grid, eps=0.3)
-    _, _, supf, _ = covariance_gap(0.3, qf, pf)
-    return sup0 == 0.0 and supf == 0.0, f"eps=0 gap {sup0}; F=0 gap {supf}"
-
-
-@check("covariance-gap-eps2-ratio", "riccati")
-def _check_cov_gap_ratio():
-    cfg = _sc("smallnoise_stable")
-    grid = cfg.grid()
-    p = integrate_dre(cfg.model, cfg.P0, grid, eps=0.0)
-    sups = {}
-    min_eig = 0.0
-    for eps in (0.1, 0.05):
-        q = integrate_dre(cfg.model, cfg.P0, grid, eps=eps)
-        _, _, sups[eps], me = covariance_gap(eps, q, p)
-        min_eig = min(min_eig, me)
-    ratio = sups[0.1] / sups[0.05]
-    ok = 3.5 <= ratio <= 4.5 and min_eig >= -1e-10
-    return ok, f"sup-gap ratio eps 0.1/0.05 = {ratio:.3f} (eps^2 scaling); gap min eig {min_eig:.1e}"
-
-
-@check("riccati-order-preservation", "riccati")
-def _check_ric_monotone():
-    rng = np.random.default_rng(2)
-    L = rng.standard_normal((3, 3))
-    P0 = L @ L.T + 0.2 * np.eye(3)
-    L2 = rng.standard_normal((3, 3))
-    P0p = P0 + 0.5 * (L2 @ L2.T)
-    mdl = _sc("periodic3").model
-    grid = make_grid(5.0, 1e-3)
-    a = integrate_dre(mdl, P0, grid)
-    b = integrate_dre(mdl, P0p, grid)
-    worst = np.linalg.eigvalsh(b.values - a.values)[:, 0].min()
-    return worst >= -1e-9, f"P0 <= P0' preserved along the flow: min eig of difference {worst:.2e}"
-
-
-@check("riccati-subspace-collapse", "riccati")
-def _check_subspace():
-    mdl = constant_model(np.diag([-1.0, 0.3]), np.eye(2), np.eye(2))
-    sol = integrate_dre(mdl, np.eye(2), make_grid(20.0, 1e-3))
-    v = np.array([1.0, 0.0])
-    start = v @ sol.values[0] @ v
-    end = v @ sol.values[-1] @ v
-    return end <= 1e-3 * start, f"variance along the decaying direction: {start:.3f} -> {end:.2e}"
-
-
-# ---------------------------------------------------------------------------
-# simulate
-
-
-@check("seeded-determinism", "simulate")
-def _check_determinism():
-    cfg = _sc("scalar_basic")
-    a = generate_observation_path(cfg, seed=42)
-    b = generate_observation_path(cfg, seed=42)
-    ok = (np.array_equal(a.increments, b.increments) and np.array_equal(a.truth, b.truth))
-    x1 = draw_initial_state(cfg, RngStream(42, "x0").generator())
-    x2 = draw_initial_state(cfg, RngStream(42, "x0").generator())
-    ok = ok and np.array_equal(x1, x2)
-    return ok, "same seed reproduces increments, truth and x0 bitwise"
-
-
-@check("degenerate-initial-draw", "simulate")
-def _check_degenerate_draw():
-    from dataclasses import replace
-
-    cfg = replace(_sc("scalar_basic"), P0=np.zeros((1, 1)))
-    x = draw_initial_state(cfg, RngStream(0, "x0").generator())
-    return np.array_equal(x, cfg.m0), f"P0 = 0 draws exactly m0 ({x})"
-
-
-@check("atom-draw-frequency", "simulate")
-def _check_atom_freq():
-    from dataclasses import replace
-
-    cfg = replace(_sc("two_atom"), P0=np.zeros((1, 1)), m0=np.zeros(1))
-    rng = RngStream(123, "x0").generator()
-    n = 10_000
-    draws = np.array([draw_initial_state(cfg, rng)[0] for _ in range(n)])
-    freq = float(np.mean(draws > 0))
-    band = 3.0 * np.sqrt(0.25 / n)
-    return abs(freq - 0.5) <= band, f"frequency of +1 atom {freq:.4f} (3-sigma band +-{band:.4f})"
-
-
-@check("truth-constant-and-exponential", "simulate")
-def _check_truth():
-    mdl0 = constant_model([[0.0]], [[1.0]], [[1.0]])
-    g = make_grid(2.0, 1e-2)
-    tr = simulate_truth(mdl0, [3.0], g)
-    e0 = np.abs(tr - 3.0).max()
-    mdl1 = constant_model([[1.0]], [[1.0]], [[1.0]])
-    tr1 = simulate_truth(mdl1, [1.0], make_grid(1.0, 1e-3))
-    e1 = abs(tr1[-1, 0] - np.e)
-    return e0 == 0.0 and e1 <= 1e-9, f"constant dev {e0:.1e}; |x(1) - e| = {e1:.2e}"
-
-
-@check("em-variance", "simulate")
-def _check_em_var():
-    mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
-    fg = fine_grid(make_grid(1.0, 0.05), 5)
-    eps, n = 0.3, 500
-    xs = [simulate_truth(mdl, [0.0], fg, eps=eps, rng=RngStream(s, "V").generator())[-1, 0]
-          for s in range(n)]
-    var = float(np.var(xs, ddof=1))
-    target = eps * eps
-    band = 3.0 * target * np.sqrt(2.0 / (n - 1))
-    return abs(var - target) <= band, f"Var(x_T - x_0) = {var:.4f} vs eps^2 T = {target} (+-{band:.4f})"
-
-
-@check("obs-noise-variance", "simulate")
-def _check_obs_var():
-    mdl = constant_model([[0.0]], [[0.0]], [[0.25]])
-    grid = make_grid(50.0, 0.01)
-    fg = fine_grid(grid, 4)
-    tr = simulate_truth(mdl, [0.0], fg)
-    from .simulate import simulate_observations
-
-    obs = simulate_observations(mdl, tr, fg, 4, RngStream(5, "W").generator())
-    var = float(np.var(obs.increments[:, 0], ddof=1))
-    target = 0.25 * 0.01
-    band = 3.0 * target * np.sqrt(2.0 / (obs.n_steps - 1))
-    return abs(var - target) <= band, f"C=0 increment variance {var:.3e} vs R dt = {target:.3e} (+-{band:.1e})"
-
-
-@check("obs-noiseless-hook", "simulate")
-def _check_obs_hook():
-    mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
-    grid = make_grid(1.0, 0.01)
-    fg = fine_grid(grid, 10)
-    tr = simulate_truth(mdl, [1.0], fg)
-    from .simulate import simulate_observations
-
-    obs = simulate_observations(mdl, tr, fg, 10, None)
-    err = np.abs(obs.increments - 0.01).max()
-    return err <= 1e-15, f"xi = 0 and x = 1: dy = dt exactly (max dev {err:.1e})"
-
-
-@check("obs-substep-refinement", "simulate")
-def _check_substep_refinement():
-    from dataclasses import replace
-
-    cfg = _sc("scalar_unstable")
-    base = replace(cfg, horizon=2.0)
-    a = generate_observation_path(base, noise_off=True)
-    b = generate_observation_path(replace(base, substeps=10), noise_off=True)
-    diff = np.abs(a.increments - b.increments).max()
-    return diff <= 1e-7, f"substeps 1 vs 10 change noiseless dy by {diff:.2e} (quadrature-order only)"
-
-
-# ---------------------------------------------------------------------------
-# kalman
-
-
-@check("filter-no-correction", "kalman")
-def _check_filter_c0():
-    mdl = constant_model([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), np.eye(2))
-    cfg = ExperimentConfig(model=mdl, horizon=3.0, dt=1e-3, substeps=1, seed=0,
-                           m0=[1.0, 0.0], P0=np.eye(2))
-    obs = generate_observation_path(cfg)
-    run = run_filter(mdl, obs, (cfg.m0, cfg.P0))
-    phi = fundamental_matrix(mdl, obs.grid)
-    err = np.abs(run.means - np.einsum("kij,j->ki", phi.values, cfg.m0)).max()
-    return err <= 1e-12, f"C = 0: filter mean equals Phi m (max dev {err:.1e})"
-
-
-@check("filter-tracks-truth", "kalman")
-def _check_filter_tracking():
-    cfg = _sc("scalar_basic")
-    obs = generate_observation_path(cfg, noise_off=True)
-    run = run_filter(cfg.model, obs, (obs.truth[0], cfg.P0))
-    err = np.abs(run.means - obs.truth).max()
-    innov = np.abs(run.innovations).max()
-    return err <= 1e-6, f"constant truth, exact init: tracking error {err:.1e}, max innovation {innov:.1e}"
-
-
-@check("filter-worked-case", "kalman")
-def _check_filter_worked():
-    cfg = _sc("scalar_basic")
-    obs = generate_observation_path(cfg, noise_off=True)
-    x0 = obs.truth[0, 0]
-    run = run_filter(cfg.model, obs, (np.zeros(1), np.eye(1)))
-    analytic = x0 + (0.0 - x0) / (1.0 + obs.grid)
-    err = np.abs(run.means[:, 0] - analytic).max()
-    return err <= 1e-9, f"|xhat_t - x0| = |xhat_0 - x0|/(1+t): max dev {err:.2e}"
-
-
-@check("pair-identical-init", "kalman")
-def _check_pair_identical():
-    cfg = _sc("scalar_basic")
-    obs = generate_observation_path(cfg)
-    pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.m0, cfg.P0))
-    diag = mean_decomposition_diagnostics(pair)
-    ok = pair.mean_gap.max() == 0.0 and np.abs(diag.zhat).max() == 0.0
-    return ok, "wrong = correct gives identically zero gap and Zhat"
-
-
-@check("pair-mean-only-mismatch", "kalman")
-def _check_pair_mean_only():
-    cfg = _sc("scalar_basic")
-    obs = generate_observation_path(cfg)
-    pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.P0))
-    diag = mean_decomposition_diagnostics(pair)
-    zmax = np.abs(diag.zhat).max()
-    gap_err = np.abs(pair.gap - diag.term1).max()
-    return zmax == 0.0 and gap_err <= 1e-12, (
-        f"Pbar = P0: Zhat = {zmax:.1e} and gap = Psibar (m0 - mbar) within {gap_err:.1e}")
-
-
-@cache
-def _criterion4_run(name: str):
-    cfg = _sc(name)
-    t0 = time.time()
-    sweep = mismatched_mc(cfg.model, cfg)
-    return sweep, time.time() - t0
-
-
-@check("criterion-4-mean-convergence", "acceptance")
+@check("criterion-4-mean-convergence")
 def _check_criterion4():
     details = []
     ok = True
     total = 0.0
     for name in ("scalar_unstable", "rotation"):
-        sweep, elapsed = _criterion4_run(name)
-        total += elapsed
+        cfg = builtin_scenario(name)
+        t0 = time.time()
+        sweep = mismatched_mc(cfg.model, cfg)
+        total += time.time() - t0
         ok = ok and sweep.worst_ratio <= 1e-3 and sweep.max_residuals.max() <= 1e-6
         details.append(f"{name}: T=50 gap ratio max-over-20-seeds {sweep.worst_ratio:.2e} "
                        f"(tol 1e-3), reconstruction residual {sweep.max_residuals.max():.2e} (tol 1e-6)")
@@ -751,283 +175,82 @@ def _check_criterion4():
     return ok, "; ".join(details)
 
 
-@check("rotation-covariance-contraction", "kalman")
-def _check_cov_contraction():
-    cfg = _sc("rotation")
-    grid = make_grid(20.0, cfg.dt)
-    a = integrate_dre(cfg.model, cfg.P0, grid)
-    b = integrate_dre(cfg.model, cfg.Pbar, grid)
-    gap = np.linalg.norm(a.values[-1] - b.values[-1], 2)
-    initial = np.linalg.norm(cfg.P0 - cfg.Pbar, 2)
-    return gap <= 1e-3 * initial, f"||P - Pbar|| at T=20: {gap:.2e} <= 1e-3 * {initial:.1f}"
-
-
-@cache
-def _lyapunov_run(name: str):
-    cfg = _sc(name)
-    grid = make_grid(min(cfg.horizon, 20.0), cfg.dt)
-    pieces = filter_pieces(cfg.model, grid, cfg.Pbar)
-    psi = pieces.propagator()
-    z0s = np.random.default_rng(0).standard_normal((cfg.model.m, 10))
-    inc = lyapunov_increments(psi, pieces.riccati, z0s)
-    rho3 = uco_gramian(cfg.model, psi, cfg.uco_window, normalize="start", free_flow=False).rho1
-    margin = window_decrease_margin(psi, pieces.riccati, z0s, cfg.uco_window)
-    return inc, rho3, margin
-
-
-@check("criterion-5-lyapunov", "acceptance")
+@check("criterion-5-lyapunov")
 def _check_criterion5():
     details = []
     ok = True
     for name in ("scalar_basic", "rotation", "periodic3"):
-        inc, rho3, margin = _lyapunov_run(name)
+        cfg = builtin_scenario(name)
+        grid = make_grid(min(cfg.horizon, 20.0), cfg.dt)
+        pieces = filter_pieces(cfg.model, grid, cfg.Pbar)
+        psi = pieces.propagator()
+        z0s = np.random.default_rng(0).standard_normal((cfg.model.m, 10))
+        inc = lyapunov_increments(psi, pieces.riccati, z0s)
+        rho3 = uco_gramian(cfg.model, psi, cfg.uco_window, normalize="start", free_flow=False).rho1
+        margin = window_decrease_margin(psi, pieces.riccati, z0s, cfg.uco_window)
         ok = ok and inc <= 1e-9 and margin >= 0.9 * rho3
         details.append(f"{name}: max V increment {inc:.1e} (slack 1e-9), window drop/||z||^2 "
                        f">= {margin:.3f} vs 0.9*rho3 = {0.9 * rho3:.3f}")
     return ok, "; ".join(details)
 
 
-# ---------------------------------------------------------------------------
-# nongaussian
-
-
-@check("extended-trivial-c0", "nongaussian")
-def _check_ext_c0():
-    mdl = constant_model([[0.5]], [[0.0]], [[1.0]])
-    cfg = ExperimentConfig(model=mdl, horizon=2.0, dt=1e-3, substeps=1, seed=0,
-                           m0=[0.0], P0=[[1.0]])
-    obs = generate_observation_path(cfg)
-    ext = integrate_extended_system(mdl, obs.grid, obs, (cfg.m0, cfg.P0))
-    mx = max(np.abs(ext.coupling).max(), np.abs(ext.quad_closed).max(),
-             np.abs(ext.quad_info).max(), np.abs(ext.linear).max())
-    return mx == 0.0, f"C = 0: coupling, quadratic and linear terms all identically 0 (max {mx:.1e})"
-
-
-@check("extended-scalar-values", "nongaussian")
-def _check_ext_scalar():
-    cfg = _sc("scalar_basic")
-    from dataclasses import replace
-
-    cfg = replace(cfg, horizon=2.0)
-    obs = generate_observation_path(cfg)
-    ext = integrate_extended_system(cfg.model, obs.grid, obs, (np.zeros(1), np.eye(1)))
-    k1 = np.argmin(np.abs(obs.grid - 1.0))
-    s1 = ext.coupling[k1, 0, 0]
-    m_err = np.abs(ext.quad_info[:, 0, 0] - obs.grid).max()
-    return abs(s1 + 0.5) <= 1e-8 and m_err <= 1e-9, (
-        f"S(1) = {s1:.10f} (analytic -0.5); info-quadratic M_t = t within {m_err:.1e}")
-
-
-@cache
-def _g_identity_worst():
-    worst = 0.0
-    for name in ("two_atom", "two_atom_neutral", "rotation_atoms"):
-        cfg = _sc(name)
-        obs = generate_observation_path(cfg)
-        ext = integrate_extended_system(cfg.model, obs.grid, obs, (cfg.m0, cfg.P0))
-        psi = closed_loop_propagator(cfg.model, ext.cov.path, obs.grid)
-        worst = max(worst, float(np.abs(ext.propagator - psi.values).max()))
-    return worst
-
-
-@check("g-propagator-identity", "nongaussian")
-def _check_g_identity():
-    worst = _g_identity_worst()
-    return worst <= 1e-6, f"max ||(Phi + S) - Psi|| = {worst:.2e} over mixture scenarios (tol 1e-6)"
-
-
-@check("single-atom-reductions", "nongaussian")
-def _check_single_atom():
-    cfg = _sc("two_atom_neutral")
-    from dataclasses import replace
-
-    cfg = replace(cfg, horizon=5.0)
-    obs = generate_observation_path(cfg)
-    init = (cfg.m0, cfg.P0)
-    mix0 = mixture_filter(cfg.model, obs, [(np.zeros(1), 1.0)], init)
-    base = run_filter(cfg.model, obs, init)
-    e0 = np.abs(mix0.mean - base.means).max()
-    mix1 = mixture_filter(cfg.model, obs, [(np.array([2.0]), 1.0)], init)
-    shifted = run_filter(cfg.model, obs, (cfg.m0 + 2.0, cfg.P0))
-    e1 = np.abs(mix1.mean - shifted.means).max()
-    ok = e0 <= 1e-9 and e1 <= 1e-6
-    return ok, f"atom at 0 vs plain filter {e0:.1e} (tol 1e-9); atom at 2 vs shifted init {e1:.1e} (tol 1e-6)"
-
-
-@cache
-def _equivalence_run():
-    t0 = time.time()
-    worst_mean, worst_logw, count = 0.0, 0.0, 0
-    for base, n_seeds in (("two_atom_neutral", 5), ("rotation_atoms", 5)):
-        cfg = _sc(base)
-        pieces = filter_pieces(cfg.model, cfg.grid(), cfg.P0)
-        for ds in range(n_seeds):
-            obs = generate_observation_path(cfg, seed=cfg.seed + ds)
-            ext = integrate_extended_system(cfg.model, obs.grid, obs, (cfg.m0, cfg.P0),
-                                            pieces=pieces)
-            mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0), ext=ext)
-            bank = bank_oracle(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0), pieces=pieces)
-            worst_mean = max(worst_mean, float(np.abs(mix.mean - bank.mean).max()))
-            worst_logw = max(worst_logw, float(np.abs(mix.log_weights - bank.log_weights).max()))
-            count += 1
-    return worst_mean, worst_logw, count, time.time() - t0
-
-
-@check("mixture-bank-equivalence", "nongaussian")
-def _check_equivalence():
-    wm, ww, count, elapsed = _equivalence_run()
-    ok = wm <= 1e-6 and ww <= 1e-8
-    return ok, (f"{count} seeded scenarios: worst mean gap {wm:.2e} (tol 1e-6), "
-                f"worst log-weight gap {ww:.2e} (tol 1e-8), {elapsed:.1f}s")
-
-
-@check("bank-weight-convergence", "nongaussian")
-def _check_weight_convergence():
-    cfg = _sc("two_atom_sharp")
-    x0 = np.array([1.0])  # Gaussian part at its mean, atom +1
-    obs = generate_observation_path(cfg, x0=x0, noise_off=True)
-    bank = bank_oracle(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0))
-    w = bank.weights[:, 0]
-    k10 = np.argmin(np.abs(obs.grid - 10.0))
-    monotone = bool(np.all(np.diff(w[k10:]) >= -1e-12))
-    ok = w[-1] >= 0.99 and monotone
-    return ok, f"true-atom weight at T=20: {w[-1]:.5f} (>= 0.99), tail monotone: {monotone}"
-
-
-@check("mixture-shift-covariance", "nongaussian")
-def _check_shift_covariance():
-    cfg = _sc("two_atom_neutral")
-    from dataclasses import replace
-
-    cfg = replace(cfg, horizon=5.0)
-    obs = generate_observation_path(cfg)
-    c = 0.7
-    mix_a = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0))
-    shifted_atoms = tuple((x + c, w) for x, w in cfg.atoms)
-    mix_b = mixture_filter(cfg.model, obs, shifted_atoms, (cfg.m0 - c, cfg.P0))
-    dm = np.abs(mix_a.mean - mix_b.mean).max()
-    dw = np.abs(mix_a.log_weights - mix_b.log_weights).max()
-    dc = np.abs(mix_a.cov - mix_b.cov).max()
-    ok = dm <= 1e-8 and dw <= 1e-8 and dc <= 1e-8
-    return ok, f"moving v0 mass into the Gaussian mean: mean {dm:.1e}, logw {dw:.1e}, cov {dc:.1e}"
-
-
-@check("merging-trivial-cases", "nongaussian")
-def _check_merging_trivial():
-    cfg = _sc("two_atom_neutral")
-    from dataclasses import replace
-
-    cfg = replace(cfg, horizon=5.0)
-    obs = generate_observation_path(cfg)
-    init = (cfg.m0, cfg.P0)
-    mix = mixture_filter(cfg.model, obs, [(np.zeros(1), 1.0)], init)
-    ref = run_filter(cfg.model, obs, init)
-    rep = merging_report(mix, ref, ref.riccati, [[0.0], [1.0]])
-    zero_gap = rep.cos_gaps[:, 0].max()    # a = 0 -> g constant
-    same_gap = rep.cos_gaps[:, 1].max()    # same distribution
-    ok = zero_gap == 0.0 and same_gap <= 1e-8
-    return ok, f"a = 0 gap {zero_gap:.1e} (exact 0); identical-distribution gap {same_gap:.1e}"
-
-
-@cache
-def _two_atom_report():
-    cfg = _sc("two_atom")
-    obs = generate_observation_path(cfg)
-    mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0))
-    ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar))
-    return merging_report(mix, ref, ref.riccati, [[0.5], [1.0], [2.0]])
-
-
-@check("criterion-6-nongaussian", "acceptance")
+@check("criterion-6-nongaussian")
 def _check_criterion6():
-    wm, ww, count, _ = _equivalence_run()
-    gworst = _g_identity_worst()
-    rep = _two_atom_report()
+    # mixture posterior == bank of filters, over seeded paths of two scenarios
+    wm, ww, count = 0.0, 0.0, 0
+    exts = {}
+    for name in ("two_atom_neutral", "rotation_atoms"):
+        cfg = builtin_scenario(name)
+        init = (cfg.m0, cfg.P0)
+        pieces = filter_pieces(cfg.model, cfg.grid(), cfg.P0)
+        for ds in range(5):
+            obs = generate_observation_path(cfg, seed=cfg.seed + ds)
+            ext = integrate_extended_system(cfg.model, obs.grid, obs, init, pieces=pieces)
+            mix = mixture_filter(cfg.model, obs, cfg.atoms, init, ext=ext)
+            bank = bank_oracle(cfg.model, obs, cfg.atoms, init, pieces=pieces)
+            wm = max(wm, float(np.abs(mix.mean - bank.mean).max()))
+            ww = max(ww, float(np.abs(mix.log_weights - bank.log_weights).max()))
+            exts.setdefault(name, ext)
+            count += 1
+
+    # merging with a wrongly initialized Gaussian filter on two_atom
+    cfg = builtin_scenario("two_atom")
+    obs = generate_observation_path(cfg)
+    exts["two_atom"] = integrate_extended_system(cfg.model, obs.grid, obs, (cfg.m0, cfg.P0))
+    mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0), ext=exts["two_atom"])
+    ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar))
+    rep = merging_report(mix, ref, ref.riccati, [[0.5], [1.0], [2.0]])
     ratios = [rep.ratios["mean"]] + [rep.ratios[f"cos_{i}"] for i in range(3)]
+
+    # G_t = Phi_t + S_t is the closed-loop propagator Psi_t = P_t Phi_t^{-T} P0^{-1}
+    # (eps = 0), with P_t from the closed-form solution rather than the sweep
+    gworst = 0.0
+    for name, ext in exts.items():
+        cfg = builtin_scenario(name)
+        phi = fundamental_matrix(cfg.model, ext.grid)
+        p = closed_form_dre(cfg.model, cfg.P0, phi, accumulated_information(cfg.model, phi)).values
+        psi = p @ np.linalg.inv(phi.values).swapaxes(1, 2) @ np.linalg.inv(cfg.P0)
+        gworst = max(gworst, float(np.abs(ext.propagator - psi).max()))
+
     ok = (wm <= 1e-6 and ww <= 1e-8 and gworst <= 1e-6 and max(ratios) <= 0.1)
     return ok, (f"equivalence over {count} scenarios: means {wm:.1e}/1e-6, log-weights {ww:.1e}/1e-8; "
-                f"propagator identity {gworst:.1e}/1e-6; two-atom gap(30)/gap(1) ratios "
-                f"mean {ratios[0]:.1e}, cos {max(ratios[1:]):.1e} (tol 0.1, reference (5,3))")
-
-
-@check("mixture-mean-proximity", "nongaussian")
-def _check_mean_proximity():
-    rep = _two_atom_report()
-    r = rep.ratios["mean"]
-    return r <= 0.01, f"||E[x|Y] - reference mean|| terminal/t=1 ratio {r:.2e} (tol 0.01)"
-
-
-# ---------------------------------------------------------------------------
-# smallnoise
-
-
-@check("epsilon-pair-trivial", "smallnoise")
-def _check_eps_trivial():
-    cfg = _sc("smallnoise_stable")
-    from dataclasses import replace
-
-    small = replace(cfg, horizon=5.0)
-    r0 = run_epsilon_pair(small.model, small, 0.0, small.seed)
-    mdl_f0 = constant_model([[-0.5]], [[1.0]], [[1.0]], F=[[0.0]])
-    rf = run_epsilon_pair(mdl_f0, replace(small, model=mdl_f0), 0.3, small.seed)
-    ok = r0.sup_mean_gap == 0.0 and r0.sup_cov_gap == 0.0 and rf.sup_mean_gap == 0.0 and rf.sup_cov_gap == 0.0
-    return ok, (f"eps = 0 gaps ({r0.sup_mean_gap}, {r0.sup_cov_gap}); "
-                f"F = 0 gaps ({rf.sup_mean_gap}, {rf.sup_cov_gap})")
-
-
-@check("fit-scaling-synthetic", "smallnoise")
-def _check_fit_synthetic():
-    eps = (0.2, 0.1, 0.05, 0.025)
-    quad = EpsilonSweep(epsilons=eps, seeds=(0,),
-                        sup_mean_gaps=np.array([[3.0 * e * e] for e in eps]),
-                        sup_cov_gaps=np.array([[0.5 * e] for e in eps]))
-    fit = fit_scaling(quad)
-    ok = abs(fit.mean_slope - 2.0) <= 1e-10 and abs(fit.cov_slope - 1.0) <= 1e-10
-    return ok, f"c*eps^2 slope {fit.mean_slope:.12f}; c*eps slope {fit.cov_slope:.12f}"
-
-
-@check("stability-estimate-cases", "smallnoise")
-def _check_stability_cases():
-    grid = make_grid(10.0, 1e-3)
-    mdl = constant_model([[-1.0]], [[0.0]], [[1.0]])
-    sol = integrate_dre(mdl, [[1.0]], grid)
-    psi = closed_loop_propagator(mdl, sol.path, grid)
-    est = exponential_stability_estimate(psi)
-    pure_ok = abs(est.alpha - 1.0) <= 1e-6 and abs(est.k_fit - 1.0) <= 1e-6 and est.plausibly_exponential
-
-    mdl2 = constant_model([[0.0]], [[1.0]], [[1.0]])
-    g2 = make_grid(40.0, 1e-2)
-    sol2 = integrate_dre(mdl2, [[1.0]], g2)
-    psi2 = closed_loop_propagator(mdl2, sol2.path, g2)
-    est2 = exponential_stability_estimate(psi2)
-    algebraic_flagged = not est2.plausibly_exponential
-
-    mdl3 = constant_model([[0.4]], [[0.0]], [[1.0]])
-    sol3 = integrate_dre(mdl3, [[1.0]], grid)
-    psi3 = closed_loop_propagator(mdl3, sol3.path, grid)
-    est3 = exponential_stability_estimate(psi3)
-    unstable_flagged = est3.alpha < 0 and not est3.plausibly_exponential
-    ok = pure_ok and algebraic_flagged and unstable_flagged
-    return ok, (f"pure decay: alpha {est.alpha:.8f}, K {est.k_fit:.8f}; algebraic decay flagged "
-                f"(alpha {est2.alpha:.3f}, rms {est2.rms_residual:.1e}); growth flagged (alpha {est3.alpha:.3f})")
+                f"propagator identity vs P Phi^-T P0^-1 {gworst:.1e}/1e-6; two-atom gap(30)/gap(1) "
+                f"ratios mean {ratios[0]:.1e}, cos {max(ratios[1:]):.1e} (tol 0.1, reference (5,3))")
 
 
 @cache
 def _smallnoise_run():
-    cfg = _sc("smallnoise_stable")
+    cfg = builtin_scenario("smallnoise_stable")
     t0 = time.time()
     sweep = epsilon_sweep(cfg.model, cfg)
     fit = fit_scaling(sweep)
-    pieces = filter_pieces(cfg.model, cfg.grid(), cfg.P0)
-    psi = pieces.propagator()
-    est = exponential_stability_estimate(psi)
-    k2 = two_time_decay_constant(psi, est.alpha)
-    return sweep, fit, est, k2, time.time() - t0
+    est = exponential_stability_estimate(sweep.pieces_zero.propagator())
+    return sweep, fit, est, time.time() - t0
 
 
-@check("criterion-7-smallnoise-protocol", "acceptance")
+@check("criterion-7-smallnoise-protocol")
 def _check_criterion7():
-    sweep, fit, est, _, elapsed = _smallnoise_run()
+    sweep, fit, est, elapsed = _smallnoise_run()
     slack = np.diff(sweep.sup_mean_gaps, axis=0) <= 0.05 * sweep.sup_mean_gaps[:-1]
     mono = bool(np.all(slack)) and bool(np.all(np.diff(sweep.sup_cov_gaps, axis=0) <= 0.0))
     ok = est.plausibly_exponential and 1.8 <= fit.cov_slope <= 2.2 and mono and elapsed <= 120.0
@@ -1035,52 +258,27 @@ def _check_criterion7():
                 f"per-seed gaps monotone in eps (5% slack): {mono}; runtime {elapsed:.1f}s (limit 120s)")
 
 
-@check("criterion-7-mean-slope-band", "acceptance", known_fail=True)
+@check("criterion-7-mean-slope-band", known_fail=True)
 def _check_criterion7_mean():
-    sweep, fit, _, _, _ = _smallnoise_run()
+    sweep, fit, _, _ = _smallnoise_run()
     ok = 0.7 <= fit.mean_slope <= 1.3
     return ok, (f"mean-gap slope {fit.mean_slope:.3f} vs required band [0.7, 1.3]; measured rate is "
                 f"quadratic (gain difference is the covariance gap, O(eps^2)); medians "
                 f"{np.array2string(sweep.median_mean, precision=2)}")
 
 
-@check("smallnoise-cov-bound", "smallnoise")
-def _check_cov_bound():
-    sweep, _, est, k2, _ = _smallnoise_run()
-    cfg = _sc("smallnoise_stable")
-    sup_f = 1.0  # ||F|| on this scenario
-    ok = True
-    worst = ""
-    for i, eps in enumerate(sweep.epsilons):
-        if eps == 0:
-            continue
-        bound = 1.25 * eps * eps * k2 * sup_f * sup_f / (2.0 * est.alpha)
-        if sweep.sup_cov_gaps[i, 0] > bound:
-            ok = False
-        worst = f"eps={eps}: sup {sweep.sup_cov_gaps[i, 0]:.4e} vs bound {bound:.4e}"
-    return ok, f"two-time constant K = {k2:.3f}, alpha = {est.alpha:.3f}; largest cell {worst}"
-
-
-# ---------------------------------------------------------------------------
-# determinism (criterion 8) via the CLI
-
-
-@check("criterion-8-byte-identical-artifacts", "acceptance")
+@check("criterion-8-byte-identical-artifacts")
 def _check_criterion8():
-    import tempfile
-    from dataclasses import replace
-    from pathlib import Path
-
     from . import cli
 
-    base = replace(_sc("scalar_basic"), horizon=2.0, mc_runs=3)
+    base = replace(builtin_scenario("scalar_basic"), horizon=2.0, mc_runs=3)
     configs = {
         "riccati": base,
         "gramian": base,
         "stability-cov": base,
         "stability-mean": base,
-        "nongaussian": replace(_sc("two_atom_neutral"), horizon=2.0),
-        "smallnoise": replace(_sc("smallnoise_stable"), horizon=2.0, mc_runs=3),
+        "nongaussian": replace(builtin_scenario("two_atom_neutral"), horizon=2.0),
+        "smallnoise": replace(builtin_scenario("smallnoise_stable"), horizon=2.0, mc_runs=3),
     }
     pairs = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -1090,7 +288,9 @@ def _check_criterion8():
             digests = []
             for run_idx in range(2):
                 out = Path(tmp) / f"{sub}-{run_idx}"
-                code = cli.main([sub, "--config", str(cfgpath), "--out", str(out)])
+                # the subcommands' own PASS/FAIL verdicts are not this check's output
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([sub, "--config", str(cfgpath), "--out", str(out)])
                 if code == 2:
                     return False, f"{sub} exited with config error"
                 digests.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
@@ -1101,11 +301,20 @@ def _check_criterion8():
                   + ", ".join(f"{k} ({v} CSVs)" for k, v in pairs.items()))
 
 
-@check("criterion-9-grid-order", "acceptance")
+@check("criterion-9-grid-order")
 def _check_criterion9():
-    p1, d1 = _check_order_phi()
-    p2, d2 = _check_order_ric()
-    return p1 and p2, f"{d1}; {d2}"
+    dts = (0.02, 0.01)
+    growth = constant_model([[1.0]], [[1.0]], [[1.0]])
+    phi_errs = [abs(fundamental_matrix(growth, make_grid(1.0, dt)).values[-1, 0, 0] - np.e)
+                for dt in dts]
+    neutral = constant_model([[0.0]], [[1.0]], [[1.0]])
+    ric_errs = [abs(integrate_dre(neutral, [[1.0]], make_grid(1.0, dt)).values[-1, 0, 0] - 0.5)
+                for dt in dts]
+    r_phi = phi_errs[0] / phi_errs[1]
+    r_ric = ric_errs[0] / ric_errs[1]
+    ok = 8.0 <= r_phi <= 32.0 and 8.0 <= r_ric <= 32.0
+    return ok, (f"Phi error ratio dt 0.02/0.01 = {r_phi:.2f}; "
+                f"Riccati error ratio dt 0.02/0.01 = {r_ric:.2f}")
 
 
 __all__ = ["CHECKS", "Check", "CheckResult", "check", "run_checks"]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrators import accumulate_transitions, gain_steps
-from .model import LtvModel
+from .model import LtvModel, ModelValidationError
 from .propagate import MatrixPath, same_grid
 from .riccati import RiccatiSolution, integrate_dre
 from .simulate import ObservationPath, generate_observation_path
@@ -263,7 +263,12 @@ def mismatched_mc(model: LtvModel, cfg, n_seeds=None, noise_off=False) -> Mismat
     The observations of seed s are generate_observation_path(cfg, seed=s), one
     seed column each; both filters of a pair consume the identical
     increments. Reconstruction residuals are tracked pathwise per seed.
+    Raises ModelValidationError when mbar == m0: a zero initial gap has no
+    terminal/initial ratio.
     """
+    if np.array_equal(cfg.m0, cfg.mbar):
+        raise ModelValidationError("mismatched pairs require mbar != m0 in [init] "
+                                   "(a zero initial mean gap has no terminal/initial ratio)")
     n_seeds = cfg.mc_runs if n_seeds is None else n_seeds
     seeds = tuple(cfg.seed + i for i in range(n_seeds))
     obs = generate_observation_path(cfg, seed=seeds, noise_off=noise_off)

@@ -1,4 +1,6 @@
-"""Builtin experiment scenarios used by the CLI defaults, tests and verify suite.
+"""Builtin experiment scenarios used by the tests and the acceptance checks.
+
+The CLI reads only config documents; it does not use these builders.
 
 Every scenario is also shipped as a config document under configs/, kept in
 sync with these builders by a round-trip test.

@@ -165,18 +165,19 @@ def test_verify_unknown_filter(capsys):
     assert cli.main(["verify", "--filter", "no-such-check"]) == 2
 
 
-def test_verify_group_filter_selects_module(capsys):
-    code = cli.main(["verify", "--filter", "model"])
+def test_verify_criterion8_hides_nested_subcommand_verdicts(capsys):
+    code = cli.main(["verify", "--filter", "criterion-8"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "config-roundtrip" in out and "eval-rotation-family" in out
-    assert "phi-exponential" not in out
+    assert "1/1 checks passed" in out
+    assert "PASS riccati" not in out
+    assert "FAIL stability-mean" not in out
 
 
 def test_verify_surfaces_injected_failure(monkeypatch, capsys):
     import kblab.checks as checks
 
-    broken = checks.Check(name="hook-corrupted-tolerance", group="model",
+    broken = checks.Check(name="hook-corrupted-tolerance",
                           fn=lambda: (False, "tolerance corrupted by test hook"))
     monkeypatch.setattr(checks, "CHECKS", checks.CHECKS + [broken])
     code = cli.main(["verify", "--filter", "hook-corrupted"])

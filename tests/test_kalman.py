@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kblab.model import ExperimentConfig, constant_model
+from kblab.model import ExperimentConfig, ModelValidationError, constant_model
 from kblab.kalman import (
     filter_pieces,
     lyapunov_increments,
@@ -61,6 +61,7 @@ def test_identical_initializations_identical_paths():
     pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.m0, cfg.P0))
     assert pair.mean_gap.max() == 0.0
     assert pair.cov_gap.max() == 0.0
+    assert np.abs(mean_decomposition_diagnostics(pair).zhat).max() == 0.0
 
 
 def test_reconstruction_identity_generic_scalar():
@@ -113,6 +114,13 @@ def test_mismatched_mc_small_run():
     assert sweep.initial_gap == pytest.approx(2.0)
     assert sweep.max_residuals.max() <= 1e-6
     assert sweep.worst_ratio < 1.0  # gaps contract
+
+
+def test_mismatched_mc_rejects_zero_initial_gap():
+    # rotation_partial leaves mbar at its default, m0
+    cfg = replace(builtin_scenario("rotation_partial"), horizon=2.0, mc_runs=2)
+    with pytest.raises(ModelValidationError, match="mbar != m0"):
+        mismatched_mc(cfg.model, cfg)
 
 
 def test_mismatched_mc_noise_off_reproducible():

@@ -35,7 +35,7 @@ def test_periodic_sine_peak():
 
 def test_rotation_family_generator():
     mdl = rotation_damped_model(omega=1.0, damping=0.0)
-    for t in (0.0, 1.3, 7.7):
+    for t in (0.0, 1.3, 2.3, 7.7):
         assert np.array_equal(eval_coefficients(mdl, t).A, [[0.0, 1.0], [-1.0, 0.0]])
     damped = rotation_damped_model(omega=2.0, damping=0.5)
     assert np.array_equal(damped.A0, [[-0.5, 2.0], [-2.0, -0.5]])
@@ -60,12 +60,14 @@ def test_negative_time_rejected():
 
 
 def test_rinv_product_identity():
-    cfg = builtin_scenario("periodic3")
-    worst = 0.0
-    for t in np.linspace(0, 10, 23):
-        co = eval_coefficients(cfg.model, t)
-        worst = max(worst, np.abs(co.R @ co.R_inv - np.eye(3)).max())
-    assert worst <= 1e-12
+    for name in ("scalar_basic", "rotation", "periodic3"):
+        cfg = builtin_scenario(name)
+        times = np.union1d(np.linspace(0, 10, 23), np.linspace(0, cfg.horizon, 37))
+        worst = 0.0
+        for t in times:
+            co = eval_coefficients(cfg.model, t)
+            worst = max(worst, np.abs(co.R @ co.R_inv - np.eye(cfg.model.n)).max())
+        assert worst <= 1e-12, name
 
 
 def test_validate_flags_singular_p0():
@@ -124,7 +126,7 @@ def test_unknown_key_reports_line():
 
 
 def test_malformed_number_reports_line():
-    with pytest.raises(ConfigError, match=r"malformed number"):
+    with pytest.raises(ConfigError, match=r"line \d+.*malformed number"):
         parse_config("[model]\nm = 1\n[run]\ndt = fast\n")
 
 

@@ -82,7 +82,7 @@ def test_info_exponential_value():
 
 def test_info_psd_monotone():
     mdl = builtin_scenario("periodic3").model
-    grid = make_grid(4.0, 1e-3)
+    grid = make_grid(5.0, 1e-3)
     info = accumulated_information(mdl, fundamental_matrix(mdl, grid))
     inc = np.diff(info.values, axis=0)
     assert np.linalg.eigvalsh(inc)[:, 0].min() >= -1e-12
@@ -111,6 +111,16 @@ def test_uco_partial_observation_rank_deficient():
     est = uco_gramian(mdl, phi, 1.0)
     assert abs(est.rho1) <= 1e-12
     assert est.rho2 == pytest.approx(1.0, abs=1e-8)
+    assert not est.uco_plausible
+
+
+def test_uco_partial_observation_over_full_rotation_periods():
+    # C = [1 0] on a rotation: each window of whole periods sees every direction
+    cfg = builtin_scenario("rotation_partial")
+    phi = fundamental_matrix(cfg.model, cfg.grid())
+    est = uco_gramian(cfg.model, phi, cfg.uco_window)
+    assert est.uco_plausible
+    assert abs(est.rho1 - np.pi) < 1e-2
 
 
 def test_uco_singular_fundamental_matrix_raises():

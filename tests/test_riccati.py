@@ -166,6 +166,28 @@ def test_riccati_flow_preserves_psd_order():
     assert np.linalg.eigvalsh(hi.values - lo.values)[:, 0].min() >= -1e-9
 
 
+def test_riccati_flow_preserves_psd_order_periodic():
+    rng = np.random.default_rng(2)
+    L = rng.standard_normal((3, 3))
+    P0 = L @ L.T + 0.2 * np.eye(3)
+    L2 = rng.standard_normal((3, 3))
+    P0p = P0 + 0.5 * (L2 @ L2.T)
+    mdl = builtin_scenario("periodic3").model
+    grid = make_grid(5.0, 1e-3)
+    lo = integrate_dre(mdl, P0, grid)
+    hi = integrate_dre(mdl, P0p, grid)
+    assert np.linalg.eigvalsh(hi.values - lo.values)[:, 0].min() >= -1e-9
+
+
+def test_rotation_covariance_contraction():
+    cfg = builtin_scenario("rotation")
+    grid = make_grid(20.0, cfg.dt)
+    a = integrate_dre(cfg.model, cfg.P0, grid)
+    b = integrate_dre(cfg.model, cfg.Pbar, grid)
+    gap = np.linalg.norm(a.values[-1] - b.values[-1], 2)
+    assert gap <= 1e-3 * np.linalg.norm(cfg.P0 - cfg.Pbar, 2)
+
+
 def test_uncertainty_collapses_along_decaying_direction():
     mdl = constant_model(np.diag([-1.0, 0.3]), np.eye(2), np.eye(2))
     sol = integrate_dre(mdl, np.eye(2), make_grid(20.0, 1e-3))

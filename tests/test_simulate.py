@@ -32,6 +32,9 @@ def test_observation_path_regenerates_bitwise():
     b = generate_observation_path(cfg, seed=42)
     assert np.array_equal(a.increments, b.increments)
     assert np.array_equal(a.truth, b.truth)
+    x1 = draw_initial_state(cfg, RngStream(42, "x0").generator())
+    x2 = draw_initial_state(cfg, RngStream(42, "x0").generator())
+    assert np.array_equal(x1, x2)
 
 
 def test_degenerate_initial_draw():

@@ -134,9 +134,10 @@ def test_two_time_constant_dominates_fit_constant():
     est = exponential_stability_estimate(psi)
     k2 = two_time_decay_constant(psi, est.alpha)
     assert k2 >= est.k_fit
-    # the bound constant certifies the covariance gap on this scenario
-    sup = np.max(np.abs([run_epsilon_pair(cfg.model, cfg, 0.1, cfg.seed).sup_cov_gap]))
-    assert sup <= 1.25 * 0.1 ** 2 * k2 / (2.0 * est.alpha)
+    # the bound constant certifies the covariance gap at every eps (||F|| = 1)
+    for eps in cfg.epsilons:
+        sup = run_epsilon_pair(cfg.model, cfg, eps, cfg.seed, pieces_zero=pieces).sup_cov_gap
+        assert sup <= 1.25 * eps ** 2 * k2 / (2.0 * est.alpha), eps
 
 
 def test_sweep_monotone_per_seed():
