@@ -87,7 +87,7 @@ def accumulate_transitions(steps: np.ndarray, start: np.ndarray | None = None) -
     return out
 
 
-def riccati_sweep(model: LtvModel, grid, P0, eps: float = 0.0,
+def riccati_sweep(model: LtvModel, grid, P0, eps=0.0,
                   supplied_path: np.ndarray | None = None,
                   blowup: float = 1e12):
     """Joint sweep of the Riccati flow and its closed-loop one-step matrices.
@@ -98,39 +98,51 @@ def riccati_sweep(model: LtvModel, grid, P0, eps: float = 0.0,
     same Riccati stage values, so that products of M_k are consistent with the
     returned covariance path.
 
-    When supplied_path is given, each step restarts from supplied_path[k]
-    instead of the internally propagated value (stage arithmetic is then
-    bitwise identical to the sweep that produced the path).
+    Several flows on one grid run as members of one sweep: P0 of shape
+    (B, m, m) and/or eps of shape (B,), the other broadcast. Each member is
+    bitwise what a single sweep of its (P0, eps) returns; a blow-up names the
+    member.
 
-    Returns (P_path (K+1,m,m), M_steps (K,m,m)).
+    When supplied_path is given (single flow only), each step restarts from
+    supplied_path[k] instead of the internally propagated value (stage
+    arithmetic is then bitwise identical to the sweep that produced the path).
+
+    Returns (P_path (K+1,m,m), M_steps (K,m,m)); members add a leading axis B.
     """
     n_steps = len(grid) - 1
     m = model.m
+    P0 = np.asarray(P0, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    batch = np.broadcast_shapes(P0.shape[:-2], eps.shape)
+    if len(batch) > 1 or (batch and supplied_path is not None):
+        raise ValueError("riccati_sweep batches members along one axis, without supplied_path")
+    eps = np.broadcast_to(eps, batch)
     stages = coefficient_stages(model, grid)
     a_lo, a_mid, a_hi = stages["A"]
     g_lo, g_mid, g_hi = stages["G"]
-    if eps != 0.0:
-        f_lo, f_mid, f_hi = stages["FFt"]
-        e2 = eps * eps
-        q_lo, q_mid, q_hi = e2 * f_lo, e2 * f_mid, e2 * f_hi
-    else:
-        z = np.zeros((n_steps, m, m))
-        q_lo = q_mid = q_hi = z
+    q_lo, q_mid, q_hi = _forcing(stages["FFt"], eps, n_steps, m)
     eye = np.eye(m)
     h = grid[1:] - grid[:-1]
 
-    path = np.empty((n_steps + 1, m, m))
-    msteps = np.empty((n_steps, m, m))
-    P = 0.5 * (np.asarray(P0, dtype=float) + np.asarray(P0, dtype=float).T)
+    # member-major results, written step by step through time-major views
+    paths = np.empty(batch + (n_steps + 1, m, m))
+    mpaths = np.empty(batch + (n_steps, m, m))
+    path, msteps = np.moveaxis(paths, -3, 0), np.moveaxis(mpaths, -3, 0)
+    P = 0.5 * (P0 + P0.swapaxes(-1, -2))
     path[0] = P
 
     if m == 1:
-        _riccati_sweep_scalar(grid, h, float(P[0, 0]),
-                              a_lo[:, 0, 0], a_mid[:, 0, 0], a_hi[:, 0, 0],
-                              g_lo[:, 0, 0], g_mid[:, 0, 0], g_hi[:, 0, 0],
-                              q_lo[:, 0, 0], q_mid[:, 0, 0], q_hi[:, 0, 0],
-                              supplied_path, blowup, path, msteps)
-        return path, msteps
+        coefs = [c[:, 0, 0].tolist() for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
+        hs = h.tolist()
+        sup = None if supplied_path is None else supplied_path[:, 0, 0].tolist()
+        prows = paths.reshape(-1, n_steps + 1)
+        mrows = mpaths.reshape(-1, n_steps)
+        qcols = [q.reshape(n_steps, -1) for q in (q_lo, q_mid, q_hi)]
+        for b in range(len(prows)):
+            _riccati_sweep_scalar(grid, hs, *coefs, *(q[:, b].tolist() for q in qcols),
+                                  sup, blowup, prows[b], mrows[b],
+                                  f" in member {b}" if batch else "")
+        return paths, mpaths
 
     for k in range(n_steps):
         if supplied_path is not None:
@@ -142,48 +154,65 @@ def riccati_sweep(model: LtvModel, grid, P0, eps: float = 0.0,
 
         pg = P @ G1
         ap = A1 @ P
-        k1p = ap + ap.T - pg @ P + Q1
+        k1p = ap + ap.swapaxes(-1, -2) - pg @ P + Q1
         k1m = A1 - pg
         p2 = P + (0.5 * hk) * k1p
         pg = p2 @ G2
         ap = A2 @ p2
-        k2p = ap + ap.T - pg @ p2 + Q2
+        k2p = ap + ap.swapaxes(-1, -2) - pg @ p2 + Q2
         k2m = (A2 - pg) @ (eye + (0.5 * hk) * k1m)
         p3 = P + (0.5 * hk) * k2p
         pg = p3 @ G2
         ap = A2 @ p3
-        k3p = ap + ap.T - pg @ p3 + Q2
+        k3p = ap + ap.swapaxes(-1, -2) - pg @ p3 + Q2
         k3m = (A2 - pg) @ (eye + (0.5 * hk) * k2m)
         p4 = P + hk * k3p
         pg = p4 @ G3
         ap = A3 @ p4
-        k4p = ap + ap.T - pg @ p4 + Q3
+        k4p = ap + ap.swapaxes(-1, -2) - pg @ p4 + Q3
         k4m = (A3 - pg) @ (eye + hk * k3m)
 
         P = P + (hk / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        P = 0.5 * (P + P.T)
+        P = 0.5 * (P + P.swapaxes(-1, -2))
         if np.abs(P).max() > blowup:
-            raise FloatingPointError(
-                f"Riccati blow-up: ||P|| > {blowup:g} at t={grid[k + 1]:.6g}")
+            where = ""
+            if batch:
+                norms = np.abs(np.broadcast_to(P, batch + (m, m))).max(axis=(1, 2))
+                where = f" in member {np.argmax(norms > blowup)}"
+            raise _blowup_error(where, blowup, grid[k + 1])
         path[k + 1] = P
         msteps[k] = eye + (hk / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
 
-    return path, msteps
+    return paths, mpaths
 
 
-def _riccati_sweep_scalar(grid, h, p0, a1, a2, a3, g1, g2, g3, q1, q2, q3,
-                          supplied_path, blowup, path, msteps):
-    """Scalar (m = n = 1) sweep in plain float arithmetic; same stage formulas."""
-    n_steps = len(h)
-    a1 = a1.tolist(); a2 = a2.tolist(); a3 = a3.tolist()
-    g1 = g1.tolist(); g2 = g2.tolist(); g3 = g3.tolist()
-    q1 = q1.tolist(); q2 = q2.tolist(); q3 = q3.tolist()
-    hs = h.tolist()
-    sup = None if supplied_path is None else supplied_path[:, 0, 0].tolist()
-    pout = path[:, 0, 0]
-    mout = msteps[:, 0, 0]
-    p = p0
-    for k in range(n_steps):
+def _forcing(ffts, eps: np.ndarray, n_steps: int, m: int):
+    """eps^2 F F^T at the three stage times, per member.
+
+    Members with eps = 0 get +0.0 (0 * F would give -0.0 where F F^T < 0),
+    so they add exactly what a noise-free single sweep adds.
+    """
+    if not eps.any():
+        z = np.zeros((n_steps,) + eps.shape + (m, m))
+        return z, z, z
+    e2 = (eps * eps)[..., None, None]
+    members = tuple(range(1, 1 + eps.ndim))
+    return tuple(np.where(e2 != 0.0, e2 * np.expand_dims(f, members), 0.0) for f in ffts)
+
+
+def _blowup_error(where: str, blowup: float, t: float) -> FloatingPointError:
+    return FloatingPointError(f"Riccati blow-up{where}: ||P|| > {blowup:g} at t={t:.6g}")
+
+
+def _riccati_sweep_scalar(grid, hs, a1, a2, a3, g1, g2, g3, q1, q2, q3,
+                          sup, blowup, pout, mout, where):
+    """Scalar (m = n = 1) sweep of one member in plain float arithmetic; same stage formulas.
+
+    Coefficients, steps and the supplied path come as lists; pout and mout
+    are the member's (K+1,) and (K,) output rows.
+    """
+    p = float(pout[0])
+    for k in range(len(hs)):
         if sup is not None:
             p = sup[k]
         hk = hs[k]
@@ -202,8 +231,7 @@ def _riccati_sweep_scalar(grid, h, p0, a1, a2, a3, g1, g2, g3, q1, q2, q3,
         k4m = (A3 - p4 * G3) * (1.0 + hk * k3m)
         p = p + (hk / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         if abs(p) > blowup:
-            raise FloatingPointError(
-                f"Riccati blow-up: ||P|| > {blowup:g} at t={grid[k + 1]:.6g}")
+            raise _blowup_error(where, blowup, grid[k + 1])
         pout[k + 1] = p
         mout[k] = 1.0 + (hk / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
 

@@ -37,12 +37,16 @@ from .model import constant_model, serialize_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
 from .propagate import (
     accumulated_information,
-    closed_loop_propagator,
     fundamental_matrix,
     psi_decay_integral,
     uco_gramian,
 )
-from .riccati import closed_form_dre, error_factorization_check, integrate_dre
+from .riccati import (
+    closed_form_dre,
+    error_factorization_check,
+    integrate_dre,
+    integrate_dre_batch,
+)
 from .scenarios import builtin_scenario
 from .simulate import generate_observation_path
 from .smallnoise import epsilon_sweep, exponential_stability_estimate, fit_scaling
@@ -110,10 +114,9 @@ def _check_criterion1():
         m = mdl.m
         phi = fundamental_matrix(mdl, grid)
         info = accumulated_information(mdl, phi)
-        for _ in range(3):
-            L = rng.standard_normal((m, m))
-            P0 = L @ L.T + 0.1 * np.eye(m)
-            sol = integrate_dre(mdl, P0, grid)
+        roots = [rng.standard_normal((m, m)) for _ in range(3)]
+        P0s = np.stack([L @ L.T + 0.1 * np.eye(m) for L in roots])
+        for P0, sol in zip(P0s, integrate_dre_batch(mdl, P0s, grid)):
             cf = closed_form_dre(mdl, P0, phi, info)
             worst = max(worst, float(np.linalg.norm(sol.values - cf.values, ord=2, axis=(1, 2)).max()))
     elapsed = time.time() - t0
@@ -132,8 +135,7 @@ def _check_criterion2():
     e_p1 = np.abs(integrate_dre(mdl1, [[1.0]], grid).values[:, 0, 0] - ea).max()
     g3 = make_grid(3.0, 1e-3)
     sol = integrate_dre(mdl0, [[1.0]], g3)
-    e_psi = np.abs(closed_loop_propagator(mdl0, sol.path, g3).values[:, 0, 0]
-                   - 1.0 / (1.0 + g3)).max()
+    e_psi = np.abs(sol.propagator().values[:, 0, 0] - 1.0 / (1.0 + g3)).max()
     _, e_fac, _ = error_factorization_check(mdl0, [[1.0]], [[2.0]], grid)
     ok = e_p0 <= 1e-8 and e_p1 <= 1e-8 and e_psi <= 1e-8 and e_fac <= 1e-8
     return ok, (f"p (A=0) {e_p0:.1e}, p (A=1) {e_p1:.1e}, Psi {e_psi:.1e}, "
@@ -145,7 +147,7 @@ def _check_criterion3():
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
     grid = make_grid(100.0, 1e-3)
     sol = integrate_dre(mdl, [[1.0]], grid)
-    psi = closed_loop_propagator(mdl, sol.path, grid)
+    psi = sol.propagator()
     integral, tails = psi_decay_integral(psi)
     integral = float(integral[0, 0])
     rho3 = float(uco_gramian(mdl, psi, 1.0, normalize="start", free_flow=False).rho1)

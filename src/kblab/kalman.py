@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import accumulate_transitions, gain_steps
+from ._integrators import gain_steps
 from .model import LtvModel, ModelValidationError
 from .propagate import MatrixPath, same_grid
-from .riccati import RiccatiSolution, integrate_dre
+from .riccati import RiccatiSolution, integrate_dre, integrate_dre_batch
 from .simulate import ObservationPath, generate_observation_path
 
 
@@ -46,17 +46,31 @@ class FilterPieces:
     cdt: np.ndarray             # (K, n, m) C_k * dt
 
     def propagator(self) -> MatrixPath:
-        return MatrixPath(self.grid, accumulate_transitions(self.msteps), label="Psi")
+        return self.riccati.propagator()
 
 
 def filter_pieces(model: LtvModel, grid, P0, eps_gain: float = 0.0) -> FilterPieces:
     grid = np.asarray(grid, dtype=float)
-    ric = integrate_dre(model, P0, grid, eps=eps_gain)
-    gains = gain_steps(model, grid, ric.closed_loop_steps)
+    return _assemble(model, grid, [integrate_dre(model, P0, grid, eps=eps_gain)])[0]
+
+
+def filter_pieces_batch(model: LtvModel, grid, P0, eps_gain=0.0) -> list[FilterPieces]:
+    """filter_pieces for B (P0, eps) members from one Riccati sweep.
+
+    P0 is (B, m, m) and/or eps_gain has B entries (see integrate_dre_batch);
+    member b is bitwise filter_pieces(model, grid, P0[b], eps_gain[b]).
+    """
+    grid = np.asarray(grid, dtype=float)
+    return _assemble(model, grid, integrate_dre_batch(model, P0, grid, eps=eps_gain))
+
+
+def _assemble(model: LtvModel, grid, rics) -> list[FilterPieces]:
+    """Pieces per Riccati solution; the gains of all members come from one call."""
+    gains = gain_steps(model, grid, np.stack([r.closed_loop_steps for r in rics]))
     h = (grid[1:] - grid[:-1])[:, None, None]
     cdt = model.C_at(grid[:-1]) * h
-    return FilterPieces(grid=grid, riccati=ric, msteps=ric.closed_loop_steps,
-                        gains=gains, cdt=cdt)
+    return [FilterPieces(grid=grid, riccati=r, msteps=r.closed_loop_steps, gains=g, cdt=cdt)
+            for r, g in zip(rics, gains)]
 
 
 @dataclass
@@ -262,7 +276,8 @@ def mismatched_mc(model: LtvModel, cfg, n_seeds=None, noise_off=False) -> Mismat
 
     The observations of seed s are generate_observation_path(cfg, seed=s), one
     seed column each; both filters of a pair consume the identical
-    increments. Reconstruction residuals are tracked pathwise per seed.
+    increments, and their Riccati flows integrate in one batched sweep.
+    Reconstruction residuals are tracked pathwise per seed.
     Raises ModelValidationError when mbar == m0: a zero initial gap has no
     terminal/initial ratio.
     """
@@ -272,7 +287,9 @@ def mismatched_mc(model: LtvModel, cfg, n_seeds=None, noise_off=False) -> Mismat
     n_seeds = cfg.mc_runs if n_seeds is None else n_seeds
     seeds = tuple(cfg.seed + i for i in range(n_seeds))
     obs = generate_observation_path(cfg, seed=seeds, noise_off=noise_off)
-    pair = mismatched_pair(model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar))
+    pieces, piecesbar = filter_pieces_batch(model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
+    pair = mismatched_pair(model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
+                           pieces=pieces, piecesbar=piecesbar)
     diag = mean_decomposition_diagnostics(pair)
     return MismatchedSweep(seeds=seeds,
                            initial_gap=float(np.linalg.norm(cfg.m0 - cfg.mbar)),
@@ -289,6 +306,7 @@ __all__ = [
     "MismatchedSweep",
     "PairRun",
     "filter_pieces",
+    "filter_pieces_batch",
     "lyapunov_increments",
     "lyapunov_path",
     "mean_decomposition_diagnostics",

@@ -44,18 +44,19 @@ class RiccatiSolution:
     def values(self):
         return self.path.values
 
+    def propagator(self) -> MatrixPath:
+        """Closed-loop propagator Psi_t: the running product of closed_loop_steps."""
+        return MatrixPath(self.grid, accumulate_transitions(self.closed_loop_steps), label="Psi")
 
-def integrate_dre(model: LtvModel, P0, grid, eps: float = 0.0) -> RiccatiSolution:
-    """4th-order integration of the Riccati flow with per-step symmetrization.
 
-    Negative eigenvalues below -1e-10 are recorded as diagnostics; blow-up
-    (||P|| > 1e12) raises naming the time.
-    """
-    grid = np.asarray(grid, dtype=float)
+def _symmetric(P0) -> np.ndarray:
     P0 = np.asarray(P0, dtype=float)
-    if np.abs(P0 - P0.T).max() > 1e-12:
+    if np.abs(P0 - P0.swapaxes(-1, -2)).max() > 1e-12:
         raise ValueError("P0 must be symmetric")
-    path, msteps = riccati_sweep(model, grid, P0, eps=eps)
+    return P0
+
+
+def _solution(grid, P0, eps: float, path, msteps) -> RiccatiSolution:
     min_eigs = np.linalg.eigvalsh(path)[:, 0]
     diags = []
     bad = np.nonzero(min_eigs < -1e-10)[0]
@@ -66,6 +67,37 @@ def integrate_dre(model: LtvModel, P0, grid, eps: float = 0.0) -> RiccatiSolutio
     mp = MatrixPath(grid, path, label=f"P(eps={eps:g})")
     return RiccatiSolution(path=mp, init=P0, eps=eps, min_eigs=min_eigs,
                            closed_loop_steps=msteps, diagnostics=diags)
+
+
+def integrate_dre(model: LtvModel, P0, grid, eps: float = 0.0) -> RiccatiSolution:
+    """4th-order integration of the Riccati flow with per-step symmetrization.
+
+    Negative eigenvalues below -1e-10 are recorded as diagnostics; blow-up
+    (||P|| > 1e12) raises naming the time.
+    """
+    grid = np.asarray(grid, dtype=float)
+    P0 = _symmetric(P0)
+    path, msteps = riccati_sweep(model, grid, P0, eps=eps)
+    return _solution(grid, P0, eps, path, msteps)
+
+
+def integrate_dre_batch(model: LtvModel, P0, grid, eps=0.0) -> list[RiccatiSolution]:
+    """integrate_dre for B flows on one grid, in one sweep.
+
+    P0 is (B, m, m) and/or eps has B entries (the other broadcasts). Member b
+    is bitwise integrate_dre(model, P0[b], grid, eps[b]); a blow-up raises
+    naming the member and the time.
+    """
+    grid = np.asarray(grid, dtype=float)
+    P0 = _symmetric(P0)
+    eps = np.asarray(eps, dtype=float)
+    if P0.ndim != 3 and eps.ndim != 1:
+        raise ValueError("a batch needs P0 of shape (B, m, m) or one eps per member")
+    paths, msteps = riccati_sweep(model, grid, P0, eps=eps)
+    P0 = np.broadcast_to(P0, paths.shape[:1] + P0.shape[-2:])
+    eps = np.broadcast_to(eps, paths.shape[:1])
+    return [_solution(grid, P0[b].copy(), float(eps[b]), paths[b], msteps[b])
+            for b in range(len(paths))]
 
 
 def closed_form_dre(model: LtvModel, P0, phi: MatrixPath, info: MatrixPath,
@@ -97,15 +129,13 @@ def error_factorization_check(model: LtvModel, P0, Pbar0, grid):
 
     The difference of two Riccati solutions factorizes through the two
     closed-loop propagators: P_t - Pbar_t = Psi_t (P0 - Pbar0) Psibar_t^T.
-    The propagators are the products of the one-step matrices each sweep
-    returns (bitwise what closed_loop_propagator rebuilds from the path).
+    Both flows integrate in one batched sweep; the propagators are the
+    products of the one-step matrices it returns (bitwise what
+    closed_loop_propagator rebuilds from each path).
     Returns (residual path ||lhs - rhs||_2 per node, max residual, pieces).
     """
-    grid = np.asarray(grid, dtype=float)
-    sol = integrate_dre(model, P0, grid)
-    solbar = integrate_dre(model, Pbar0, grid)
-    psi = MatrixPath(grid, accumulate_transitions(sol.closed_loop_steps), label="Psi")
-    psibar = MatrixPath(grid, accumulate_transitions(solbar.closed_loop_steps), label="Psi")
+    sol, solbar = integrate_dre_batch(model, np.stack([P0, Pbar0]), grid)
+    psi, psibar = sol.propagator(), solbar.propagator()
     d0 = np.asarray(P0, dtype=float) - np.asarray(Pbar0, dtype=float)
     lhs = sol.values - solbar.values
     rhs = psi.values @ d0 @ np.swapaxes(psibar.values, 1, 2)
@@ -138,5 +168,6 @@ __all__ = [
     "covariance_gap",
     "error_factorization_check",
     "integrate_dre",
+    "integrate_dre_batch",
     "psd_sqrt",
 ]

@@ -140,40 +140,49 @@ def simulate_truth(model: LtvModel, x0, grid, eps: float = 0.0,
         xi = np.empty((n_steps,) + x0.shape)
         for j, g in enumerate(rng):
             xi[:, :, j] = g.standard_normal((n_steps, model.m))
+    scale = eps * np.sqrt(h)
     for k in range(n_steps):
-        x = x + h[k] * (a[k] @ x) + (eps * np.sqrt(h[k])) * (f[k] @ xi[k])
+        x = x + h[k] * (a[k] @ x) + scale[k] * (f[k] @ xi[k])
         out[k + 1] = x
     return out
 
 
 def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndarray,
-                          substeps: int, rng: np.random.Generator | None,
-                          seed: int = 0, eps: float = 0.0) -> ObservationPath:
+                          substeps: int, rng, seed=0, eps: float = 0.0) -> ObservationPath:
     """Aggregate fine-grid observation increments to the coarse grid.
 
     Per coarse step: dy_k = trapezoid of C_s x_s over the substeps plus
     sum_j R_j^{1/2} sqrt(h) xi_j. Passing rng=None is the deterministic-noise
-    test hook (xi = 0 identically).
+    test hook (xi = 0 identically). A truth with seed columns (F+1, m, S)
+    takes a sequence of S generators (or None entries) and gives increments
+    (K, n, S); the coefficient paths C and R^{1/2} are built once, and the
+    noise is drawn one column at a time.
     """
     fine = np.asarray(fine, dtype=float)
     n_fine = len(fine) - 1
     if n_fine % substeps:
         raise ValueError("fine grid length is not a multiple of substeps")
     n_coarse = n_fine // substeps
+    batch = truth_fine.ndim == 3
+    rngs = rng if batch else [rng]
+    columns = truth_fine if batch else truth_fine[:, :, None]
     c = model.C_at(fine)
-    cx = np.einsum("tij,tj->ti", c, truth_fine)
     h = (fine[1:] - fine[:-1])[:, None]
-    drift = 0.5 * h * (cx[:-1] + cx[1:])
-    if rng is not None:
-        rhalf = _psd_sqrt_path(model.R_at(fine[:-1]))
-        xi = rng.standard_normal((n_fine, model.n))
-        noise = np.sqrt(h) * np.einsum("tij,tj->ti", rhalf, xi)
-    else:
-        noise = np.zeros_like(drift)
-    inc = (drift + noise).reshape(n_coarse, substeps, model.n).sum(axis=1)
-    coarse = fine[::substeps]
-    return ObservationPath(grid=coarse, increments=inc, truth=truth_fine[::substeps],
-                           substeps=substeps, seed=seed, eps=eps)
+    root_h = np.sqrt(h)
+    noisy = any(g is not None for g in rngs)
+    rhalf = _psd_sqrt_path(model.R_at(fine[:-1])) if noisy else None
+    inc = np.empty((n_coarse, model.n, len(rngs)))
+    for j, g in enumerate(rngs):
+        cx = np.einsum("tij,tj->ti", c, columns[:, :, j])
+        drift = 0.5 * h * (cx[:-1] + cx[1:])
+        if g is not None:
+            xi = g.standard_normal((n_fine, model.n))
+            noise = root_h * np.einsum("tij,tj->ti", rhalf, xi)
+        else:
+            noise = np.zeros_like(drift)
+        inc[:, :, j] = (drift + noise).reshape(n_coarse, substeps, model.n).sum(axis=1)
+    return ObservationPath(grid=fine[::substeps], increments=inc if batch else inc[:, :, 0],
+                           truth=truth_fine[::substeps], substeps=substeps, seed=seed, eps=eps)
 
 
 def generate_observation_path(cfg: ExperimentConfig, seed=None,
@@ -205,13 +214,8 @@ def generate_observation_path(cfg: ExperimentConfig, seed=None,
         vrng = None if vrng is None else vrng[0]
     truth_fine = simulate_truth(cfg.model, x0, fg, eps=eps, rng=vrng)
     wrngs = [None if noise_off else RngStream(s, "W").generator() for s in seeds]
-    if not batch:
-        return simulate_observations(cfg.model, truth_fine, fg, sub, wrngs[0], seed=seed, eps=eps)
-    inc = np.stack([simulate_observations(cfg.model, truth_fine[:, :, j], fg, sub, w,
-                                          seed=s, eps=eps).increments
-                    for j, (s, w) in enumerate(zip(seeds, wrngs))], axis=-1)
-    return ObservationPath(grid=fg[::sub], increments=inc, truth=truth_fine[::sub],
-                           substeps=sub, seed=seed, eps=eps)
+    return simulate_observations(cfg.model, truth_fine, fg, sub, wrngs if batch else wrngs[0],
+                                 seed=seed, eps=eps)
 
 
 __all__ = [

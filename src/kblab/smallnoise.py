@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kalman import FilterPieces, filter_pieces, run_filter
+from .kalman import FilterPieces, filter_pieces, filter_pieces_batch, run_filter
 from .model import ExperimentConfig, LtvModel
 from .propagate import MatrixPath
 from .riccati import covariance_gap
@@ -73,8 +73,9 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig,
     """Run the (eps, seed) grid with seed s = cfg.seed + s_index.
 
     Epsilons are processed in descending order (the convention the per-seed
-    monotonicity check relies on). Each eps runs every seed at once through
-    run_epsilon_pair.
+    monotonicity check relies on). The Riccati flows of eps = 0 and of every
+    eps integrate in one batched sweep; each eps runs every seed at once
+    through run_epsilon_pair.
     """
     epsilons = tuple(sorted(cfg.epsilons if epsilons is None else epsilons, reverse=True))
     n_seeds = cfg.mc_runs if n_seeds is None else n_seeds
@@ -83,12 +84,13 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig,
     seeds = tuple(cfg.seed + i for i in range(n_seeds))
     grid = cfg.grid()
 
-    pieces_zero = filter_pieces(model, grid, cfg.P0, eps_gain=0.0)
+    members = tuple(dict.fromkeys((0.0,) + epsilons))
+    pieces = dict(zip(members, filter_pieces_batch(model, grid, cfg.P0, eps_gain=members)))
+    pieces_zero = pieces[0.0]
     sup_mean = np.empty((len(epsilons), n_seeds))
     sup_cov = np.empty((len(epsilons), n_seeds))
     for i, eps in enumerate(epsilons):
-        pieces_eps = filter_pieces(model, grid, cfg.P0, eps_gain=eps) if eps else pieces_zero
-        cell = run_epsilon_pair(model, cfg, eps, seeds, pieces_eps, pieces_zero)
+        cell = run_epsilon_pair(model, cfg, eps, seeds, pieces[eps], pieces_zero)
         sup_mean[i] = cell.sup_mean_gap
         sup_cov[i] = cell.sup_cov_gap
     return EpsilonSweep(epsilons=epsilons, seeds=seeds, sup_mean_gaps=sup_mean,

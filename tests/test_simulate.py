@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kblab.model import constant_model
+from kblab.model import constant_model, periodic_model
 from kblab.propagate import make_grid
 from kblab.simulate import (
     RngStream,
@@ -167,3 +167,34 @@ def test_truth_columns_take_one_noise_stream_each():
     for j, s in enumerate((1, 2)):
         one = simulate_truth(mdl, x0s[:, j], fg, eps=0.3, rng=RngStream(s, "V").generator())
         assert np.abs(one - batch[:, :, j]).max() <= 1e-12
+
+
+def test_observation_columns_equal_per_column_aggregation():
+    # time-varying C and R: the coefficient paths are built once per call
+    mdl = periodic_model([[0.0, 1.0], [-1.0, -0.1]], [[0.0, 0.2], [0.0, 0.0]], [[1.0, 0.5]],
+                         [[0.5]], omega=3.0, C1=[[0.3, 0.0]], R1=[[0.2]])
+    fg = fine_grid(make_grid(2.0, 0.02), 4)
+    x0s = np.array([[1.0, -2.0, 0.0], [0.5, 0.0, 1.0]])
+    truth = simulate_truth(mdl, x0s, fg)
+    gens = [RngStream(s, "W").generator() for s in (1, 2)] + [None]
+    batch = simulate_observations(mdl, truth, fg, 4, gens, seed=(1, 2, 3))
+    assert batch.increments.shape == (len(batch.grid) - 1, 1, 3)
+    for j, s in enumerate((1, 2, None)):
+        rng = None if s is None else RngStream(s, "W").generator()
+        one = simulate_observations(mdl, truth[:, :, j], fg, 4, rng)
+        assert np.array_equal(one.increments, batch.increments[:, :, j])
+
+
+def test_em_truth_matches_stepwise_reference():
+    mdl = periodic_model([[-0.5, 1.0], [0.0, -0.2]], [[0.1, 0.0], [0.0, 0.3]], np.eye(2),
+                         np.eye(2), F=[[1.0, 0.0], [0.3, 0.5]])
+    fg = fine_grid(make_grid(1.0, 0.01), 3)
+    x0 = np.array([1.0, -1.0])
+    out = simulate_truth(mdl, x0, fg, eps=0.2, rng=RngStream(9, "V").generator())
+    xi = RngStream(9, "V").generator().standard_normal((len(fg) - 1, 2))
+    h = np.diff(fg)
+    x = x0
+    for k in range(len(fg) - 1):
+        a, f = mdl.A_at(fg[k:k + 1])[0], mdl.F_at(fg[k:k + 1])[0]
+        x = x + h[k] * (a @ x) + (0.2 * np.sqrt(h[k])) * (f @ xi[k])
+        assert np.array_equal(out[k + 1], x)
