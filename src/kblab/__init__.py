@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 from .model import (
     ConfigError,
     ExperimentConfig,
-    GaussianBelief,
     LtvModel,
     ModelValidationError,
     constant_model,
-    eval_coefficients,
     parse_config,
     periodic_model,
     rotation_damped_model,

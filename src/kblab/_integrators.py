@@ -72,13 +72,13 @@ def transition_steps(model: LtvModel, grid) -> np.ndarray:
     return rk4_linear_steps(model, *_stage_times(grid), grid[1:] - grid[:-1])
 
 
-def accumulate_transitions(steps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
-    """Running products: out[0] = start (identity by default), out[k+1] = steps[k] @ out[k]."""
+def accumulate_transitions(steps: np.ndarray) -> np.ndarray:
+    """Running products: out[0] = identity, out[k+1] = steps[k] @ out[k]."""
     n, m, _ = steps.shape
     out = np.empty((n + 1, m, m))
-    out[0] = np.eye(m) if start is None else start
+    out[0] = np.eye(m)
     if m == 1:
-        out[1:, 0, 0] = np.cumprod(steps[:, 0, 0]) * out[0, 0, 0]
+        out[1:, 0, 0] = np.cumprod(steps[:, 0, 0])
         return out
     cur = out[0]
     for k in range(n):
@@ -87,25 +87,21 @@ def accumulate_transitions(steps: np.ndarray, start: np.ndarray | None = None) -
     return out
 
 
-def riccati_sweep(model: LtvModel, grid, P0, eps=0.0,
-                  supplied_path: np.ndarray | None = None,
-                  blowup: float = 1e12):
+def riccati_sweep(model: LtvModel, grid, P0, eps=0.0, blowup: float = 1e12):
     """Joint sweep of the Riccati flow and its closed-loop one-step matrices.
 
     Integrates dP = A P + P A^T - P C^T R^-1 C P + eps^2 F F^T with classical
     RK4 and per-step symmetrization, and simultaneously builds the RK4 one-step
     matrices M_k of the closed-loop flow dz = (A - P C^T R^-1 C) z using the
     same Riccati stage values, so that products of M_k are consistent with the
-    returned covariance path.
+    returned covariance path. This sweep is the only place M_k is built: the
+    closed-loop propagator Psi_t is their running product
+    (propagate.closed_loop_propagator).
 
     Several flows on one grid run as members of one sweep: P0 of shape
     (B, m, m) and/or eps of shape (B,), the other broadcast. Each member is
     bitwise what a single sweep of its (P0, eps) returns; a blow-up names the
     member.
-
-    When supplied_path is given (single flow only), each step restarts from
-    supplied_path[k] instead of the internally propagated value (stage
-    arithmetic is then bitwise identical to the sweep that produced the path).
 
     Returns (P_path (K+1,m,m), M_steps (K,m,m)); members add a leading axis B.
     """
@@ -114,8 +110,8 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0,
     P0 = np.asarray(P0, dtype=float)
     eps = np.asarray(eps, dtype=float)
     batch = np.broadcast_shapes(P0.shape[:-2], eps.shape)
-    if len(batch) > 1 or (batch and supplied_path is not None):
-        raise ValueError("riccati_sweep batches members along one axis, without supplied_path")
+    if len(batch) > 1:
+        raise ValueError("riccati_sweep batches members along one axis")
     eps = np.broadcast_to(eps, batch)
     stages = coefficient_stages(model, grid)
     a_lo, a_mid, a_hi = stages["A"]
@@ -134,19 +130,16 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0,
     if m == 1:
         coefs = [c[:, 0, 0].tolist() for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
         hs = h.tolist()
-        sup = None if supplied_path is None else supplied_path[:, 0, 0].tolist()
         prows = paths.reshape(-1, n_steps + 1)
         mrows = mpaths.reshape(-1, n_steps)
         qcols = [q.reshape(n_steps, -1) for q in (q_lo, q_mid, q_hi)]
         for b in range(len(prows)):
             _riccati_sweep_scalar(grid, hs, *coefs, *(q[:, b].tolist() for q in qcols),
-                                  sup, blowup, prows[b], mrows[b],
+                                  blowup, prows[b], mrows[b],
                                   f" in member {b}" if batch else "")
         return paths, mpaths
 
     for k in range(n_steps):
-        if supplied_path is not None:
-            P = supplied_path[k]
         hk = h[k]
         A1, A2, A3 = a_lo[k], a_mid[k], a_hi[k]
         G1, G2, G3 = g_lo[k], g_mid[k], g_hi[k]
@@ -205,16 +198,14 @@ def _blowup_error(where: str, blowup: float, t: float) -> FloatingPointError:
 
 
 def _riccati_sweep_scalar(grid, hs, a1, a2, a3, g1, g2, g3, q1, q2, q3,
-                          sup, blowup, pout, mout, where):
+                          blowup, pout, mout, where):
     """Scalar (m = n = 1) sweep of one member in plain float arithmetic; same stage formulas.
 
-    Coefficients, steps and the supplied path come as lists; pout and mout
-    are the member's (K+1,) and (K,) output rows.
+    Coefficients and steps come as lists; pout and mout are the member's
+    (K+1,) and (K,) output rows.
     """
     p = float(pout[0])
     for k in range(len(hs)):
-        if sup is not None:
-            p = sup[k]
         hk = hs[k]
         A1, A2, A3 = a1[k], a2[k], a3[k]
         G1, G2, G3 = g1[k], g2[k], g3[k]

@@ -37,6 +37,7 @@ from .model import constant_model, serialize_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
 from .propagate import (
     accumulated_information,
+    closed_loop_propagator,
     fundamental_matrix,
     psi_decay_integral,
     uco_gramian,
@@ -135,7 +136,7 @@ def _check_criterion2():
     e_p1 = np.abs(integrate_dre(mdl1, [[1.0]], grid).values[:, 0, 0] - ea).max()
     g3 = make_grid(3.0, 1e-3)
     sol = integrate_dre(mdl0, [[1.0]], g3)
-    e_psi = np.abs(sol.propagator().values[:, 0, 0] - 1.0 / (1.0 + g3)).max()
+    e_psi = np.abs(closed_loop_propagator(sol).values[:, 0, 0] - 1.0 / (1.0 + g3)).max()
     _, e_fac, _ = error_factorization_check(mdl0, [[1.0]], [[2.0]], grid)
     ok = e_p0 <= 1e-8 and e_p1 <= 1e-8 and e_psi <= 1e-8 and e_fac <= 1e-8
     return ok, (f"p (A=0) {e_p0:.1e}, p (A=1) {e_p1:.1e}, Psi {e_psi:.1e}, "
@@ -147,7 +148,7 @@ def _check_criterion3():
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
     grid = make_grid(100.0, 1e-3)
     sol = integrate_dre(mdl, [[1.0]], grid)
-    psi = sol.propagator()
+    psi = closed_loop_propagator(sol)
     integral, tails = psi_decay_integral(psi)
     integral = float(integral[0, 0])
     rho3 = float(uco_gramian(mdl, psi, 1.0, normalize="start", free_flow=False).rho1)
@@ -185,7 +186,7 @@ def _check_criterion5():
         cfg = builtin_scenario(name)
         grid = make_grid(min(cfg.horizon, 20.0), cfg.dt)
         pieces = filter_pieces(cfg.model, grid, cfg.Pbar)
-        psi = pieces.propagator()
+        psi = closed_loop_propagator(pieces.riccati)
         z0s = np.random.default_rng(0).standard_normal((cfg.model.m, 10))
         inc = lyapunov_increments(psi, pieces.riccati, z0s)
         rho3 = uco_gramian(cfg.model, psi, cfg.uco_window, normalize="start", free_flow=False).rho1
@@ -246,7 +247,7 @@ def _smallnoise_run():
     t0 = time.time()
     sweep = epsilon_sweep(cfg.model, cfg)
     fit = fit_scaling(sweep)
-    est = exponential_stability_estimate(sweep.pieces_zero.propagator())
+    est = exponential_stability_estimate(closed_loop_propagator(sweep.pieces_zero.riccati))
     return sweep, fit, est, time.time() - t0
 
 

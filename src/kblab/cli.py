@@ -24,6 +24,7 @@ import numpy as np
 
 from .csvio import write_manifest, write_matrix_path, write_table
 from .kalman import (
+    filter_pieces_batch,
     lyapunov_path,
     mean_decomposition_diagnostics,
     mismatched_mc,
@@ -32,9 +33,13 @@ from .kalman import (
 )
 from .model import ConfigError, ModelValidationError, parse_config, validate_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
-from .propagate import fundamental_matrix, uco_gramian
+from .propagate import (
+    accumulated_information,
+    closed_loop_propagator,
+    fundamental_matrix,
+    uco_gramian,
+)
 from .riccati import closed_form_dre, error_factorization_check, integrate_dre
-from .propagate import accumulated_information
 from .simulate import generate_observation_path
 from .smallnoise import epsilon_sweep, exponential_stability_estimate, fit_scaling
 
@@ -170,10 +175,11 @@ def cmd_nongaussian(args) -> int:
     t0 = time.time()
     obs = generate_observation_path(cfg)
     init = (cfg.m0, cfg.P0)
-    ext = integrate_extended_system(cfg.model, obs.grid, obs, init)
+    pieces, refpieces = filter_pieces_batch(cfg.model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
+    ext = integrate_extended_system(cfg.model, obs.grid, obs, init, pieces=pieces)
     mix = mixture_filter(cfg.model, obs, cfg.atoms, init, ext=ext)
-    bank = bank_oracle(cfg.model, obs, cfg.atoms, init, pieces=ext.gauss_run.pieces)
-    ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar))
+    bank = bank_oracle(cfg.model, obs, cfg.atoms, init, pieces=pieces)
+    ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar), pieces=refpieces)
     freqs = [[0.5] * cfg.model.m, [1.0] * cfg.model.m, [2.0] * cfg.model.m]
     rep = merging_report(mix, ref, ref.riccati, freqs)
 
@@ -213,7 +219,7 @@ def cmd_smallnoise(args) -> int:
     t0 = time.time()
     sweep = epsilon_sweep(cfg.model, cfg)
     fit = fit_scaling(sweep)
-    est = exponential_stability_estimate(sweep.pieces_zero.propagator())
+    est = exponential_stability_estimate(closed_loop_propagator(sweep.pieces_zero.riccati))
 
     write_table(Path(args.out) / "sweep.csv",
                 ["epsilon", "seed", "sup_mean_gap", "sup_cov_gap"],

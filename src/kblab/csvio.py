@@ -7,13 +7,11 @@ bytes; the manifest carries wall time and is exempt from byte identity.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import numpy as np
 
 from .propagate import MatrixPath
-from .simulate import ObservationPath
 
 
 def _f(x) -> str:
@@ -37,27 +35,6 @@ def write_matrix_path(path, mp: MatrixPath, name: str, stride: int = 1):
     header = ["t"] + [f"{name}_{i + 1}{j + 1}" for i in range(p) for j in range(q)]
     rows = ([mp.grid[k]] + list(mp.values[k].reshape(-1)) for k in range(0, len(mp), stride))
     return write_table(path, header, rows)
-
-
-def read_matrix_path(path, shape) -> MatrixPath:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return MatrixPath(raw[:, 0], raw[:, 1:].reshape(-1, *shape))
-
-
-def write_observation_path(path, obs: ObservationPath):
-    """Rows t,dy_1..dy_n,x_1..x_m at step ends, after a manifest comment line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n = obs.increments.shape[1]
-    m = obs.truth.shape[1]
-    header = ["t"] + [f"dy_{i + 1}" for i in range(n)] + [f"x_{i + 1}" for i in range(m)]
-    lines = [f"# seed={obs.seed} eps={_f(obs.eps)} substeps={obs.substeps}",
-             ",".join(header)]
-    for k in range(obs.n_steps):
-        vals = [obs.grid[k + 1], *obs.increments[k], *obs.truth[k + 1]]
-        lines.append(",".join(_f(v) for v in vals))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
 
 
 def write_manifest(out_dir, cfg, extra=None, seeds=None, wall_time=None):

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._integrators import gain_steps
 from .model import LtvModel, ModelValidationError
-from .propagate import MatrixPath, same_grid
+from .propagate import MatrixPath, closed_loop_propagator, same_grid
 from .riccati import RiccatiSolution, integrate_dre, integrate_dre_batch
 from .simulate import ObservationPath, generate_observation_path
 
@@ -44,9 +44,6 @@ class FilterPieces:
     msteps: np.ndarray          # (K, m, m) closed-loop one-step matrices
     gains: np.ndarray           # (K, m, n)
     cdt: np.ndarray             # (K, n, m) C_k * dt
-
-    def propagator(self) -> MatrixPath:
-        return self.riccati.propagator()
 
 
 def filter_pieces(model: LtvModel, grid, P0, eps_gain: float = 0.0) -> FilterPieces:
@@ -157,7 +154,7 @@ def mismatched_pair(model: LtvModel, obs: ObservationPath, correct, wrong,
     runbar = run_filter(model, obs, wrong, pieces=piecesbar)
     gap = run.means - runbar.means
     cov_gap = np.linalg.norm(run.riccati.values - runbar.riccati.values, ord=2, axis=(1, 2))
-    return PairRun(run=run, runbar=runbar, psibar=runbar.pieces.propagator(),
+    return PairRun(run=run, runbar=runbar, psibar=closed_loop_propagator(runbar.riccati),
                    mean_gap=np.linalg.norm(gap, axis=1), cov_gap=cov_gap, gap=gap)
 
 

@@ -18,8 +18,7 @@ Configurations are plain UTF-8 ``key = value`` documents with sections
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,14 +65,6 @@ def _as_matrix(x, rows, cols, name):
     return a
 
 
-class Coefficients(NamedTuple):
-    A: np.ndarray
-    C: np.ndarray
-    R: np.ndarray
-    R_inv: np.ndarray
-    F: np.ndarray
-
-
 @dataclass(frozen=True)
 class LtvModel:
     """Evaluatable coefficient schedules with dimensions (m, n)."""
@@ -112,7 +103,6 @@ class LtvModel:
             w, d = self.omega, self.damping
             object.__setattr__(self, "A0", np.array([[-d, w], [-w, -d]], dtype=float))
             object.__setattr__(self, "A1", None)
-        object.__setattr__(self, "_rinv_cache", {})
 
     # -- schedule evaluation; t may be a scalar or an array of times ---------
 
@@ -134,31 +124,6 @@ class LtvModel:
 
     def F_at(self, t):
         return self._sched(self.F0, self.F1, t)
-
-
-def eval_coefficients(model: LtvModel, t: float) -> Coefficients:
-    """Evaluate (A, C, R, R^-1, F) at time t; R^-1 is cached per time point.
-
-    Raises ModelValidationError naming t when R(t) is singular.
-    """
-    if t < 0:
-        raise ModelValidationError(f"schedules are defined for t >= 0, got t={t}")
-    A = model.A_at(t)
-    C = model.C_at(t)
-    R = model.R_at(t)
-    F = model.F_at(t)
-    cache = model._rinv_cache
-    key = float(t)
-    R_inv = cache.get(key)
-    if R_inv is None:
-        try:
-            R_inv = np.linalg.inv(R)
-        except np.linalg.LinAlgError as exc:
-            raise ModelValidationError(f"R(t) is singular at t={t}") from exc
-        if not np.all(np.isfinite(R_inv)):
-            raise ModelValidationError(f"R(t) is singular at t={t}")
-        cache[key] = R_inv
-    return Coefficients(A, C, R, R_inv, F)
 
 
 # ---------------------------------------------------------------------------
@@ -198,32 +163,6 @@ def rotation_damped_model(omega, damping, C=None, R=None, F=None) -> LtvModel:
         A0=np.zeros((2, 2)), C0=C, R0=R, F0=F,
         omega=float(omega), damping=float(damping),
     )
-
-
-# ---------------------------------------------------------------------------
-# beliefs
-
-
-@dataclass
-class GaussianBelief:
-    """Mean and symmetrized PSD covariance at one time."""
-
-    t: float
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (self.mean.size, self.mean.size):
-            raise ModelValidationError(f"cov shape {cov.shape} does not match mean size {self.mean.size}")
-        asym = np.abs(cov - cov.T).max() if cov.size else 0.0
-        if asym > 1e-12:
-            raise ModelValidationError(f"covariance asymmetry {asym:.3e} exceeds 1e-12")
-        self.cov = 0.5 * (cov + cov.T)
-        lo = float(np.linalg.eigvalsh(self.cov).min()) if cov.size else 0.0
-        if lo < -1e-10:
-            raise ModelValidationError(f"covariance has eigenvalue {lo:.3e} < -1e-10")
 
 
 # ---------------------------------------------------------------------------
@@ -537,38 +476,3 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         if cfg.thresholds[key] != DEFAULT_THRESHOLDS[key]:
             out.append(f"{key} = {_fmt(cfg.thresholds[key])}")
     return "\n".join(out) + "\n"
-
-
-def config_equal(a: ExperimentConfig, b: ExperimentConfig, rtol=1e-15) -> bool:
-    """Field-wise equality: exact for integers/strings, rtol-relative for floats."""
-
-    def eq_arr(x, y):
-        return x.shape == y.shape and np.allclose(x, y, rtol=rtol, atol=0.0)
-
-    ma, mb = a.model, b.model
-    if (ma.m, ma.n, ma.family) != (mb.m, mb.n, mb.family):
-        return False
-    for name in ("A0", "C0", "R0", "F0", "A1", "C1", "R1", "F1"):
-        va, vb = getattr(ma, name), getattr(mb, name)
-        if (va is None) != (vb is None):
-            return False
-        if va is not None and not eq_arr(va, vb):
-            return False
-    if not np.isclose(ma.omega, mb.omega, rtol=rtol) or not np.isclose(ma.damping, mb.damping, rtol=rtol):
-        return False
-    if (a.substeps, a.seed, a.mc_runs) != (b.substeps, b.seed, b.mc_runs):
-        return False
-    for fa, fb in ((a.horizon, b.horizon), (a.dt, b.dt), (a.uco_window, b.uco_window)):
-        if not np.isclose(fa, fb, rtol=rtol):
-            return False
-    for pa, pb in ((a.m0, b.m0), (a.P0, b.P0), (a.mbar, b.mbar), (a.Pbar, b.Pbar)):
-        if not eq_arr(pa, pb):
-            return False
-    if len(a.atoms) != len(b.atoms) or len(a.epsilons) != len(b.epsilons):
-        return False
-    for (xa, wa), (xb, wb) in zip(a.atoms, b.atoms):
-        if not eq_arr(xa, xb) or not np.isclose(wa, wb, rtol=rtol):
-            return False
-    if a.epsilons and not np.allclose(a.epsilons, b.epsilons, rtol=rtol):
-        return False
-    return a.thresholds == b.thresholds

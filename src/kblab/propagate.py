@@ -9,7 +9,6 @@ import numpy as np
 from ._integrators import (
     accumulate_transitions,
     make_grid,
-    riccati_sweep,
     rk4_linear_steps,
     transition_steps,
 )
@@ -64,22 +63,13 @@ def fundamental_matrix(model: LtvModel, grid) -> MatrixPath:
     return MatrixPath(grid, accumulate_transitions(steps), label="Phi")
 
 
-def closed_loop_propagator(model: LtvModel, riccati_path, grid, eps: float = 0.0) -> MatrixPath:
-    """Propagator of the closed-loop flow dz = (A - P C^T R^-1 C) z dt.
+def closed_loop_propagator(sol) -> MatrixPath:
+    """Propagator Psi_t of the closed-loop flow dz = (A - P C^T R^-1 C) z dt.
 
-    riccati_path supplies the covariance P at the grid nodes; stage values
-    inside each step are re-derived from the Riccati flow (with the eps^2 F F^T
-    forcing when eps > 0) so the result is 4th-order accurate and bitwise
-    consistent with integrate_dre on the same path.
+    sol is a riccati.RiccatiSolution; Psi_t is the running product of the
+    one-step matrices its sweep built alongside the covariance path.
     """
-    grid = np.asarray(grid, dtype=float)
-    pvals = riccati_path.values if isinstance(riccati_path, MatrixPath) else np.asarray(riccati_path)
-    if isinstance(riccati_path, MatrixPath) and not same_grid(riccati_path, grid):
-        raise ValueError("riccati_path grid does not match the requested grid")
-    if pvals.shape[0] != grid.shape[0]:
-        raise ValueError("riccati path and grid have different lengths")
-    _, msteps = riccati_sweep(model, grid, pvals[0], eps=eps, supplied_path=pvals)
-    return MatrixPath(grid, accumulate_transitions(msteps), label="Psi")
+    return MatrixPath(sol.grid, accumulate_transitions(sol.closed_loop_steps), label="Psi")
 
 
 def _half_step_transitions(model: LtvModel, grid) -> np.ndarray:

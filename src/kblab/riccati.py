@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._integrators import accumulate_transitions, riccati_sweep
+from ._integrators import riccati_sweep
 from .model import LtvModel
-from .propagate import MatrixPath, same_grid
+from .propagate import MatrixPath, closed_loop_propagator, same_grid
 
 
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
@@ -43,10 +43,6 @@ class RiccatiSolution:
     @property
     def values(self):
         return self.path.values
-
-    def propagator(self) -> MatrixPath:
-        """Closed-loop propagator Psi_t: the running product of closed_loop_steps."""
-        return MatrixPath(self.grid, accumulate_transitions(self.closed_loop_steps), label="Psi")
 
 
 def _symmetric(P0) -> np.ndarray:
@@ -129,13 +125,12 @@ def error_factorization_check(model: LtvModel, P0, Pbar0, grid):
 
     The difference of two Riccati solutions factorizes through the two
     closed-loop propagators: P_t - Pbar_t = Psi_t (P0 - Pbar0) Psibar_t^T.
-    Both flows integrate in one batched sweep; the propagators are the
-    products of the one-step matrices it returns (bitwise what
-    closed_loop_propagator rebuilds from each path).
+    Both flows integrate in one batched sweep, and each propagator is the
+    running product of the one-step matrices that sweep built for its flow.
     Returns (residual path ||lhs - rhs||_2 per node, max residual, pieces).
     """
     sol, solbar = integrate_dre_batch(model, np.stack([P0, Pbar0]), grid)
-    psi, psibar = sol.propagator(), solbar.propagator()
+    psi, psibar = closed_loop_propagator(sol), closed_loop_propagator(solbar)
     d0 = np.asarray(P0, dtype=float) - np.asarray(Pbar0, dtype=float)
     lhs = sol.values - solbar.values
     rhs = psi.values @ d0 @ np.swapaxes(psibar.values, 1, 2)

@@ -163,23 +163,6 @@ def exponential_stability_estimate(psi: MatrixPath) -> StabilityEstimate:
                              rms_residual=rms)
 
 
-def two_time_decay_constant(psi: MatrixPath, alpha: float, n_samples: int = 40) -> float:
-    """max over sampled s <= t of ||Psi_t Psi_s^-1|| e^{alpha (t-s)}.
-
-    This is the constant that actually appears in the exponential-stability
-    bound; the tail fit of log||Psi_t|| only recovers the s = 0 constant.
-    """
-    ks = np.linspace(0, len(psi.grid) - 1, n_samples, dtype=int)
-    best = 0.0
-    for i, ks_i in enumerate(ks):
-        psi_s_inv = np.linalg.inv(psi.values[ks_i])
-        for kt in ks[i:]:
-            val = np.linalg.norm(psi.values[kt] @ psi_s_inv, 2) * np.exp(
-                alpha * (psi.grid[kt] - psi.grid[ks_i]))
-            best = max(best, float(val))
-    return best
-
-
 __all__ = [
     "EpsilonPairResult",
     "EpsilonSweep",
@@ -189,5 +172,4 @@ __all__ = [
     "exponential_stability_estimate",
     "fit_scaling",
     "run_epsilon_pair",
-    "two_time_decay_constant",
 ]

@@ -14,6 +14,7 @@ import pytest
 from kblab._integrators import make_grid, riccati_sweep
 from kblab.kalman import filter_pieces, filter_pieces_batch, mismatched_mc
 from kblab.model import constant_model, periodic_model
+from kblab.propagate import closed_loop_propagator
 from kblab.riccati import error_factorization_check, integrate_dre, integrate_dre_batch
 from kblab.scenarios import builtin_scenario
 from kblab.smallnoise import epsilon_sweep
@@ -89,9 +90,6 @@ def test_batch_requires_a_member_axis():
     mdl = _models()[2]
     with pytest.raises(ValueError, match="batch"):
         integrate_dre_batch(mdl, np.eye(2), make_grid(1.0, 0.1))
-    with pytest.raises(ValueError, match="supplied_path"):
-        riccati_sweep(mdl, make_grid(1.0, 0.1), np.stack([np.eye(2)] * 2),
-                      supplied_path=np.zeros((11, 2, 2)))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -113,8 +111,8 @@ def test_factorization_pieces_equal_single_sweeps():
         assert np.array_equal(pieces[key].values, one.values)
         assert np.array_equal(pieces[key].closed_loop_steps, one.closed_loop_steps)
         assert np.array_equal(pieces[key].min_eigs, one.min_eigs)
-    assert np.array_equal(pieces["psi"].values, integrate_dre(cfg.model, cfg.P0, grid)
-                          .propagator().values)
+    assert np.array_equal(pieces["psi"].values,
+                          closed_loop_propagator(integrate_dre(cfg.model, cfg.P0, grid)).values)
 
 
 @pytest.mark.parametrize("name", ["scalar_unstable", "rotation_partial"])

@@ -14,7 +14,7 @@ from kblab.kalman import (
     run_filter,
     window_decrease_margin,
 )
-from kblab.propagate import fundamental_matrix, make_grid, uco_gramian
+from kblab.propagate import closed_loop_propagator, fundamental_matrix, make_grid, uco_gramian
 from kblab.simulate import generate_observation_path
 from kblab.scenarios import builtin_scenario
 
@@ -167,7 +167,7 @@ def test_lyapunov_value_nonincreasing():
     cfg = builtin_scenario("scalar_basic")
     grid = make_grid(10.0, cfg.dt)
     pieces = filter_pieces(cfg.model, grid, cfg.Pbar)
-    psi = pieces.propagator()
+    psi = closed_loop_propagator(pieces.riccati)
     z0s = np.random.default_rng(1).standard_normal((1, 10))
     assert lyapunov_increments(psi, pieces.riccati, z0s) <= 1e-9
 
@@ -177,7 +177,7 @@ def test_lyapunov_scalar_matches_analytic():
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
     grid = make_grid(5.0, 1e-3)
     pieces = filter_pieces(mdl, grid, np.eye(1))
-    v = lyapunov_path(pieces.propagator(), pieces.riccati, np.array([[2.0]]))
+    v = lyapunov_path(closed_loop_propagator(pieces.riccati), pieces.riccati, np.array([[2.0]]))
     assert np.abs(v[:, 0] - 4.0 / (1.0 + grid)).max() <= 1e-8
 
 
@@ -185,7 +185,7 @@ def test_window_decrease_bounded_by_start_anchored_gramian():
     cfg = builtin_scenario("rotation")
     grid = make_grid(15.0, cfg.dt)
     pieces = filter_pieces(cfg.model, grid, cfg.Pbar)
-    psi = pieces.propagator()
+    psi = closed_loop_propagator(pieces.riccati)
     z0s = np.random.default_rng(3).standard_normal((2, 10))
     rho3 = uco_gramian(cfg.model, psi, cfg.uco_window, normalize="start", free_flow=False).rho1
     margin = window_decrease_margin(psi, pieces.riccati, z0s, cfg.uco_window)

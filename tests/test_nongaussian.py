@@ -12,7 +12,8 @@ from kblab.nongaussian import (
     merging_report,
     mixture_filter,
 )
-from kblab.propagate import closed_loop_propagator
+from kblab.propagate import accumulated_information, fundamental_matrix
+from kblab.riccati import closed_form_dre
 from kblab.simulate import generate_observation_path
 from kblab.scenarios import builtin_scenario
 
@@ -48,11 +49,15 @@ def test_extended_scalar_coupling_and_info():
 
 
 def test_propagator_identity_matches_closed_loop():
+    # G_t is the closed-loop propagator Psi_t = P_t Phi_t^{-T} P0^{-1} (eps = 0),
+    # with P_t from the closed-form solution rather than the sweep
     cfg = replace(builtin_scenario("two_atom_neutral"), horizon=5.0)
     obs = generate_observation_path(cfg)
     ext = integrate_extended_system(cfg.model, obs.grid, obs, (cfg.m0, cfg.P0))
-    psi = closed_loop_propagator(cfg.model, ext.cov.path, obs.grid)
-    assert np.abs(ext.propagator - psi.values).max() <= 1e-6
+    phi = fundamental_matrix(cfg.model, obs.grid)
+    p = closed_form_dre(cfg.model, cfg.P0, phi, accumulated_information(cfg.model, phi)).values
+    psi = p @ np.linalg.inv(phi.values).swapaxes(1, 2) @ np.linalg.inv(cfg.P0)
+    assert np.abs(ext.propagator - psi).max() <= 1e-6
 
 
 def test_single_atom_at_origin_equals_plain_filter():

@@ -147,7 +147,7 @@ def test_uco_start_vs_end_anchoring():
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
     grid = make_grid(30.0, 1e-3)
     sol = integrate_dre(mdl, [[1.0]], grid)
-    psi = closed_loop_propagator(mdl, sol.path, grid)
+    psi = closed_loop_propagator(sol)
     end = uco_gramian(mdl, psi, 1.0, normalize="end", free_flow=False)
     start = uco_gramian(mdl, psi, 1.0, normalize="start", free_flow=False)
     assert end.rho1 == pytest.approx((1 + 30.0) / 30.0, rel=1e-5)
@@ -158,7 +158,7 @@ def test_psi_decay_scalar_integral_and_bound():
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
     grid = make_grid(100.0, 1e-3)
     sol = integrate_dre(mdl, [[1.0]], grid)
-    psi = closed_loop_propagator(mdl, sol.path, grid)
+    psi = closed_loop_propagator(sol)
     integral, tails = psi_decay_integral(psi)
     assert 0.989 <= integral[0, 0] <= 0.9902
     assert tails[0][1] <= 0.011
@@ -170,7 +170,7 @@ def test_psi_decay_unobservable_grows():
     mdl = constant_model([[0.0]], [[0.0]], [[1.0]])
     grid = make_grid(10.0, 1e-2)
     sol = integrate_dre(mdl, [[1.0]], grid)
-    psi = closed_loop_propagator(mdl, sol.path, grid)
+    psi = closed_loop_propagator(sol)
     integral, tails = psi_decay_integral(psi)
     assert integral[0, 0] == pytest.approx(10.0, abs=1e-9)
     assert tails[0][1] >= 4.9  # tail mass does not shrink
@@ -180,14 +180,7 @@ def test_closed_loop_zero_observation_equals_phi():
     mdl = constant_model([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), np.eye(2))
     grid = make_grid(3.0, 1e-3)
     sol = integrate_dre(mdl, np.eye(2), grid)
-    psi = closed_loop_propagator(mdl, sol.path, grid)
+    psi = closed_loop_propagator(sol)
     phi = fundamental_matrix(mdl, grid)
     assert np.abs(psi.values - phi.values).max() <= 1e-12
 
-
-def test_closed_loop_grid_mismatch_raises():
-    mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
-    grid = make_grid(1.0, 1e-2)
-    sol = integrate_dre(mdl, [[1.0]], grid)
-    with pytest.raises(ValueError):
-        closed_loop_propagator(mdl, sol.path, make_grid(2.0, 1e-2))
