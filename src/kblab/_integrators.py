@@ -139,31 +139,26 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0, blowup: float = 1e12):
                                   f" in member {b}" if batch else "")
         return paths, mpaths
 
+    # the loop carries only the P recursion and keeps its stage values
+    # p2, p3, p4; the closed-loop factors and M_k are built from them after
+    # it, stacked over steps
+    p2s, p3s, p4s = np.empty((3, n_steps) + batch + (m, m))
     for k in range(n_steps):
         hk = h[k]
         A1, A2, A3 = a_lo[k], a_mid[k], a_hi[k]
         G1, G2, G3 = g_lo[k], g_mid[k], g_hi[k]
-        Q1, Q2, Q3 = q_lo[k], q_mid[k], q_hi[k]
 
-        pg = P @ G1
         ap = A1 @ P
-        k1p = ap + ap.swapaxes(-1, -2) - pg @ P + Q1
-        k1m = A1 - pg
+        k1p = ap + ap.swapaxes(-1, -2) - (P @ G1) @ P + q_lo[k]
         p2 = P + (0.5 * hk) * k1p
-        pg = p2 @ G2
         ap = A2 @ p2
-        k2p = ap + ap.swapaxes(-1, -2) - pg @ p2 + Q2
-        k2m = (A2 - pg) @ (eye + (0.5 * hk) * k1m)
+        k2p = ap + ap.swapaxes(-1, -2) - (p2 @ G2) @ p2 + q_mid[k]
         p3 = P + (0.5 * hk) * k2p
-        pg = p3 @ G2
         ap = A2 @ p3
-        k3p = ap + ap.swapaxes(-1, -2) - pg @ p3 + Q2
-        k3m = (A2 - pg) @ (eye + (0.5 * hk) * k2m)
+        k3p = ap + ap.swapaxes(-1, -2) - (p3 @ G2) @ p3 + q_mid[k]
         p4 = P + hk * k3p
-        pg = p4 @ G3
         ap = A3 @ p4
-        k4p = ap + ap.swapaxes(-1, -2) - pg @ p4 + Q3
-        k4m = (A3 - pg) @ (eye + hk * k3m)
+        k4p = ap + ap.swapaxes(-1, -2) - (p4 @ G3) @ p4 + q_hi[k]
 
         P = P + (hk / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         P = 0.5 * (P + P.swapaxes(-1, -2))
@@ -174,7 +169,17 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0, blowup: float = 1e12):
                 where = f" in member {np.argmax(norms > blowup)}"
             raise _blowup_error(where, blowup, grid[k + 1])
         path[k + 1] = P
-        msteps[k] = eye + (hk / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+        p2s[k], p3s[k], p4s[k] = p2, p3, p4
+
+    shape = (n_steps,) + (1,) * len(batch) + (m, m)
+    a_lo, a_mid, a_hi, g_lo, g_mid, g_hi = (c.reshape(shape) for c in
+                                            (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi))
+    h = h.reshape((-1,) + (1,) * (len(batch) + 2))
+    k1m = a_lo - path[:-1] @ g_lo
+    k2m = (a_mid - p2s @ g_mid) @ (eye + (0.5 * h) * k1m)
+    k3m = (a_mid - p3s @ g_mid) @ (eye + (0.5 * h) * k2m)
+    k4m = (a_hi - p4s @ g_hi) @ (eye + h * k3m)
+    msteps[...] = eye + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
 
     return paths, mpaths
 
@@ -227,14 +232,16 @@ def _riccati_sweep_scalar(grid, hs, a1, a2, a3, g1, g2, g3, q1, q2, q3,
         mout[k] = 1.0 + (hk / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
 
 
-def gain_steps(model: LtvModel, grid, msteps: np.ndarray) -> np.ndarray:
+def gain_steps(model: LtvModel, grid, msteps: np.ndarray, phi_steps: np.ndarray) -> np.ndarray:
     """Per-step observation gain matrices D_k of the filter recursion.
 
-    D_k := (Phi_step_k - M_k) pinv(C_k dt), a consistent realization of
-    P_k C_k^T R_k^-1 chosen so that Phi_step_k - M_k = D_k (C_k dt) holds
-    exactly whenever C_k has full column rank (pinv(C) C = I; always for
-    square invertible C). That identity is what makes the mismatched-pair
-    error decomposition exact in the discrete algebra.
+    D_k := (Phi_step_k - M_k) pinv(C_k dt), with phi_steps the transition
+    steps of the grid: a consistent realization of P_k C_k^T R_k^-1. The
+    remainder E_k = (Phi_step_k - M_k) - D_k C_k dt is zero up to rounding
+    whenever C_k has full column rank (pinv(C) C = I; always for square
+    invertible C); otherwise it is the part of Phi_step_k - M_k that C_k dt
+    does not reach, and the mismatched-pair error decomposition carries it
+    as a third term (kalman.mean_decomposition_diagnostics).
     """
     h = (grid[1:] - grid[:-1])[:, None, None]
-    return (transition_steps(model, grid) - msteps) @ np.linalg.pinv(model.C_at(grid[:-1]) * h)
+    return (phi_steps - msteps) @ np.linalg.pinv(model.C_at(grid[:-1]) * h)

@@ -157,9 +157,14 @@ def cmd_stability_mean(args) -> int:
     tol_ratio = cfg.thresholds["tol_terminal_gap_ratio"]
     tol_recon = cfg.thresholds["tol_reconstruction"]
     ok = sweep.worst_ratio <= tol_ratio and sweep.max_residuals.max() <= tol_recon
+    # max_k ||E_k - Ebar_k||: the gain remainders behind the decomposition's third term
+    remainder_gap = np.linalg.norm(sweep.pieces.remainder - sweep.piecesbar.remainder,
+                                   ord=2, axis=(1, 2)).max()
     write_manifest(args.out, cfg, seeds=sweep.seeds, extra={
         "worst_terminal_ratio": f"{sweep.worst_ratio:.17g}",
         "max_reconstruction_residual": f"{sweep.max_residuals.max():.17g}",
+        "max_remainder_gap": f"{remainder_gap:.17g}",
+        "max_term3": f"{np.linalg.norm(diag.term3, axis=1).max():.17g}",
     }, wall_time=time.time() - t0)
     return _verdict(
         "stability-mean", ok,

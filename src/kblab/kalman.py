@@ -6,17 +6,18 @@ coarse step the mean update is
     x_{k+1} = M_k x_k + D_k dy_k,
 
 with M_k the RK4 one-step matrix of the closed-loop flow and
-D_k = (Phi_step_k - M_k) pinv(C_k dt) the consistent gain. Because
-Phi_step_k - M_k = D_k C_k dt holds exactly for C of full column rank
-(pinv(C) C = I), two filters differing only in their initialization satisfy
-the exact discrete recursion
+D_k = (Phi_step_k - M_k) pinv(C_k dt) the consistent gain. Its remainder
+E_k = (Phi_step_k - M_k) - D_k C_k dt is zero up to rounding for C of full
+column rank (pinv(C) C = I) and of discretization size otherwise. Two
+filters differing only in their initialization satisfy, for every C, the
+exact discrete recursion
 
-    gap_{k+1} = Mbar_k gap_k + (D_k - Dbar_k) dnu_k,
+    gap_{k+1} = Mbar_k gap_k + (D_k - Dbar_k) dnu_k - (E_k - Ebar_k) x_k,
 
-dnu being the correct filter's innovation, which makes the mean-gap
-decomposition gap_t = Psibar_t (m0 - mbar) + Psibar_t Zhat_t an algebraic
-identity of the implementation rather than an approximation. For C of lower
-column rank the identity, and with it the decomposition, is inexact.
+dnu and x being the correct filter's innovation and mean. This makes the
+mean-gap decomposition gap_t = Psibar_t (m0 - mbar) + Psibar_t Zhat_t + term3_t,
+with term3_t the propagated sum of the remainder terms, an algebraic
+identity of the implementation rather than an approximation.
 
 Observation paths may carry one seed per column; filters, pairs and the
 decomposition then run on every column at once.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import gain_steps
+from ._integrators import gain_steps, transition_steps
 from .model import LtvModel, ModelValidationError
 from .propagate import MatrixPath, closed_loop_propagator, same_grid
 from .riccati import RiccatiSolution, integrate_dre, integrate_dre_batch
@@ -44,6 +45,7 @@ class FilterPieces:
     msteps: np.ndarray          # (K, m, m) closed-loop one-step matrices
     gains: np.ndarray           # (K, m, n)
     cdt: np.ndarray             # (K, n, m) C_k * dt
+    remainder: np.ndarray       # (K, m, m) E_k = (Phi_step_k - M_k) - D_k C_k dt
 
 
 def filter_pieces(model: LtvModel, grid, P0, eps_gain: float = 0.0) -> FilterPieces:
@@ -63,11 +65,15 @@ def filter_pieces_batch(model: LtvModel, grid, P0, eps_gain=0.0) -> list[FilterP
 
 def _assemble(model: LtvModel, grid, rics) -> list[FilterPieces]:
     """Pieces per Riccati solution; the gains of all members come from one call."""
-    gains = gain_steps(model, grid, np.stack([r.closed_loop_steps for r in rics]))
+    phi_steps = transition_steps(model, grid)
+    msteps = np.stack([r.closed_loop_steps for r in rics])
+    gains = gain_steps(model, grid, msteps, phi_steps)
     h = (grid[1:] - grid[:-1])[:, None, None]
     cdt = model.C_at(grid[:-1]) * h
-    return [FilterPieces(grid=grid, riccati=r, msteps=r.closed_loop_steps, gains=g, cdt=cdt)
-            for r, g in zip(rics, gains)]
+    remainders = (phi_steps - msteps) - gains @ cdt
+    return [FilterPieces(grid=grid, riccati=r, msteps=r.closed_loop_steps, gains=g, cdt=cdt,
+                         remainder=e)
+            for r, g, e in zip(rics, gains, remainders)]
 
 
 @dataclass
@@ -93,20 +99,28 @@ def _scan(pieces: FilterPieces, increments: np.ndarray, x0: np.ndarray):
     x0 of shape (m,) or (m, S); increments (K, n) or (K, n, S).
     Returns (means, innovations) with matching batch shape.
     """
-    msteps, gains, cdt = pieces.msteps, pieces.gains, pieces.cdt
+    msteps, cdt = pieces.msteps, pieces.cdt
     n_steps = msteps.shape[0]
     x = np.asarray(x0, dtype=float)
     means = np.empty((n_steps + 1,) + x.shape)
-    innov = np.empty((n_steps, cdt.shape[1]) + x.shape[1:])
     means[0] = x
+    # the loop carries only the mean recursion; the gain and innovation
+    # products are stacked over steps (one state vector per step stays a
+    # matrix-vector product)
+    if x.ndim == 1:
+        gdy = (pieces.gains @ increments[..., None])[..., 0]
+    else:
+        gdy = pieces.gains @ increments
     for k in range(n_steps):
-        dy = increments[k]
-        innov[k] = dy - cdt[k] @ x
-        x = msteps[k] @ x + gains[k] @ dy
+        x = msteps[k] @ x + gdy[k]
         means[k + 1] = x
     if not np.all(np.isfinite(x)):
         bad = np.nonzero(~np.isfinite(means).all(axis=tuple(range(1, means.ndim))))[0]
         raise FloatingPointError(f"filter mean not finite from step {bad[0]}")
+    if x.ndim == 1:
+        innov = increments - (cdt @ means[:-1, :, None])[..., 0]
+    else:
+        innov = increments - cdt @ means[:-1]
     return means, innov
 
 
@@ -168,6 +182,7 @@ class DecompositionDiagnostics:
     term1: np.ndarray           # (K+1, m) Psibar_t (m0 - mbar)
     zhat: np.ndarray            # (K+1, m) martingale-part integrand sum
     term2: np.ndarray           # (K+1, m) Psibar_t Zhat_t
+    term3: np.ndarray           # (K+1, m) discretization term of the gain remainders
     residual: np.ndarray        # (K+1,) reconstruction residual norms
     max_residual: float         # over nodes and seeds
     zhat_drift: float           # ||Zhat_T - Zhat_{T/2}|| (max over seeds), stabilization evidence
@@ -178,28 +193,37 @@ class DecompositionDiagnostics:
 
 
 def mean_decomposition_diagnostics(pair: PairRun) -> DecompositionDiagnostics:
-    """Reconstruct the mean gap as Psibar_t (m0 - mbar) + Psibar_t Zhat_t.
+    """Reconstruct the mean gap as Psibar_t (m0 - mbar) + Psibar_t Zhat_t + term3_t.
 
     Zhat accumulates Psibar_{k+1}^-1 (D_k - Dbar_k) dnu_k with dnu the correct
     filter's innovations — the discrete realization of the continuous-time
-    martingale integrand (P_s - Pbar_s) C^T R^-1 dnu_s. The residual against
-    the measured gap is an algebraic-identity check of the filter integrator.
-    Seed columns of the pair are decomposed column by column.
+    martingale integrand (P_s - Pbar_s) C^T R^-1 dnu_s. The discretization
+    term term3_t = Psibar_t sum_{k<t} Psibar_{k+1}^-1 (-(E_k - Ebar_k) x_k)
+    carries the gain remainders E_k (FilterPieces.remainder) against the
+    correct filter's means x_k; it is rounding-level for C of full column
+    rank. The residual against the measured gap is an algebraic-identity
+    check of the filter integrator, for every C. Seed columns of the pair
+    are decomposed column by column.
     """
     psibar = pair.psibar.values
     psibar_inv = np.linalg.inv(psibar)
-    ddiff = pair.run.pieces.gains - pair.runbar.pieces.gains
-    innov = pair.run.innovations
-    incr = np.einsum("kij,kjl,kl...->ki...", psibar_inv[1:], ddiff, innov)
-    zhat = np.zeros((len(pair.grid),) + incr.shape[1:])
-    np.cumsum(incr, axis=0, out=zhat[1:])
-    d0 = pair.run.init_mean - pair.runbar.init_mean
+    run, runbar = pair.run, pair.runbar
+
+    def propagated_sum(mats, vecs):
+        # Psibar_t sum_{k<t} Psibar_{k+1}^-1 mats_k vecs_k, and the sum itself
+        incr = np.einsum("kij,kjl,kl...->ki...", psibar_inv[1:], mats, vecs)
+        acc = np.zeros((len(pair.grid),) + incr.shape[1:])
+        np.cumsum(incr, axis=0, out=acc[1:])
+        return np.einsum("kij,kj...->ki...", psibar, acc), acc
+
+    term2, zhat = propagated_sum(run.pieces.gains - runbar.pieces.gains, run.innovations)
+    term3, _ = propagated_sum(runbar.pieces.remainder - run.pieces.remainder, run.means[:-1])
+    d0 = run.init_mean - runbar.init_mean
     term1 = np.einsum("kij,j...->ki...", psibar, d0)
-    term2 = np.einsum("kij,kj...->ki...", psibar, zhat)
-    resid = np.linalg.norm(pair.gap - (term1 + term2), axis=1)
+    resid = np.linalg.norm(pair.gap - (term1 + term2 + term3), axis=1)
     half = len(pair.grid) // 2
     drift = float(np.linalg.norm(zhat[-1] - zhat[half], axis=0).max())
-    return DecompositionDiagnostics(term1=term1, zhat=zhat, term2=term2,
+    return DecompositionDiagnostics(term1=term1, zhat=zhat, term2=term2, term3=term3,
                                     residual=resid, max_residual=float(resid.max()),
                                     zhat_drift=drift)
 

@@ -163,20 +163,18 @@ def uco_gramian(model: LtvModel, phi: MatrixPath, window: float,
         ends = ends[:: int(np.ceil(ends.size / max_windows))]
         if ends[-1] != len(grid) - 1:
             ends = np.append(ends, len(grid) - 1)
-    lmin = np.empty(ends.size)
-    lmax = np.empty(ends.size)
-    for i, k in enumerate(ends):
-        anchor = k if normalize == "end" else k - wsteps
-        ft = phi.values[anchor]
-        if np.linalg.cond(ft) > cond_limit:
-            raise FloatingPointError(
-                f"fundamental matrix numerically singular at t={grid[anchor]:.6g}")
-        w = info.values[k] - info.values[k - wsteps]
-        gram = np.linalg.solve(ft.T, np.linalg.solve(ft.T, w.T).T)
-        gram = 0.5 * (gram + gram.T)
-        eigs = np.linalg.eigvalsh(gram)
-        lmin[i], lmax[i] = eigs[0], eigs[-1]
-    return UcoEstimate(window=window, ends=grid[ends], lambda_min=lmin, lambda_max=lmax)
+    anchors = ends if normalize == "end" else ends - wsteps
+    ft = phi.values[anchors]
+    bad = np.nonzero(np.linalg.cond(ft) > cond_limit)[0]
+    if bad.size:
+        raise FloatingPointError(
+            f"fundamental matrix numerically singular at t={grid[anchors[bad[0]]]:.6g}")
+    ftt = ft.swapaxes(1, 2)
+    w = info.values[ends] - info.values[ends - wsteps]
+    gram = np.linalg.solve(ftt, np.linalg.solve(ftt, w.swapaxes(1, 2)).swapaxes(1, 2))
+    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.swapaxes(1, 2)))
+    return UcoEstimate(window=window, ends=grid[ends], lambda_min=eigs[:, 0],
+                       lambda_max=eigs[:, -1])
 
 
 def psi_decay_integral(psi: MatrixPath, n_checkpoints: int = 4):

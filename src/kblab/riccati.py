@@ -107,17 +107,12 @@ def closed_form_dre(model: LtvModel, P0, phi: MatrixPath, info: MatrixPath,
     if not same_grid(phi, info):
         raise ValueError("phi and info paths must share a grid")
     root = psd_sqrt(P0)
-    m = model.m
-    eye = np.eye(m)
-    out = np.empty_like(phi.values)
-    for k in range(len(phi)):
-        core = eye + root @ info.values[k] @ root
-        if np.linalg.cond(core) > cond_limit:
-            raise FloatingPointError(
-                f"closed form ill-conditioned at t={phi.grid[k]:.6g}")
-        pk = phi.values[k] @ root @ np.linalg.solve(core, root @ phi.values[k].T)
-        out[k] = 0.5 * (pk + pk.T)
-    return MatrixPath(phi.grid, out, label="P(closed form)")
+    core = np.eye(model.m) + root @ info.values @ root
+    bad = np.nonzero(np.linalg.cond(core) > cond_limit)[0]
+    if bad.size:
+        raise FloatingPointError(f"closed form ill-conditioned at t={phi.grid[bad[0]]:.6g}")
+    pk = phi.values @ root @ np.linalg.solve(core, root @ phi.values.swapaxes(1, 2))
+    return MatrixPath(phi.grid, 0.5 * (pk + pk.swapaxes(1, 2)), label="P(closed form)")
 
 
 def error_factorization_check(model: LtvModel, P0, Pbar0, grid):

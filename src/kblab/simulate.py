@@ -24,6 +24,10 @@ from .model import ExperimentConfig, LtvModel
 from .riccati import psd_sqrt
 
 
+# steps per block of the in-place Euler-Maruyama noise products
+NOISE_BLOCK = 512
+
+
 def _label_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
 
@@ -140,9 +144,16 @@ def simulate_truth(model: LtvModel, x0, grid, eps: float = 0.0,
         xi = np.empty((n_steps,) + x0.shape)
         for j, g in enumerate(rng):
             xi[:, :, j] = g.standard_normal((n_steps, model.m))
-    scale = eps * np.sqrt(h)
+    # the noise terms eps sqrt(h) F xi do not feed the recursion: they are
+    # computed before it, over xi in place a block of steps at a time, so
+    # that no second array of the size of xi is allocated
+    scale = (eps * np.sqrt(h)).reshape((-1,) + (1,) * (xi.ndim - 1))
+    for lo in range(0, n_steps, NOISE_BLOCK):
+        blk = slice(lo, lo + NOISE_BLOCK)
+        fxi = f[blk] @ (xi[blk, :, None] if x0.ndim == 1 else xi[blk])
+        xi[blk] = scale[blk] * (fxi[..., 0] if x0.ndim == 1 else fxi)
     for k in range(n_steps):
-        x = x + h[k] * (a[k] @ x) + scale[k] * (f[k] @ xi[k])
+        x = x + h[k] * (a[k] @ x) + xi[k]
         out[k + 1] = x
     return out
 

@@ -91,6 +91,31 @@ def test_reconstruction_identity_rotation():
     assert diag.max_residual <= 1e-6
 
 
+def test_reconstruction_identity_partial_observation():
+    # C = [1 0] lacks full column rank: the gain remainders E_k are of
+    # discretization size and the decomposition needs its third term
+    cfg = builtin_scenario("rotation_partial")
+    cfg = replace(cfg, model=replace(cfg.model, damping=0.2), mbar=np.array([3.0, -2.0]),
+                  Pbar=np.diag([4.0, 0.5]), horizon=45.0, dt=0.02)
+    obs = generate_observation_path(cfg, seed=(1, 2))
+    pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar))
+    diag = mean_decomposition_diagnostics(pair)
+    assert diag.max_residual <= 1e-6
+    assert np.abs(diag.term3).max() >= 1e-4
+    assert pair.mean_gap[-1].max() <= 1e-3 * np.linalg.norm(cfg.m0 - cfg.mbar)
+
+
+@pytest.mark.parametrize("name", ["scalar_unstable", "rotation", "periodic3", "rotation_atoms"])
+def test_gain_remainder_vanishes_for_full_column_rank(name):
+    cfg = builtin_scenario(name)
+    grid = make_grid(10.0, 0.02)
+    pieces = filter_pieces(cfg.model, grid, cfg.Pbar)
+    assert np.linalg.matrix_rank(cfg.model.C_at(grid[:1])[0]) == cfg.model.m
+    assert np.abs(pieces.remainder).max() <= 1e-14
+    partial = builtin_scenario("rotation_partial")
+    assert np.abs(filter_pieces(partial.model, grid, partial.P0).remainder).max() >= 1e-6
+
+
 def test_filter_rejects_mismatched_grid_pieces():
     cfg = builtin_scenario("scalar_basic")
     obs = generate_observation_path(cfg)
