@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._integrators import make_grid
 from .kalman import (
     filter_pieces,
     lyapunov_increments,
@@ -33,7 +32,7 @@ from .kalman import (
     run_filter,
     window_decrease_margin,
 )
-from .model import constant_model, serialize_config
+from .model import constant_model, make_grid, serialize_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
 from .propagate import (
     accumulated_information,

@@ -23,14 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import write_manifest, write_matrix_path, write_table
-from .kalman import (
-    filter_pieces_batch,
-    lyapunov_path,
-    mean_decomposition_diagnostics,
-    mismatched_mc,
-    mismatched_pair,
-    run_filter,
-)
+from .kalman import filter_pieces_batch, lyapunov_path, mismatched_mc, run_filter
 from .model import ConfigError, ModelValidationError, parse_config, validate_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
 from .propagate import (
@@ -140,25 +133,23 @@ def cmd_stability_mean(args) -> int:
                   sweep.terminal_gaps[j] / sweep.initial_gap, sweep.max_residuals[j])
                  for j, s in enumerate(sweep.seeds)))
 
-    # one full sample path with the decomposition terms and the Lyapunov value
-    obs = generate_observation_path(cfg)
-    pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
-                           pieces=sweep.pieces, piecesbar=sweep.piecesbar)
-    diag = mean_decomposition_diagnostics(pair)
-    v = lyapunov_path(pair.psibar, pair.runbar.riccati, pair.gap[0][:, None])[:, 0]
+    # the sample path of seed cfg.seed (column 0): decomposition terms and the
+    # Lyapunov value of the initial gap, which every column shares
+    pair, diag = sweep.pair, sweep.diag
+    v = lyapunov_path(pair.psibar, pair.runbar.riccati, pair.gap[0, :, :1])[:, 0]
     grid = pair.grid
     s = _stride(len(grid))
     write_table(Path(args.out) / "sample_path.csv",
                 ["t", "gap_mean", "gap_cov", "term1", "znorm", "V"],
-                ((grid[k], pair.mean_gap[k], pair.cov_gap[k],
-                  np.linalg.norm(diag.term1[k]), np.linalg.norm(diag.zhat[k]), v[k])
+                ((grid[k], pair.mean_gap[k, 0], pair.cov_gap[k],
+                  np.linalg.norm(diag.term1[k, :, 0]), np.linalg.norm(diag.zhat[k, :, 0]), v[k])
                  for k in range(0, len(grid), s)))
 
     tol_ratio = cfg.thresholds["tol_terminal_gap_ratio"]
     tol_recon = cfg.thresholds["tol_reconstruction"]
     ok = sweep.worst_ratio <= tol_ratio and sweep.max_residuals.max() <= tol_recon
     # max_k ||E_k - Ebar_k||: the gain remainders behind the decomposition's third term
-    remainder_gap = np.linalg.norm(sweep.pieces.remainder - sweep.piecesbar.remainder,
+    remainder_gap = np.linalg.norm(pair.run.pieces.remainder - pair.runbar.pieces.remainder,
                                    ord=2, axis=(1, 2)).max()
     write_manifest(args.out, cfg, seeds=sweep.seeds, extra={
         "worst_terminal_ratio": f"{sweep.worst_ratio:.17g}",

@@ -86,11 +86,6 @@ class FilterRun:
     riccati: RiccatiSolution
     init_mean: np.ndarray       # (m,); (m, S)
     pieces: FilterPieces
-    source_seed: int | tuple = 0
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.means[-1]
 
 
 def _scan(pieces: FilterPieces, increments: np.ndarray, x0: np.ndarray):
@@ -142,8 +137,7 @@ def run_filter(model: LtvModel, obs: ObservationPath, init, eps_gain: float = 0.
         raise ValueError("pieces grid does not match the observation grid")
     means, innov = _scan(pieces, obs.increments, mean0)
     return FilterRun(grid=obs.grid, means=means, innovations=innov,
-                     riccati=pieces.riccati, init_mean=mean0, pieces=pieces,
-                     source_seed=obs.seed)
+                     riccati=pieces.riccati, init_mean=mean0, pieces=pieces)
 
 
 @dataclass
@@ -186,10 +180,6 @@ class DecompositionDiagnostics:
     residual: np.ndarray        # (K+1,) reconstruction residual norms
     max_residual: float         # over nodes and seeds
     zhat_drift: float           # ||Zhat_T - Zhat_{T/2}|| (max over seeds), stabilization evidence
-
-    @property
-    def zhat_norm(self) -> np.ndarray:
-        return np.linalg.norm(self.zhat, axis=1)
 
 
 def mean_decomposition_diagnostics(pair: PairRun) -> DecompositionDiagnostics:
@@ -276,24 +266,30 @@ def window_decrease_margin(psi: MatrixPath, ric: RiccatiSolution, z0s: np.ndarra
 
 @dataclass
 class MismatchedSweep:
-    """Per-seed terminals of the mismatched-pair experiment."""
+    """The mismatched-pair experiment over seed columns, with its decomposition."""
 
     seeds: tuple
     initial_gap: float
-    terminal_gaps: np.ndarray       # (S,)
-    max_residuals: np.ndarray       # (S,) reconstruction-identity residuals
-    gap_paths: np.ndarray           # (K+1, S) mean-gap norms
-    grid: np.ndarray
-    pieces: FilterPieces            # correct filter, shared by every seed
-    piecesbar: FilterPieces         # mismatched filter
+    pair: PairRun                   # seed columns; column 0 is seed cfg.seed
+    diag: DecompositionDiagnostics
+
+    @property
+    def terminal_gaps(self) -> np.ndarray:
+        """(S,) terminal mean-gap norms."""
+        return self.pair.mean_gap[-1]
+
+    @property
+    def max_residuals(self) -> np.ndarray:
+        """(S,) reconstruction-identity residuals."""
+        return self.diag.residual.max(axis=0)
 
     @property
     def worst_ratio(self) -> float:
         return float(self.terminal_gaps.max() / self.initial_gap)
 
 
-def mismatched_mc(model: LtvModel, cfg, n_seeds=None, noise_off=False) -> MismatchedSweep:
-    """Run correct/mismatched filter pairs over seeds cfg.seed + i, batched.
+def mismatched_mc(model: LtvModel, cfg, noise_off=False) -> MismatchedSweep:
+    """Run correct/mismatched filter pairs over seeds cfg.seed + i, i < cfg.mc_runs, batched.
 
     The observations of seed s are generate_observation_path(cfg, seed=s), one
     seed column each; both filters of a pair consume the identical
@@ -305,19 +301,13 @@ def mismatched_mc(model: LtvModel, cfg, n_seeds=None, noise_off=False) -> Mismat
     if np.array_equal(cfg.m0, cfg.mbar):
         raise ModelValidationError("mismatched pairs require mbar != m0 in [init] "
                                    "(a zero initial mean gap has no terminal/initial ratio)")
-    n_seeds = cfg.mc_runs if n_seeds is None else n_seeds
-    seeds = tuple(cfg.seed + i for i in range(n_seeds))
+    seeds = tuple(cfg.seed + i for i in range(cfg.mc_runs))
     obs = generate_observation_path(cfg, seed=seeds, noise_off=noise_off)
     pieces, piecesbar = filter_pieces_batch(model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
     pair = mismatched_pair(model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
                            pieces=pieces, piecesbar=piecesbar)
-    diag = mean_decomposition_diagnostics(pair)
-    return MismatchedSweep(seeds=seeds,
-                           initial_gap=float(np.linalg.norm(cfg.m0 - cfg.mbar)),
-                           terminal_gaps=pair.mean_gap[-1].copy(),
-                           max_residuals=diag.residual.max(axis=0),
-                           gap_paths=pair.mean_gap, grid=obs.grid,
-                           pieces=pair.run.pieces, piecesbar=pair.runbar.pieces)
+    return MismatchedSweep(seeds=seeds, initial_gap=float(np.linalg.norm(cfg.m0 - cfg.mbar)),
+                           pair=pair, diag=mean_decomposition_diagnostics(pair))
 
 
 __all__ = [

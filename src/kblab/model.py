@@ -169,6 +169,14 @@ def rotation_damped_model(omega, damping, C=None, R=None, F=None) -> LtvModel:
 # experiment configuration
 
 
+def make_grid(horizon: float, dt: float) -> np.ndarray:
+    """Uniform grid 0, dt, ..., K*dt with K = round(horizon/dt)."""
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1:
+        raise ValueError(f"horizon {horizon} shorter than one step dt={dt}")
+    return np.arange(n_steps + 1) * dt
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: LtvModel
@@ -200,8 +208,7 @@ class ExperimentConfig:
         object.__setattr__(self, "thresholds", th)
 
     def grid(self) -> np.ndarray:
-        n_steps = int(round(self.horizon / self.dt))
-        return np.arange(n_steps + 1) * self.dt
+        return make_grid(self.horizon, self.dt)
 
     def config_hash(self) -> str:
         return hashlib.sha256(serialize_config(self).encode()).hexdigest()[:16]
@@ -232,6 +239,8 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
         rep.add(f"horizon {cfg.horizon} shorter than one step dt={cfg.dt}")
     if cfg.substeps < 1:
         rep.add(f"substeps must be >= 1, got {cfg.substeps}")
+    if cfg.mc_runs < 1:
+        rep.add(f"mc_runs must be >= 1, got {cfg.mc_runs}")
     if cfg.atoms:
         wsum = sum(w for _, w in cfg.atoms)
         if abs(wsum - 1.0) > 1e-12:
@@ -252,6 +261,8 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
         rep.add(f"Pbar not positive semidefinite (min eig {eigb.min():.3e})")
 
     # finite, bounded, SPD-R schedules on a sampled grid
+    if cfg.horizon < cfg.dt:
+        return rep
     bound = cfg.thresholds["bound_magnitude"]
     ts = cfg.grid()
     if ts.size > 512:

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import accumulate_transitions
 from .kalman import FilterPieces, FilterRun, _scan, filter_pieces, run_filter
 from .model import LtvModel
-from .propagate import MatrixPath, fundamental_matrix
+from .propagate import closed_loop_propagator, fundamental_matrix
 from .riccati import RiccatiSolution
 from .simulate import ObservationPath
 
@@ -47,7 +46,6 @@ class ExtendedSystemPaths:
     grid: np.ndarray
     mean: np.ndarray            # (K+1, m) shared Gaussian filter mean
     cov: RiccatiSolution        # shared covariance path
-    phi: MatrixPath             # free-flow transition matrices
     propagator: np.ndarray      # (K+1, m, m) G_t (atom-to-mean coupling)
     coupling: np.ndarray        # (K+1, m, m) S_t = G_t - Phi_t
     quad_closed: np.ndarray     # (K+1, m, m) Q_t
@@ -75,7 +73,7 @@ def integrate_extended_system(model: LtvModel, grid, obs: ObservationPath,
         pieces = filter_pieces(model, grid, pprime)
     run = run_filter(model, obs, (mprime, pprime), pieces=pieces)
     phi = fundamental_matrix(model, grid)
-    prop = accumulate_transitions(pieces.msteps)
+    prop = closed_loop_propagator(pieces.riccati).values
     coupling = prop - phi.values
 
     h = grid[1:] - grid[:-1]
@@ -105,7 +103,7 @@ def integrate_extended_system(model: LtvModel, grid, obs: ObservationPath,
     np.cumsum(b_inc, axis=0, out=linear[1:])
 
     return ExtendedSystemPaths(grid=grid, mean=run.means, cov=pieces.riccati,
-                               phi=phi, propagator=prop, coupling=coupling,
+                               propagator=prop, coupling=coupling,
                                quad_closed=quad_closed, quad_info=quad_info,
                                linear=linear, gauss_run=run)
 
@@ -210,11 +208,7 @@ class MergingReport:
     frequencies: np.ndarray     # (n_freq, m) cosine test-function frequencies
     mean_gap: np.ndarray        # (K+1,)
     cos_gaps: np.ndarray        # (K+1, n_freq)
-    reference_init: tuple
-    ratios: dict                # gap(T)/gap(t_ref) per tracked quantity
-
-    def gap_ratio(self, name: str) -> float:
-        return self.ratios[name]
+    ratios: dict                # gap(T)/gap(1) per tracked quantity
 
 
 def _gaussian_cos(mean, cov, freqs):
@@ -225,12 +219,11 @@ def _gaussian_cos(mean, cov, freqs):
 
 
 def merging_report(posterior: MixturePosterior, reference: FilterRun,
-                   reference_ric: RiccatiSolution, frequencies,
-                   t_ref: float = 1.0) -> MergingReport:
+                   reference_ric: RiccatiSolution, frequencies) -> MergingReport:
     """Gap paths |pi_t(g_a) - N(ref mean, ref cov)(g_a)| for g_a = cos(a^T x).
 
     Mixture expectations are exact finite sums of Gaussian characteristic
-    values; ratios compare the horizon end against t_ref.
+    values; ratios compare the horizon end against the grid node nearest t = 1.
     """
     grid = posterior.grid
     freqs = np.atleast_2d(np.asarray(frequencies, dtype=float))
@@ -241,7 +234,7 @@ def merging_report(posterior: MixturePosterior, reference: FilterRun,
     ref = _gaussian_cos(reference.means, reference_ric.values, freqs)
     cos_gaps = np.abs(mix - ref)
     mean_gap = np.linalg.norm(posterior.mean - reference.means, axis=1)
-    kref = int(np.argmin(np.abs(grid - t_ref)))
+    kref = int(np.argmin(np.abs(grid - 1.0)))
 
     def ratio(end, ref_val):
         if ref_val <= 1e-300:
@@ -252,9 +245,7 @@ def merging_report(posterior: MixturePosterior, reference: FilterRun,
     for i in range(freqs.shape[0]):
         ratios[f"cos_{i}"] = ratio(cos_gaps[-1, i], cos_gaps[kref, i])
     return MergingReport(grid=grid, frequencies=freqs, mean_gap=mean_gap,
-                         cos_gaps=cos_gaps,
-                         reference_init=(reference.init_mean, reference_ric.init),
-                         ratios=ratios)
+                         cos_gaps=cos_gaps, ratios=ratios)
 
 
 __all__ = [

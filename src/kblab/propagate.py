@@ -6,13 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._integrators import (
-    accumulate_transitions,
-    make_grid,
-    rk4_linear_steps,
-    transition_steps,
-)
-from .model import LtvModel
+from ._integrators import accumulate_transitions, rk4_linear_steps, transition_steps
+from .model import LtvModel, make_grid
 
 
 @dataclass
@@ -21,8 +16,6 @@ class MatrixPath:
 
     grid: np.ndarray
     values: np.ndarray
-    label: str = ""
-    source_hash: str = ""
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -35,10 +28,6 @@ class MatrixPath:
 
     def __len__(self):
         return self.grid.shape[0]
-
-    @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
 
     def index_of(self, t: float) -> int:
         k = int(np.argmin(np.abs(self.grid - t)))
@@ -60,7 +49,7 @@ def fundamental_matrix(model: LtvModel, grid) -> MatrixPath:
     """State transition matrices of dx = A(t) x dt on the grid (identity at grid[0])."""
     grid = np.asarray(grid, dtype=float)
     steps = transition_steps(model, grid)
-    return MatrixPath(grid, accumulate_transitions(steps), label="Phi")
+    return MatrixPath(grid, accumulate_transitions(steps))
 
 
 def closed_loop_propagator(sol) -> MatrixPath:
@@ -69,14 +58,15 @@ def closed_loop_propagator(sol) -> MatrixPath:
     sol is a riccati.RiccatiSolution; Psi_t is the running product of the
     one-step matrices its sweep built alongside the covariance path.
     """
-    return MatrixPath(sol.grid, accumulate_transitions(sol.closed_loop_steps), label="Psi")
+    return MatrixPath(sol.grid, accumulate_transitions(sol.closed_loop_steps))
 
 
 def _half_step_transitions(model: LtvModel, grid) -> np.ndarray:
     """RK4 one-step matrices for the half intervals [t_k, t_k + h/2]."""
     lo = grid[:-1]
     hh = 0.5 * (grid[1:] - grid[:-1])
-    return rk4_linear_steps(model, lo, lo + 0.5 * hh, lo + hh, hh)
+    a_mid = model.A_at(lo + 0.5 * hh)
+    return rk4_linear_steps(model.A_at(lo), a_mid, a_mid, model.A_at(lo + hh), hh)
 
 
 def accumulated_information(model: LtvModel, phi: MatrixPath,
@@ -111,7 +101,11 @@ def accumulated_information(model: LtvModel, phi: MatrixPath,
     out = np.zeros_like(b_node)
     np.cumsum(inc, axis=0, out=out[1:])
     out = 0.5 * (out + np.swapaxes(out, 1, 2))
-    return MatrixPath(grid, out, label="info")
+    return MatrixPath(grid, out)
+
+
+# window ends kept by uco_gramian
+_MAX_WINDOWS = 200
 
 
 @dataclass
@@ -135,8 +129,8 @@ class UcoEstimate:
 
 
 def uco_gramian(model: LtvModel, phi: MatrixPath, window: float,
-                max_windows: int = 200, cond_limit: float = 1e12,
-                normalize: str = "end", free_flow: bool = True) -> UcoEstimate:
+                cond_limit: float = 1e12, normalize: str = "end",
+                free_flow: bool = True) -> UcoEstimate:
     """Windowed observability Gramians of the pair driving the supplied propagator.
 
     normalize="end" is the classical definition Phi_t^-T (I_t - I_{t-tau})
@@ -145,7 +139,7 @@ def uco_gramian(model: LtvModel, phi: MatrixPath, window: float,
     the quadratic form of the Lyapunov-function drop over the window and the
     constant entering the windowed-decrease inequality. Pass free_flow=False
     when phi is not a free-flow fundamental path (see accumulated_information).
-    Window ends are decimated to at most max_windows nodes. The verdict is a
+    Window ends are decimated to at most 200 nodes. The verdict is a
     finite-horizon estimate ("plausible"), never a proof.
     """
     if normalize not in ("end", "start"):
@@ -159,8 +153,8 @@ def uco_gramian(model: LtvModel, phi: MatrixPath, window: float,
         raise ValueError(f"window {window} exceeds the horizon {grid[-1]}")
     info = accumulated_information(model, phi, free_flow=free_flow)
     ends = np.arange(wsteps, len(grid))
-    if ends.size > max_windows:
-        ends = ends[:: int(np.ceil(ends.size / max_windows))]
+    if ends.size > _MAX_WINDOWS:
+        ends = ends[:: int(np.ceil(ends.size / _MAX_WINDOWS))]
         if ends[-1] != len(grid) - 1:
             ends = np.append(ends, len(grid) - 1)
     anchors = ends if normalize == "end" else ends - wsteps
@@ -177,10 +171,10 @@ def uco_gramian(model: LtvModel, phi: MatrixPath, window: float,
                        lambda_max=eigs[:, -1])
 
 
-def psi_decay_integral(psi: MatrixPath, n_checkpoints: int = 4):
+def psi_decay_integral(psi: MatrixPath):
     """Trapezoid quadrature of int_0^T Psi^T Psi ds plus tail-norm evidence.
 
-    Returns (integral matrix, checkpoints) where checkpoints is a list of
+    Returns (integral matrix, checkpoints) where checkpoints is a list of four
     (t_start, ||int_{t_start}^T Psi^T Psi ds||) with t_start sweeping the
     second half of the horizon; shrinking tail norms evidence convergence of
     the infinite-horizon integral.
@@ -191,7 +185,7 @@ def psi_decay_integral(psi: MatrixPath, n_checkpoints: int = 4):
     cum = np.zeros_like(integrand)
     np.cumsum(0.5 * h * (integrand[:-1] + integrand[1:]), axis=0, out=cum[1:])
     total = cum[-1]
-    ks = np.linspace(len(grid) // 2, len(grid) - 1, n_checkpoints + 1, dtype=int)[:-1]
+    ks = np.linspace(len(grid) // 2, len(grid) - 1, 5, dtype=int)[:-1]
     tails = [(float(grid[k]), float(np.linalg.norm(total - cum[k], 2))) for k in ks]
     return 0.5 * (total + total.T), tails
 

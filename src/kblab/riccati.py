@@ -60,8 +60,7 @@ def _solution(grid, P0, eps: float, path, msteps) -> RiccatiSolution:
         diags.append(
             f"negative covariance eigenvalue {min_eigs[bad[0]]:.3e} at t={grid[bad[0]]:.6g} "
             f"({bad.size} nodes affected)")
-    mp = MatrixPath(grid, path, label=f"P(eps={eps:g})")
-    return RiccatiSolution(path=mp, init=P0, eps=eps, min_eigs=min_eigs,
+    return RiccatiSolution(path=MatrixPath(grid, path), init=P0, eps=eps, min_eigs=min_eigs,
                            closed_loop_steps=msteps, diagnostics=diags)
 
 
@@ -112,7 +111,7 @@ def closed_form_dre(model: LtvModel, P0, phi: MatrixPath, info: MatrixPath,
     if bad.size:
         raise FloatingPointError(f"closed form ill-conditioned at t={phi.grid[bad[0]]:.6g}")
     pk = phi.values @ root @ np.linalg.solve(core, root @ phi.values.swapaxes(1, 2))
-    return MatrixPath(phi.grid, 0.5 * (pk + pk.swapaxes(1, 2)), label="P(closed form)")
+    return MatrixPath(phi.grid, 0.5 * (pk + pk.swapaxes(1, 2)))
 
 
 def error_factorization_check(model: LtvModel, P0, Pbar0, grid):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import make_grid, transition_steps
+from ._integrators import transition_steps
 from .model import ExperimentConfig, LtvModel
 from .riccati import psd_sqrt
 
@@ -235,7 +235,6 @@ __all__ = [
     "draw_initial_state",
     "fine_grid",
     "generate_observation_path",
-    "make_grid",
     "simulate_observations",
     "simulate_truth",
 ]

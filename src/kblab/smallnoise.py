@@ -27,8 +27,6 @@ class EpsilonPairResult:
     seed: int | tuple
     sup_mean_gap: float | np.ndarray    # (S,) for a tuple of seeds
     sup_cov_gap: float
-    mean_gap_path: np.ndarray   # (K+1,); (K+1, S)
-    cov_gap_path: np.ndarray    # (K+1,)
 
 
 def run_epsilon_pair(model: LtvModel, cfg: ExperimentConfig, eps: float, seed,
@@ -46,11 +44,9 @@ def run_epsilon_pair(model: LtvModel, cfg: ExperimentConfig, eps: float, seed,
     run_eps = run_filter(model, obs, (cfg.m0, cfg.P0), pieces=pieces_eps)
     run_zero = run_filter(model, obs, (cfg.m0, cfg.P0), pieces=pieces_zero)
     mean_gap = np.linalg.norm(run_eps.means - run_zero.means, axis=1)
-    _, cov_path, sup_cov, _ = covariance_gap(eps, pieces_eps.riccati, pieces_zero.riccati)
-    return EpsilonPairResult(eps=eps, seed=seed,
-                             sup_mean_gap=mean_gap.max(axis=0),
-                             sup_cov_gap=sup_cov,
-                             mean_gap_path=mean_gap, cov_gap_path=cov_path)
+    _, _, sup_cov, _ = covariance_gap(eps, pieces_eps.riccati, pieces_zero.riccati)
+    return EpsilonPairResult(eps=eps, seed=seed, sup_mean_gap=mean_gap.max(axis=0),
+                             sup_cov_gap=sup_cov)
 
 
 @dataclass
@@ -68,9 +64,8 @@ class EpsilonSweep:
         self.median_cov = np.median(self.sup_cov_gaps, axis=1)
 
 
-def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig,
-                  epsilons=None, n_seeds=None) -> EpsilonSweep:
-    """Run the (eps, seed) grid with seed s = cfg.seed + s_index.
+def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig, epsilons=None) -> EpsilonSweep:
+    """Run the (eps, seed) grid with seeds cfg.seed + i, i < cfg.mc_runs.
 
     Epsilons are processed in descending order (the convention the per-seed
     monotonicity check relies on). The Riccati flows of eps = 0 and of every
@@ -78,17 +73,16 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig,
     through run_epsilon_pair.
     """
     epsilons = tuple(sorted(cfg.epsilons if epsilons is None else epsilons, reverse=True))
-    n_seeds = cfg.mc_runs if n_seeds is None else n_seeds
     if not epsilons:
         raise ValueError("no epsilon values configured")
-    seeds = tuple(cfg.seed + i for i in range(n_seeds))
+    seeds = tuple(cfg.seed + i for i in range(cfg.mc_runs))
     grid = cfg.grid()
 
     members = tuple(dict.fromkeys((0.0,) + epsilons))
     pieces = dict(zip(members, filter_pieces_batch(model, grid, cfg.P0, eps_gain=members)))
     pieces_zero = pieces[0.0]
-    sup_mean = np.empty((len(epsilons), n_seeds))
-    sup_cov = np.empty((len(epsilons), n_seeds))
+    sup_mean = np.empty((len(epsilons), len(seeds)))
+    sup_cov = np.empty((len(epsilons), len(seeds)))
     for i, eps in enumerate(epsilons):
         cell = run_epsilon_pair(model, cfg, eps, seeds, pieces[eps], pieces_zero)
         sup_mean[i] = cell.sup_mean_gap
@@ -101,20 +95,15 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig,
 class ScalingFit:
     mean_slope: float | None
     cov_slope: float | None
-    mean_residual: float
-    cov_residual: float
     degenerate: bool = False
 
 
 def _loglog_slope(eps, vals):
     vals = np.asarray(vals, dtype=float)
     if np.all(vals == 0.0):
-        return None, 0.0
+        return None
     x = np.log(np.asarray(eps, dtype=float))
-    y = np.log(vals)
-    coef, res = np.polyfit(x, y, 1, full=True)[:2]
-    rms = float(np.sqrt(res[0] / len(x))) if len(res) else 0.0
-    return float(coef[0]), rms
+    return float(np.polyfit(x, np.log(vals), 1)[0])
 
 
 def fit_scaling(sweep: EpsilonSweep) -> ScalingFit:
@@ -127,10 +116,9 @@ def fit_scaling(sweep: EpsilonSweep) -> ScalingFit:
     if len(eps) < 3:
         raise ValueError("need at least 3 positive epsilon values to fit a slope")
     keep = [i for i, e in enumerate(sweep.epsilons) if e > 0]
-    mean_slope, mean_res = _loglog_slope(eps, sweep.median_mean[keep])
-    cov_slope, cov_res = _loglog_slope(eps, sweep.median_cov[keep])
+    mean_slope = _loglog_slope(eps, sweep.median_mean[keep])
+    cov_slope = _loglog_slope(eps, sweep.median_cov[keep])
     return ScalingFit(mean_slope=mean_slope, cov_slope=cov_slope,
-                      mean_residual=mean_res, cov_residual=cov_res,
                       degenerate=(mean_slope is None and cov_slope is None))
 
 

@@ -11,9 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kblab._integrators import make_grid, riccati_sweep
+from kblab._integrators import riccati_sweep
 from kblab.kalman import filter_pieces, filter_pieces_batch, mismatched_mc
-from kblab.model import constant_model, periodic_model
+from kblab.model import constant_model, make_grid, periodic_model
 from kblab.propagate import closed_loop_propagator
 from kblab.riccati import error_factorization_check, integrate_dre, integrate_dre_batch
 from kblab.scenarios import builtin_scenario
@@ -120,7 +120,7 @@ def test_mismatched_mc_pieces_equal_filter_pieces(name):
     cfg = builtin_scenario(name)
     cfg = replace(cfg, horizon=3.0, mc_runs=2, mbar=cfg.m0 + 2.0)
     sweep = mismatched_mc(cfg.model, cfg)
-    for pieces, P0 in ((sweep.pieces, cfg.P0), (sweep.piecesbar, cfg.Pbar)):
+    for pieces, P0 in ((sweep.pair.run.pieces, cfg.P0), (sweep.pair.runbar.pieces, cfg.Pbar)):
         one = filter_pieces(cfg.model, cfg.grid(), P0)
         assert np.array_equal(pieces.riccati.values, one.riccati.values)
         assert np.array_equal(pieces.msteps, one.msteps)

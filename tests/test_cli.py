@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kblab
 from kblab import cli
 from kblab.csvio import write_matrix_path
 from kblab.model import serialize_config
@@ -84,6 +86,29 @@ def test_stability_mean_requires_initial_gap(tmp_path, capsys):
     assert code == 2
     assert "mbar != m0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["stability-mean", "smallnoise"])
+def test_zero_mc_runs_is_a_config_error(tmp_path, capsys, command):
+    cfg = replace(builtin_scenario("smallnoise_stable"), horizon=2.0, mc_runs=0,
+                  mbar=np.array([0.0]))
+    code = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "mc_runs must be >= 1" in capsys.readouterr().err
+    code = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                     "--horizon", "0.004", "--dt", "0.01"])
+    assert code == 2
+    assert "horizon 0.004 shorter than one step" in capsys.readouterr().err
+
+
+def test_stability_mean_sample_path_is_the_first_seed_column(tmp_path):
+    cfg = replace(builtin_scenario("rotation"), horizon=30.0, dt=0.02, mc_runs=5)
+    out = tmp_path / "out"
+    cli.main(["stability-mean", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    sample = (out / "sample_path.csv").read_text().splitlines()
+    per_seed = (out / "per_seed.csv").read_text().splitlines()
+    assert len(sample) == 1 + 1501
+    assert sample[-1].split(",")[1] == per_seed[1].split(",")[2]
 
 
 def test_nongaussian_requires_atoms(tmp_path):
@@ -183,10 +208,14 @@ def test_verify_surfaces_injected_failure(monkeypatch, capsys):
 def test_module_entry_point(tmp_path):
     cfg = replace(builtin_scenario("scalar_basic"), horizon=1.0)
     cfgpath = write_cfg(tmp_path, cfg)
+    # the child imports the kblab under test, installed or not
+    src = str(Path(kblab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "kblab", "riccati", "--config", cfgpath,
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0
     assert "PASS riccati" in proc.stdout
 
@@ -203,7 +232,7 @@ def test_help_documents_subcommands(capsys):
 def test_matrix_path_csv_roundtrip(tmp_path):
     grid = make_grid(1.0, 0.25)
     vals = np.arange(5 * 4, dtype=float).reshape(5, 2, 2) / 7.0
-    mp = MatrixPath(grid, vals, label="P")
+    mp = MatrixPath(grid, vals)
     path = tmp_path / "p.csv"
     write_matrix_path(path, mp, "P")
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

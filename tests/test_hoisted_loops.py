@@ -1,7 +1,7 @@
 """Loops that carry only their recursion equal the per-step loops bitwise.
 
-Each reference below is the per-step loop the stacked code replaced, kept
-here verbatim in its arithmetic; every comparison is exact.
+Each reference below is the per-step loop or kernel the current code
+replaced, kept here verbatim in its arithmetic; every comparison is exact.
 """
 
 import re
@@ -9,12 +9,17 @@ import re
 import numpy as np
 import pytest
 
-from kblab._integrators import _forcing, coefficient_stages, make_grid, riccati_sweep
+from kblab._integrators import _forcing, coefficient_stages, riccati_sweep, transition_steps
 from kblab.kalman import _scan, filter_pieces
-from kblab.model import constant_model, periodic_model
-from kblab.propagate import accumulated_information, fundamental_matrix, uco_gramian
+from kblab.model import constant_model, make_grid, periodic_model
+from kblab.propagate import (
+    _half_step_transitions,
+    accumulated_information,
+    fundamental_matrix,
+    uco_gramian,
+)
 from kblab.riccati import closed_form_dre, psd_sqrt
-from kblab.scenarios import builtin_scenario
+from kblab.scenarios import SCENARIOS, builtin_scenario
 from kblab.simulate import NOISE_BLOCK, RngStream, fine_grid, simulate_truth
 
 
@@ -95,6 +100,92 @@ def test_riccati_sweep_equals_per_step_loop(m, members):
         path, msteps = riccati_sweep(mdl, grid, P0)
         ref_path, ref_msteps = _sweep_loop(mdl, grid, P0, 0.0)
         assert np.array_equal(path, ref_path) and np.array_equal(msteps, ref_msteps)
+
+
+def _scalar_models():
+    return [constant_model([[0.3]], [[1.0]], [[2.0]], F=[[0.7]]),
+            periodic_model([[-0.2]], [[0.5]], [[1.0]], [[1.0]], omega=2.0, C1=[[0.3]],
+                           R1=[[0.2]], F1=[[0.4]])]
+
+
+def _scalar_sweep_loop(model, grid, P0, eps):
+    """Scalar sweep building P and M_k in one float loop per member (m = 1)."""
+    n_steps = len(grid) - 1
+    P0, eps = np.asarray(P0, dtype=float), np.asarray(eps, dtype=float)
+    batch = np.broadcast_shapes(P0.shape[:-2], eps.shape)
+    stages = coefficient_stages(model, grid)
+    a1, a2, a3 = (c[:, 0, 0].tolist() for c in stages["A"])
+    g1, g2, g3 = (c[:, 0, 0].tolist() for c in stages["G"])
+    qcols = [q.reshape(n_steps, -1) for q in
+             _forcing(stages["FFt"], np.broadcast_to(eps, batch), n_steps, 1)]
+    p0s = np.broadcast_to(0.5 * (P0 + P0.swapaxes(-1, -2)), batch + (1, 1)).reshape(-1)
+    hs = (grid[1:] - grid[:-1]).tolist()
+    paths = np.empty((p0s.size, n_steps + 1))
+    msteps = np.empty((p0s.size, n_steps))
+    for b in range(p0s.size):
+        q1, q2, q3 = (q[:, b].tolist() for q in qcols)
+        p = paths[b, 0] = float(p0s[b])
+        for k in range(n_steps):
+            hk = hs[k]
+            A1, A2, A3 = a1[k], a2[k], a3[k]
+            G1, G2, G3 = g1[k], g2[k], g3[k]
+            k1p = 2.0 * A1 * p - G1 * p * p + q1[k]
+            k1m = A1 - p * G1
+            p2 = p + 0.5 * hk * k1p
+            k2p = 2.0 * A2 * p2 - G2 * p2 * p2 + q2[k]
+            k2m = (A2 - p2 * G2) * (1.0 + 0.5 * hk * k1m)
+            p3 = p + 0.5 * hk * k2p
+            k3p = 2.0 * A2 * p3 - G2 * p3 * p3 + q2[k]
+            k3m = (A2 - p3 * G2) * (1.0 + 0.5 * hk * k2m)
+            p4 = p + hk * k3p
+            k4p = 2.0 * A3 * p4 - G3 * p4 * p4 + q3[k]
+            k4m = (A3 - p4 * G3) * (1.0 + hk * k3m)
+            p = p + (hk / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            paths[b, k + 1] = p
+            msteps[b, k] = 1.0 + (hk / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+    return (paths.reshape(batch + (n_steps + 1, 1, 1)),
+            msteps.reshape(batch + (n_steps, 1, 1)))
+
+
+@pytest.mark.parametrize("model", [0, 1])
+@pytest.mark.parametrize("members", ["single", "P0", "eps"])
+def test_scalar_riccati_sweep_equals_float_loop(model, members):
+    mdl = _scalar_models()[model]
+    grid = make_grid(3.0, 0.01)
+    P0s = np.array([0.5, 2.0, 1e-3]).reshape(3, 1, 1)
+    cases = {"single": [(P0s[1], 0.0), (P0s[1], 0.1)],
+             "P0": [(P0s, np.array([0.0, 0.1, 0.0]))],
+             "eps": [(P0s[0], np.array([0.0, 0.2, 0.1, 0.05, 0.025]))]}[members]
+    for P0, eps in cases:
+        path, msteps = riccati_sweep(mdl, grid, P0, eps=eps)
+        ref_path, ref_msteps = _scalar_sweep_loop(mdl, grid, P0, eps)
+        assert np.array_equal(path, ref_path)
+        assert np.array_equal(msteps, ref_msteps)
+
+
+def _free_flow_steps(model, lo, mid, hi, h):
+    """RK4 one-step matrices of dz = A(t) z dt, A evaluated at explicit stage times."""
+    h = h[:, None, None]
+    a_lo, a_mid, a_hi = model.A_at(lo), model.A_at(mid), model.A_at(hi)
+    eye = np.eye(model.m)
+    k1 = a_lo
+    k2 = a_mid @ (eye + (h / 2.0) * k1)
+    k3 = a_mid @ (eye + (h / 2.0) * k2)
+    k4 = a_hi @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_free_flow_steps_equal_reference_kernel(name):
+    mdl = builtin_scenario(name).model
+    widths = np.random.default_rng(8).uniform(0.005, 0.05, 300)
+    for grid in (make_grid(6.0, 0.02), np.concatenate([[0.0], np.cumsum(widths)])):
+        lo, h = grid[:-1], grid[1:] - grid[:-1]
+        assert np.array_equal(transition_steps(mdl, grid),
+                              _free_flow_steps(mdl, lo, 0.5 * (lo + grid[1:]), grid[1:], h))
+        hh = 0.5 * h
+        assert np.array_equal(_half_step_transitions(mdl, grid),
+                              _free_flow_steps(mdl, lo, lo + 0.5 * hh, lo + hh, hh))
 
 
 def _scan_loop(pieces, increments, x0):

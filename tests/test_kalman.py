@@ -178,14 +178,18 @@ def test_mismatched_mc_matches_single_seed_pairs_rotation():
 def test_mismatched_mc_carries_its_filter_pieces():
     cfg = replace(builtin_scenario("scalar_unstable"), horizon=2.0, mc_runs=2)
     sweep = mismatched_mc(cfg.model, cfg)
-    assert np.array_equal(sweep.pieces.riccati.init, cfg.P0)
-    assert np.array_equal(sweep.piecesbar.riccati.init, cfg.Pbar)
+    pieces, piecesbar = sweep.pair.run.pieces, sweep.pair.runbar.pieces
+    assert np.array_equal(pieces.riccati.init, cfg.P0)
+    assert np.array_equal(piecesbar.riccati.init, cfg.Pbar)
     pair = mismatched_pair(cfg.model, generate_observation_path(cfg, seed=sweep.seeds),
                            (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
-                           pieces=sweep.pieces, piecesbar=sweep.piecesbar)
+                           pieces=pieces, piecesbar=piecesbar)
     diag = mean_decomposition_diagnostics(pair)
-    assert diag.residual.shape == (len(sweep.grid), 2)
+    assert diag.residual.shape == (len(pair.grid), 2)
     assert np.array_equal(diag.residual.max(axis=0), sweep.max_residuals)
+    assert np.array_equal(pair.gap, sweep.pair.gap)
+    for name in ("term1", "zhat", "term2", "term3"):
+        assert np.array_equal(getattr(diag, name), getattr(sweep.diag, name))
 
 
 def test_lyapunov_value_nonincreasing():

@@ -1,4 +1,4 @@
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +98,13 @@ def test_validate_flags_bad_atom_weights():
 
     rep = validate_config(replace(cfg, atoms=(([1.0], 0.5), ([-1.0], 0.6))))
     assert any("sum 1.1" in m for m in rep.messages)
+
+
+def test_grid_rejects_horizon_shorter_than_half_a_step():
+    cfg = replace(builtin_scenario("scalar_basic"), horizon=0.004, dt=0.01)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        cfg.grid()
+    assert validate_config(cfg).messages == ["horizon 0.004 shorter than one step dt=0.01"]
 
 
 def test_validate_flags_indefinite_r_schedule():
