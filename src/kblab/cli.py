@@ -238,6 +238,7 @@ def cmd_smallnoise(args) -> int:
         "alpha": f"{est.alpha:.17g}",
         "k_fit": f"{est.k_fit:.17g}",
         "exponential_plausible": est.plausibly_exponential,
+        **{f"time.{stage}": f"{sec:.6f}" for stage, sec in sweep.stage_times.items()},
     }, wall_time=time.time() - t0)
     ok = cov_ok and mean_ok and mono and est.plausibly_exponential
     note = "" if mean_ok else " [known discrepancy: measured mean-gap rate is quadratic, see README]"

@@ -7,6 +7,8 @@ bytes; the manifest carries wall time and is exempt from byte identity.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,16 @@ def write_matrix_path(path, mp: MatrixPath, name: str, stride: int = 1):
     header = ["t"] + [f"{name}_{i + 1}{j + 1}" for i in range(p) for j in range(q)]
     rows = ([mp.grid[k]] + list(mp.values[k].reshape(-1)) for k in range(0, len(mp), stride))
     return write_table(path, header, rows)
+
+
+@contextmanager
+def timed(times: dict, stage: str):
+    """Add the wall time of the with-block to times[stage] (manifest `time.<stage>`)."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        times[stage] = times.get(stage, 0.0) + time.perf_counter() - start
 
 
 def write_manifest(out_dir, cfg, extra=None, seeds=None, wall_time=None):

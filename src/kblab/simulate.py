@@ -10,6 +10,22 @@ Observation increments dy_k (not cumulative y) are the canonical
 representation; the drift part int C x ds is accumulated with the composite
 trapezoid rule on the fine substep grid, the noise part is the sum of
 R^{1/2} sqrt(h) xi over substeps.
+
+generate_observation_path streams: it runs blocks of whole coarse steps (at
+most NOISE_BLOCK fine steps) through the block kernels simulate_truth and
+simulate_observations, and each block draws the next stretch of every
+stream, which reproduces the one-shot draws exactly. Only the coarse truth
+and the increments outlive a block. A tuple of noise levels eps gives one
+path per level from the same pass: each seed's "x0", "V" and "W" streams,
+F xi and R^{1/2} sqrt(h) xi_W are formed once and shared by every level, and
+each level's path is bitwise the path that level alone gives. That holds
+because every level keeps the products and the reduction order of a single
+level: A x stays one (m, m) @ (m, S) product per level, the drift C x an
+einsum, and the substep sums run on a (level, seed)-major copy, so each
+column is summed over its own contiguous (substeps, n) blocks. numpy sums a
+contiguous length-substeps axis pairwise (n = 1; 8-way unrolled from 8
+terms) and a strided one sequentially, so a time-major sum over every
+column would change bits.
 """
 
 from __future__ import annotations
@@ -24,7 +40,9 @@ from .model import ExperimentConfig, LtvModel
 from .riccati import psd_sqrt
 
 
-# steps per block of the in-place Euler-Maruyama noise products
+# fine steps per block of the streamed truth and observation pass: the
+# block's noise, truth and drift arrays are all that is held at fine
+# resolution (a block is a whole number of coarse steps, at least one)
 NOISE_BLOCK = 512
 
 
@@ -33,7 +51,11 @@ def _label_key(label: str) -> int:
 
 
 def _psd_sqrt_path(mats: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square roots along a path (one batched eigh call)."""
+    """Symmetric PSD square roots along a path (one batched eigh call).
+
+    The constant-path branch is bitwise the batched formula at mats[0], so a
+    streamed block may take either branch.
+    """
     if np.ptp(mats, axis=0).max() == 0.0:
         return np.broadcast_to(psd_sqrt(mats[0]), mats.shape)
     sym = 0.5 * (mats + np.swapaxes(mats, 1, 2))
@@ -62,7 +84,8 @@ class ObservationPath:
     truth: np.ndarray           # (K+1, m) state at the coarse nodes; (K+1, m, S) for S seeds
     substeps: int
     seed: int | tuple           # one seed, or one per column
-    eps: float
+    eps: float | tuple          # a tuple only for a block of simulate_observations:
+                                # then (K, E, n, S) increments and (K+1, E, m, S) truth
 
     def __post_init__(self):
         if self.increments.shape[0] != self.grid.shape[0] - 1:
@@ -109,8 +132,7 @@ def draw_initial_state(cfg: ExperimentConfig, rng: np.random.Generator) -> np.nd
     return x
 
 
-def simulate_truth(model: LtvModel, x0, grid, eps: float = 0.0,
-                   rng=None) -> np.ndarray:
+def simulate_truth(model: LtvModel, x0, grid, eps=0.0, rng=None) -> np.ndarray:
     """Integrate the signal process on the given grid, for one or many seeds.
 
     x0 is one initial state (m,) or one seed per column (m, S); the result is
@@ -119,47 +141,71 @@ def simulate_truth(model: LtvModel, x0, grid, eps: float = 0.0,
     eps > 0: Euler-Maruyama, x_{j+1} = x_j + A x_j h + eps F sqrt(h) xi_j,
     with xi drawn from rng, or for seed columns from a sequence of
     generators, one per column.
+
+    A tuple of E noise levels is the block kernel of the streamed generator:
+    x0 is (m, S), shared by every level, or (E, m, S), one state per level;
+    rng holds S generators and the result is (K+1, E, m, S). Each generator
+    is drawn once for all levels, and F xi is formed once; level e adds
+    (eps_e sqrt(h)) (F xi). Zero levels take the RK4 steps. Each level's
+    product A x stays one (m, m) @ (m, S) product, so every level is bitwise
+    the truth that level alone gives.
     """
     grid = np.asarray(grid, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    x0 = x0.reshape(model.m) if x0.ndim < 2 else x0
-    n_steps = len(grid) - 1
-    out = np.empty((n_steps + 1,) + x0.shape)
-    out[0] = x0
-    x = x0
-    if eps == 0.0:
-        steps = transition_steps(model, grid)
-        for k in range(n_steps):
-            x = steps[k] @ x
-            out[k + 1] = x
-        return out
-    if rng is None:
+    if isinstance(eps, tuple):
+        levels = np.asarray(eps, dtype=float)
+        x = np.broadcast_to(x0, levels.shape + x0.shape[-2:])
+    else:
+        # one level, and one column when x0 is a single state: the same
+        # (m, m) @ (m, 1) products as the tuple form
+        x0 = x0.reshape(model.m) if x0.ndim < 2 else x0
+        levels = np.array([eps], dtype=float)
+        x = x0.reshape(1, model.m, -1)
+    noisy = levels != 0.0
+    if noisy.any() and rng is None:
         raise ValueError("eps > 0 requires an RNG for the system noise")
+    out = np.empty((len(grid),) + x.shape)
+    if not noisy.all():
+        out[:, ~noisy] = _rk4_truth(model, x[~noisy], grid)
+    if noisy.any():
+        gens = [rng] if x0.ndim == 1 else rng
+        out[:, noisy] = _euler_maruyama(model, x[noisy], grid, levels[noisy], gens)
+    return out if isinstance(eps, tuple) else out[:, 0].reshape((len(grid),) + x0.shape)
+
+
+def _rk4_truth(model: LtvModel, x, grid) -> np.ndarray:
+    """Noise-free truth of the states x (E, m, S): one RK4 transition per step."""
+    steps = transition_steps(model, grid)
+    out = np.empty((len(grid),) + x.shape)
+    out[0] = x
+    for k in range(len(grid) - 1):
+        x = steps[k] @ x
+        out[k + 1] = x
+    return out
+
+
+def _euler_maruyama(model: LtvModel, x, grid, levels, gens) -> np.ndarray:
+    """Euler-Maruyama truth of the states x (E, m, S), noise levels (E,), one generator per column."""
+    n_steps = len(grid) - 1
     h = grid[1:] - grid[:-1]
     a = model.A_at(grid[:-1])
-    f = model.F_at(grid[:-1])
-    if x0.ndim == 1:
-        xi = rng.standard_normal((n_steps, model.m))
-    else:
-        xi = np.empty((n_steps,) + x0.shape)
-        for j, g in enumerate(rng):
-            xi[:, :, j] = g.standard_normal((n_steps, model.m))
-    # the noise terms eps sqrt(h) F xi do not feed the recursion: they are
-    # computed before it, over xi in place a block of steps at a time, so
-    # that no second array of the size of xi is allocated
-    scale = (eps * np.sqrt(h)).reshape((-1,) + (1,) * (xi.ndim - 1))
-    for lo in range(0, n_steps, NOISE_BLOCK):
-        blk = slice(lo, lo + NOISE_BLOCK)
-        fxi = f[blk] @ (xi[blk, :, None] if x0.ndim == 1 else xi[blk])
-        xi[blk] = scale[blk] * (fxi[..., 0] if x0.ndim == 1 else fxi)
+    xi = np.empty((n_steps,) + x.shape[1:])
+    for j, g in enumerate(gens):
+        xi[:, :, j] = g.standard_normal((n_steps, model.m))
+    # the noise terms do not feed the recursion: F xi is formed once for
+    # every level, and each level scales it by eps sqrt(h)
+    scale = levels * np.sqrt(h)[:, None]
+    noise = scale[:, :, None, None] * (model.F_at(grid[:-1]) @ xi)[:, None]
+    out = np.empty((n_steps + 1,) + x.shape)
+    out[0] = x
     for k in range(n_steps):
-        x = x + h[k] * (a[k] @ x) + xi[k]
+        x = x + h[k] * (a[k] @ x) + noise[k]
         out[k + 1] = x
     return out
 
 
 def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndarray,
-                          substeps: int, rng, seed=0, eps: float = 0.0) -> ObservationPath:
+                          substeps: int, rng, seed=0, eps=0.0) -> ObservationPath:
     """Aggregate fine-grid observation increments to the coarse grid.
 
     Per coarse step: dy_k = trapezoid of C_s x_s over the substeps plus
@@ -167,66 +213,93 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
     test hook (xi = 0 identically). A truth with seed columns (F+1, m, S)
     takes a sequence of S generators (or None entries) and gives increments
     (K, n, S); the coefficient paths C and R^{1/2} are built once, and the
-    noise is drawn one column at a time.
+    noise is drawn one column at a time. With a tuple of E noise levels the
+    truth is (F+1, E, m, S) and the increments (K, E, n, S): each column's
+    observation noise is drawn and formed once and added to the drift of
+    every level.
     """
     fine = np.asarray(fine, dtype=float)
     n_fine = len(fine) - 1
     if n_fine % substeps:
         raise ValueError("fine grid length is not a multiple of substeps")
     n_coarse = n_fine // substeps
-    batch = truth_fine.ndim == 3
-    rngs = rng if batch else [rng]
-    columns = truth_fine if batch else truth_fine[:, :, None]
+    if isinstance(eps, tuple):
+        rngs, columns = rng, truth_fine
+    elif truth_fine.ndim == 3:
+        rngs, columns = rng, truth_fine[:, None]
+    else:
+        rngs, columns = [rng], truth_fine[:, None, :, None]
     c = model.C_at(fine)
-    h = (fine[1:] - fine[:-1])[:, None]
-    root_h = np.sqrt(h)
-    noisy = any(g is not None for g in rngs)
-    rhalf = _psd_sqrt_path(model.R_at(fine[:-1])) if noisy else None
-    inc = np.empty((n_coarse, model.n, len(rngs)))
-    for j, g in enumerate(rngs):
-        cx = np.einsum("tij,tj->ti", c, columns[:, :, j])
-        drift = 0.5 * h * (cx[:-1] + cx[1:])
-        if g is not None:
-            xi = g.standard_normal((n_fine, model.n))
-            noise = root_h * np.einsum("tij,tj->ti", rhalf, xi)
-        else:
-            noise = np.zeros_like(drift)
-        inc[:, :, j] = (drift + noise).reshape(n_coarse, substeps, model.n).sum(axis=1)
-    return ObservationPath(grid=fine[::substeps], increments=inc if batch else inc[:, :, 0],
+    h = fine[1:] - fine[:-1]
+    cx = np.einsum("tij,tejs->teis", c, columns)
+    total = 0.5 * h[:, None, None, None] * (cx[:-1] + cx[1:])
+    if any(g is not None for g in rngs):
+        xi = np.zeros((n_fine, model.n, len(rngs)))
+        for j, g in enumerate(rngs):
+            if g is not None:
+                xi[:, :, j] = g.standard_normal((n_fine, model.n))
+        rhalf = _psd_sqrt_path(model.R_at(fine[:-1]))
+        total += (np.sqrt(h)[:, None, None] * np.einsum("tij,tjs->tis", rhalf, xi))[:, None]
+    else:
+        total += 0.0    # the sum with zero noise, which turns -0.0 into 0.0
+    # the substep sums run on a (level, seed)-major copy, so that each
+    # column is summed over its own contiguous (substeps, n) blocks as a
+    # single column is: numpy sums a contiguous length-substeps axis pairwise
+    # (n = 1) and a strided one sequentially
+    cols = np.ascontiguousarray(total.transpose(1, 3, 0, 2))
+    inc = cols.reshape(cols.shape[:2] + (n_coarse, substeps, model.n)).sum(axis=3)
+    inc = np.ascontiguousarray(inc.transpose(2, 0, 3, 1))
+    if not isinstance(eps, tuple):
+        inc = inc[:, 0] if truth_fine.ndim == 3 else inc[:, 0, :, 0]
+    return ObservationPath(grid=fine[::substeps], increments=inc,
                            truth=truth_fine[::substeps], substeps=substeps, seed=seed, eps=eps)
 
 
-def generate_observation_path(cfg: ExperimentConfig, seed=None,
-                              eps: float = 0.0, x0: np.ndarray | None = None,
-                              noise_off: bool = False) -> ObservationPath:
+def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0,
+                              x0: np.ndarray | None = None, noise_off: bool = False):
     """Full pipeline: draw x0, integrate the truth, emit observation increments.
 
     `seed` is one seed (default cfg.seed) or a tuple of seeds; a tuple gives
     one column per seed: increments (K, n, S) and truth (K+1, m, S). Every
     seed draws its own "x0", "V" and "W" streams, so a column is the path of
     that seed alone (bitwise for m = 1; for m > 1 the batched matrix products
-    may round differently). The truth is integrated for all columns at once;
-    the observations are aggregated one column at a time, which keeps only
-    one column of fine-grid draws in memory. `noise_off` zeroes the
-    observation noise (test hook) while keeping everything else identical.
+    may round differently). `eps` is one noise level, or a tuple of levels
+    that gives a tuple of paths, one per level, each bitwise the path of that
+    level alone: the levels share each seed's streams and are simulated in
+    one pass. The pass runs in blocks of whole coarse steps (NOISE_BLOCK fine
+    steps at most); each block draws the next stretch of every stream, so
+    only the coarse truth and the increments are kept. `noise_off` zeroes
+    the observation noise (test hook) while keeping everything else
+    identical.
     """
     seed = cfg.seed if seed is None else seed
-    batch = isinstance(seed, tuple)
-    seeds = seed if batch else (seed,)
-    grid = cfg.grid()
-    sub = cfg.substeps
-    fg = fine_grid(grid, sub)
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    levels = eps if isinstance(eps, tuple) else (eps,)
+    model, grid, sub = cfg.model, cfg.grid(), cfg.substeps
     if x0 is None:
         x0 = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator())
                        for s in seeds], axis=-1)
-    vrng = [RngStream(s, "V").generator() for s in seeds] if eps > 0 else None
-    if not batch:
-        x0 = np.reshape(x0, cfg.model.m)
-        vrng = None if vrng is None else vrng[0]
-    truth_fine = simulate_truth(cfg.model, x0, fg, eps=eps, rng=vrng)
+    x = np.reshape(x0, (model.m, len(seeds)))
+    vrngs = [RngStream(s, "V").generator() for s in seeds] if any(lv > 0 for lv in levels) else None
     wrngs = [None if noise_off else RngStream(s, "W").generator() for s in seeds]
-    return simulate_observations(cfg.model, truth_fine, fg, sub, wrngs if batch else wrngs[0],
-                                 seed=seed, eps=eps)
+    n_steps = len(grid) - 1
+    inc = np.empty((len(levels), n_steps, model.n, len(seeds)))
+    truth = np.empty((len(levels), n_steps + 1, model.m, len(seeds)))
+    truth[:, 0] = x
+    block_steps = max(1, NOISE_BLOCK // sub)
+    for lo in range(0, n_steps, block_steps):
+        hi = min(lo + block_steps, n_steps)
+        fine = fine_grid(grid[lo:hi + 1], sub)
+        block = simulate_truth(model, x, fine, eps=levels, rng=vrngs)
+        obs = simulate_observations(model, block, fine, sub, wrngs, eps=levels)
+        inc[:, lo:hi] = obs.increments.swapaxes(0, 1)
+        truth[:, lo + 1:hi + 1] = obs.truth[1:].swapaxes(0, 1)
+        x = block[-1]
+    if not isinstance(seed, tuple):
+        inc, truth = inc[..., 0], truth[..., 0]
+    paths = tuple(ObservationPath(grid=grid, increments=inc[e], truth=truth[e], substeps=sub,
+                                  seed=seed, eps=level) for e, level in enumerate(levels))
+    return paths if isinstance(eps, tuple) else paths[0]
 
 
 __all__ = [

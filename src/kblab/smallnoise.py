@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kalman import FilterPieces, filter_pieces, filter_pieces_batch, run_filter
+from .csvio import timed
+from .kalman import FilterPieces, _scan, filter_pieces, filter_pieces_batch, run_filter
 from .model import ExperimentConfig, LtvModel
 from .propagate import MatrixPath
 from .riccati import covariance_gap
@@ -56,6 +57,7 @@ class EpsilonSweep:
     sup_mean_gaps: np.ndarray   # (n_eps, n_seeds)
     sup_cov_gaps: np.ndarray    # (n_eps, n_seeds)
     pieces_zero: FilterPieces | None = None   # the noise-free-gain filter of the sweep
+    stage_times: dict = field(default_factory=dict)   # stage name -> wall seconds
     median_mean: np.ndarray = field(init=False)
     median_cov: np.ndarray = field(init=False)
 
@@ -69,26 +71,46 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig, epsilons=None) -> Epsi
 
     Epsilons are processed in descending order (the convention the per-seed
     monotonicity check relies on). The Riccati flows of eps = 0 and of every
-    eps integrate in one batched sweep; each eps runs every seed at once
-    through run_epsilon_pair.
+    eps integrate in one batched sweep, and the observation paths of every
+    eps come from one streamed simulation pass. Each eps-gain filter runs its
+    path's seed columns in one scan; the zero-noise-gain filter runs the
+    paths of every eps in one scan, as seed columns side by side. Every cell
+    equals run_epsilon_pair for its (eps, seed). The wall time of the three
+    stages goes to stage_times.
     """
     epsilons = tuple(sorted(cfg.epsilons if epsilons is None else epsilons, reverse=True))
     if not epsilons:
         raise ValueError("no epsilon values configured")
     seeds = tuple(cfg.seed + i for i in range(cfg.mc_runs))
     grid = cfg.grid()
+    times = {}
 
-    members = tuple(dict.fromkeys((0.0,) + epsilons))
-    pieces = dict(zip(members, filter_pieces_batch(model, grid, cfg.P0, eps_gain=members)))
+    with timed(times, "riccati"):
+        members = tuple(dict.fromkeys((0.0,) + epsilons))
+        pieces = dict(zip(members, filter_pieces_batch(model, grid, cfg.P0, eps_gain=members)))
     pieces_zero = pieces[0.0]
-    sup_mean = np.empty((len(epsilons), len(seeds)))
-    sup_cov = np.empty((len(epsilons), len(seeds)))
-    for i, eps in enumerate(epsilons):
-        cell = run_epsilon_pair(model, cfg, eps, seeds, pieces[eps], pieces_zero)
-        sup_mean[i] = cell.sup_mean_gap
-        sup_cov[i] = cell.sup_cov_gap
+    with timed(times, "simulate"):
+        # the paths of every eps side by side as seed columns; their truth is
+        # not used here and is released
+        paths = generate_observation_path(cfg, seed=seeds, eps=epsilons)
+        increments = np.concatenate([p.increments for p in paths], axis=2)
+        del paths
+    with timed(times, "filter"):
+        n_seeds = len(seeds)
+        mean0 = np.repeat(np.reshape(cfg.m0, (model.m, 1)), n_seeds, axis=1)
+        means_zero, _ = _scan(pieces_zero, increments, np.tile(mean0, len(epsilons)))
+        sup_mean = np.empty((len(epsilons), n_seeds))
+        sup_cov = np.empty((len(epsilons), n_seeds))
+        for i, eps in enumerate(epsilons):
+            cols = slice(i * n_seeds, (i + 1) * n_seeds)
+            # a contiguous (K, n, S) copy: the same matrix products as the
+            # path of run_epsilon_pair
+            means_eps, _ = _scan(pieces[eps], np.ascontiguousarray(increments[:, :, cols]), mean0)
+            gap = np.linalg.norm(means_eps - means_zero[:, :, cols], axis=1)
+            sup_mean[i] = gap.max(axis=0)
+            sup_cov[i] = covariance_gap(eps, pieces[eps].riccati, pieces_zero.riccati)[2]
     return EpsilonSweep(epsilons=epsilons, seeds=seeds, sup_mean_gaps=sup_mean,
-                        sup_cov_gaps=sup_cov, pieces_zero=pieces_zero)
+                        sup_cov_gaps=sup_cov, pieces_zero=pieces_zero, stage_times=times)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Also guards that the experiments which integrate several flows on one grid
 (the eps sweep, the covariance factorization, the mismatched pairs) make one
-sweep for all of them.
+sweep for all of them, and that the eps sweep simulates every eps in one pass.
 """
 
 import sys
@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from kblab._integrators import riccati_sweep
-from kblab.kalman import filter_pieces, filter_pieces_batch, mismatched_mc
+from kblab.kalman import _scan, filter_pieces, filter_pieces_batch, mismatched_mc
 from kblab.model import constant_model, make_grid, periodic_model
 from kblab.propagate import closed_loop_propagator
 from kblab.riccati import error_factorization_check, integrate_dre, integrate_dre_batch
 from kblab.scenarios import builtin_scenario
+from kblab.simulate import RngStream
 from kblab.smallnoise import epsilon_sweep
 
 
@@ -156,6 +157,32 @@ def test_epsilon_sweep_makes_one_riccati_sweep(sweep_calls):
                   epsilons=(0.2, 0.1, 0.05))
     epsilon_sweep(cfg.model, cfg)
     assert len(sweep_calls) == 1
+
+
+def test_epsilon_sweep_simulates_once_and_scans_the_zero_gain_once(monkeypatch):
+    streams, scans = [], []
+    make_generator = RngStream.generator
+
+    def counted_generator(self):
+        streams.append((self.seed, self.label))
+        return make_generator(self)
+
+    def counted_scan(*args, **kwargs):
+        scans.append(args[1].shape)
+        return _scan(*args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "generator", counted_generator)
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "kblab" or modname.startswith("kblab.")) and \
+                getattr(mod, "_scan", None) is _scan:
+            monkeypatch.setattr(mod, "_scan", counted_scan)
+    cfg = replace(builtin_scenario("rotation_partial"), horizon=2.0, mc_runs=3,
+                  epsilons=(0.2, 0.1, 0.05, 0.025))
+    sweep = epsilon_sweep(cfg.model, cfg)
+    # one "x0", "V" and "W" stream per seed (3 S), not one per (eps, seed)
+    assert sorted(streams) == sorted((s, label) for s in sweep.seeds for label in ("x0", "V", "W"))
+    # E eps-gain scans of S columns and one zero-gain scan of E S columns
+    assert sorted(shape[-1] for shape in scans) == [3, 3, 3, 3, 12]
 
 
 def test_error_factorization_check_makes_one_riccati_sweep(sweep_calls):

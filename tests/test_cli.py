@@ -128,6 +128,9 @@ def test_smallnoise_command_known_mean_slope_failure(tmp_path, capsys):
     assert "known discrepancy" in text
     assert (out / "sweep.csv").read_text().splitlines()[0] == "epsilon,seed,sup_mean_gap,sup_cov_gap"
     assert (out / "summary.csv").exists()
+    manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    for stage in ("riccati", "simulate", "filter"):
+        assert float(manifest[f"time.{stage}"]) >= 0.0
 
 
 def test_byte_identical_reruns(tmp_path):

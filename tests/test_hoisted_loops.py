@@ -5,6 +5,7 @@ replaced, kept here verbatim in its arithmetic; every comparison is exact.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from kblab.propagate import (
 )
 from kblab.riccati import closed_form_dre, psd_sqrt
 from kblab.scenarios import SCENARIOS, builtin_scenario
-from kblab.simulate import NOISE_BLOCK, RngStream, fine_grid, simulate_truth
+from kblab.simulate import (
+    NOISE_BLOCK,
+    RngStream,
+    _psd_sqrt_path,
+    draw_initial_state,
+    fine_grid,
+    generate_observation_path,
+    simulate_truth,
+)
 
 
 def _models():
@@ -254,6 +263,110 @@ def test_em_truth_equals_per_step_loop(name):
     assert np.array_equal(truth, ref)
     one = simulate_truth(cfg.model, cfg.m0, fine, eps=0.2, rng=RngStream(7, "V").generator())
     assert np.array_equal(one, _em_loop(cfg.model, cfg.m0, fine, 0.2, RngStream(7, "V").generator()))
+
+
+def _whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
+    """Observation path of one eps level, generated over the whole horizon at once.
+
+    The fine truth of every column and each stream's draws for the whole
+    horizon are held together; one seed gives (m,) states and
+    matrix-vector products. Returns (increments, coarse truth).
+    """
+    model, sub = cfg.model, cfg.substeps
+    batch = isinstance(seed, tuple)
+    seeds = seed if batch else (seed,)
+    fine = fine_grid(cfg.grid(), sub)
+    n_fine = len(fine) - 1
+    if x0 is None:
+        x0 = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator()) for s in seeds],
+                      axis=-1)
+    x0 = x0 if batch else np.reshape(x0, model.m)
+    truth = np.empty((n_fine + 1,) + x0.shape)
+    truth[0] = x = x0
+    if eps == 0.0:
+        steps = transition_steps(model, fine)
+        for k in range(n_fine):
+            x = steps[k] @ x
+            truth[k + 1] = x
+    else:
+        h = fine[1:] - fine[:-1]
+        a, f = model.A_at(fine[:-1]), model.F_at(fine[:-1])
+        xi = np.stack([RngStream(s, "V").generator().standard_normal((n_fine, model.m))
+                       for s in seeds], axis=-1)
+        noise = (eps * np.sqrt(h))[:, None, None] * (f @ xi)
+        noise = noise if batch else noise[..., 0]
+        for k in range(n_fine):
+            x = x + h[k] * (a[k] @ x) + noise[k]
+            truth[k + 1] = x
+    c = model.C_at(fine)
+    hh = (fine[1:] - fine[:-1])[:, None]
+    rhalf = _psd_sqrt_path(model.R_at(fine[:-1]))
+    columns = truth if batch else truth[:, :, None]
+    inc = np.empty((n_fine // sub, model.n, len(seeds)))
+    for j, s in enumerate(seeds):
+        cx = np.einsum("tij,tj->ti", c, columns[:, :, j])
+        drift = 0.5 * hh * (cx[:-1] + cx[1:])
+        if noise_off:
+            noise = np.zeros_like(drift)
+        else:
+            xi = RngStream(s, "W").generator().standard_normal((n_fine, model.n))
+            noise = np.sqrt(hh) * np.einsum("tij,tj->ti", rhalf, xi)
+        inc[:, :, j] = (drift + noise).reshape(n_fine // sub, sub, model.n).sum(axis=1)
+    return (inc if batch else inc[:, :, 0]), truth[::sub]
+
+
+def _assert_streamed_equals_whole_path(cfg, seed, levels, **kwargs):
+    paths = generate_observation_path(cfg, seed=seed, eps=levels, **kwargs)
+    assert len(paths) == len(levels)
+    for path, eps in zip(paths, levels):
+        inc, truth = _whole_path_generator(cfg, seed, eps, **kwargs)
+        assert path.eps == eps and path.seed == seed
+        assert np.array_equal(path.grid, cfg.grid())
+        assert path.increments.shape == inc.shape and np.array_equal(path.increments, inc)
+        assert path.truth.shape == truth.shape and np.array_equal(path.truth, truth)
+    one = generate_observation_path(cfg, seed=seed, eps=levels[0], **kwargs)
+    assert np.array_equal(one.increments, paths[0].increments)
+    assert np.array_equal(one.truth, paths[0].truth)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_streamed_generator_equals_whole_path_generator(name):
+    # 1,030 fine steps: two full blocks and a partial one
+    cfg = replace(builtin_scenario(name), dt=0.01, horizon=10.3, substeps=1)
+    assert len(cfg.grid()) - 1 > 2 * NOISE_BLOCK
+    _assert_streamed_equals_whole_path(cfg, (cfg.seed, cfg.seed + 1, cfg.seed + 2),
+                                       (0.2, 0.0, 0.05))
+    _assert_streamed_equals_whole_path(cfg, cfg.seed, (0.1, 0.3))
+    _assert_streamed_equals_whole_path(cfg, cfg.seed, (0.0,))
+
+
+@pytest.mark.parametrize("name", ["scalar_basic", "rotation_partial", "periodic3"])
+@pytest.mark.parametrize("substeps", [1, 9, 10])
+def test_streamed_generator_block_boundaries(name, substeps):
+    # K = 1025 coarse steps: blocks of 512, 56 and 51 coarse steps leave a
+    # last block of 1, 17 and 5; n = 1 with >= 8 substeps sums them pairwise
+    cfg = replace(builtin_scenario(name), dt=0.01, horizon=10.25, substeps=substeps)
+    per_block = max(1, NOISE_BLOCK // substeps)
+    assert (len(cfg.grid()) - 1) % per_block
+    _assert_streamed_equals_whole_path(cfg, (3, 4), (0.1, 0.0))
+    _assert_streamed_equals_whole_path(cfg, 5, (0.0, 0.2))
+
+
+def test_streamed_generator_time_varying_noise_roots():
+    # R varies in time, but the last block is one fine step, whose R^{1/2}
+    # path takes the constant-path branch
+    cfg = replace(builtin_scenario("periodic3"), model=_models()[3], dt=0.01, horizon=10.25)
+    assert (len(cfg.grid()) - 1) % NOISE_BLOCK == 1
+    _assert_streamed_equals_whole_path(cfg, (3, 4), (0.1, 0.0))
+
+
+@pytest.mark.parametrize("name", ["rotation_atoms", "two_atom", "smallnoise_stable"])
+def test_streamed_generator_hooks(name):
+    cfg = replace(builtin_scenario(name), dt=0.01, horizon=6.0)
+    _assert_streamed_equals_whole_path(cfg, (1, 2), (0.1, 0.0), noise_off=True)
+    x0 = np.linspace(-1.0, 1.0, cfg.model.m)
+    _assert_streamed_equals_whole_path(cfg, 9, (0.0, 0.05), x0=x0)
+    _assert_streamed_equals_whole_path(cfg, (9, 10), (0.2,), x0=np.stack([x0, 2.0 * x0], axis=-1))
 
 
 def _closed_form_loop(P0, phi, info, cond_limit=1e12):
