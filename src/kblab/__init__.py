@@ -42,8 +42,6 @@ from .simulate import (
     RngStream,
     draw_initial_state,
     generate_observation_path,
-    simulate_observations,
-    simulate_truth,
 )
 from .kalman import (
     FilterRun,
@@ -64,5 +62,4 @@ from .smallnoise import (
     epsilon_sweep,
     exponential_stability_estimate,
     fit_scaling,
-    run_epsilon_pair,
 )

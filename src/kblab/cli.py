@@ -66,6 +66,11 @@ def _verdict(name: str, ok: bool, detail: str) -> int:
     return PASS if ok else FAIL
 
 
+def _slope(value, spec: str) -> str:
+    """A fitted slope, or "none" where the fit found no slope."""
+    return "none" if value is None else format(value, spec)
+
+
 def cmd_riccati(args) -> int:
     cfg = _load_config(args)
     t0 = time.time()
@@ -230,22 +235,33 @@ def cmd_smallnoise(args) -> int:
     th = cfg.thresholds
     mono = bool(np.all(np.diff(sweep.sup_mean_gaps, axis=0)
                        <= 0.05 * sweep.sup_mean_gaps[:-1]))
-    cov_ok = th["cov_slope_lo"] <= fit.cov_slope <= th["cov_slope_hi"]
-    mean_ok = th["mean_slope_lo"] <= fit.mean_slope <= th["mean_slope_hi"]
+    # a slope of None (all median gaps 0, no fit) lies outside every band
+    cov_ok = (fit.cov_slope is not None
+              and th["cov_slope_lo"] <= fit.cov_slope <= th["cov_slope_hi"])
+    mean_ok = (fit.mean_slope is not None
+               and th["mean_slope_lo"] <= fit.mean_slope <= th["mean_slope_hi"])
     write_manifest(args.out, cfg, seeds=sweep.seeds, extra={
-        "mean_slope": f"{fit.mean_slope:.17g}",
-        "cov_slope": f"{fit.cov_slope:.17g}",
+        "mean_slope": _slope(fit.mean_slope, ".17g"),
+        "cov_slope": _slope(fit.cov_slope, ".17g"),
+        "degenerate": fit.degenerate,
         "alpha": f"{est.alpha:.17g}",
         "k_fit": f"{est.k_fit:.17g}",
         "exponential_plausible": est.plausibly_exponential,
         **{f"time.{stage}": f"{sec:.6f}" for stage, sec in sweep.stage_times.items()},
     }, wall_time=time.time() - t0)
     ok = cov_ok and mean_ok and mono and est.plausibly_exponential
-    note = "" if mean_ok else " [known discrepancy: measured mean-gap rate is quadratic, see README]"
+    if fit.degenerate:
+        note = " [degenerate fit: every median sup gap is 0, so there is no slope]"
+    elif not mean_ok:
+        note = " [known discrepancy: measured mean-gap rate is quadratic, see README]"
+    else:
+        note = ""
     return _verdict(
         "smallnoise", ok,
-        f"alpha {est.alpha:.3f} (exp-stable: {est.plausibly_exponential}); cov slope {fit.cov_slope:.3f} "
-        f"in [{th['cov_slope_lo']:g}, {th['cov_slope_hi']:g}]: {cov_ok}; mean slope {fit.mean_slope:.3f} "
+        f"alpha {est.alpha:.3f} (exp-stable: {est.plausibly_exponential}); "
+        f"cov slope {_slope(fit.cov_slope, '.3f')} "
+        f"in [{th['cov_slope_lo']:g}, {th['cov_slope_hi']:g}]: {cov_ok}; "
+        f"mean slope {_slope(fit.mean_slope, '.3f')} "
         f"in [{th['mean_slope_lo']:g}, {th['mean_slope_hi']:g}]: {mean_ok}{note}; monotone: {mono}")
 
 

@@ -88,35 +88,25 @@ class FilterRun:
     pieces: FilterPieces
 
 
-def _scan(pieces: FilterPieces, increments: np.ndarray, x0: np.ndarray):
-    """Run the affine recursion; states may be batched as columns.
+def _scan(pieces: FilterPieces, increments: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Run the affine mean recursion on seed columns.
 
-    x0 of shape (m,) or (m, S); increments (K, n) or (K, n, S).
-    Returns (means, innovations) with matching batch shape.
+    x0 is (m, S), one state per column; increments are (K, n, S), one path
+    per column, or (K, n, 1), one path shared by every column. Returns the
+    (K+1, m, S) means. The loop carries only the mean recursion; the gain
+    products are stacked over steps before it.
     """
-    msteps, cdt = pieces.msteps, pieces.cdt
-    n_steps = msteps.shape[0]
-    x = np.asarray(x0, dtype=float)
-    means = np.empty((n_steps + 1,) + x.shape)
-    means[0] = x
-    # the loop carries only the mean recursion; the gain and innovation
-    # products are stacked over steps (one state vector per step stays a
-    # matrix-vector product)
-    if x.ndim == 1:
-        gdy = (pieces.gains @ increments[..., None])[..., 0]
-    else:
-        gdy = pieces.gains @ increments
-    for k in range(n_steps):
+    msteps = pieces.msteps
+    means = np.empty((len(msteps) + 1,) + x0.shape)
+    means[0] = x = x0
+    gdy = pieces.gains @ increments
+    for k in range(len(msteps)):
         x = msteps[k] @ x + gdy[k]
         means[k + 1] = x
     if not np.all(np.isfinite(x)):
-        bad = np.nonzero(~np.isfinite(means).all(axis=tuple(range(1, means.ndim))))[0]
+        bad = np.nonzero(~np.isfinite(means).all(axis=(1, 2)))[0]
         raise FloatingPointError(f"filter mean not finite from step {bad[0]}")
-    if x.ndim == 1:
-        innov = increments - (cdt @ means[:-1, :, None])[..., 0]
-    else:
-        innov = increments - cdt @ means[:-1]
-    return means, innov
+    return means
 
 
 def run_filter(model: LtvModel, obs: ObservationPath, init, eps_gain: float = 0.0,
@@ -125,19 +115,25 @@ def run_filter(model: LtvModel, obs: ObservationPath, init, eps_gain: float = 0.
 
     eps_gain selects the Riccati flow feeding the gain (0 recovers the
     noise-free gain); the same observation increments are consumed either way.
-    Observations with seed columns start every column from the same mean.
+    Observations with seed columns start every column from the same mean. A
+    one-seed path runs as one column and its results drop the column axis.
+    The innovations dnu_k = dy_k - C_k x_k dt are formed after the scan.
     """
     mean0, P0 = init
     mean0 = np.asarray(mean0, dtype=float).reshape(model.m)
-    if obs.increments.ndim == 3:
-        mean0 = np.repeat(mean0[:, None], obs.increments.shape[2], axis=1)
+    one_path = obs.increments.ndim == 2
+    increments = obs.increments[..., None] if one_path else obs.increments
     if pieces is None:
         pieces = filter_pieces(model, obs.grid, P0, eps_gain=eps_gain)
     elif not np.array_equal(pieces.grid, obs.grid):
         raise ValueError("pieces grid does not match the observation grid")
-    means, innov = _scan(pieces, obs.increments, mean0)
+    x0 = np.repeat(mean0[:, None], increments.shape[2], axis=1)
+    means = _scan(pieces, increments, x0)
+    innov = increments - pieces.cdt @ means[:-1]
+    if one_path:
+        means, innov, x0 = means[..., 0], innov[..., 0], mean0
     return FilterRun(grid=obs.grid, means=means, innovations=innov,
-                     riccati=pieces.riccati, init_mean=mean0, pieces=pieces)
+                     riccati=pieces.riccati, init_mean=x0, pieces=pieces)
 
 
 @dataclass

@@ -181,7 +181,7 @@ def bank_oracle(model: LtvModel, obs: ObservationPath, atoms, gaussian_init,
     if pieces is None:
         pieces = filter_pieces(model, grid, pprime)
     x0 = (mprime[:, None] + locs.T)                    # (m, k)
-    means, _ = _scan(pieces, obs.increments[:, :, None], x0)   # (K+1, m, k)
+    means = _scan(pieces, obs.increments[:, :, None], x0)      # (K+1, m, k)
 
     h = grid[1:] - grid[:-1]
     c = model.C_at(grid[:-1])

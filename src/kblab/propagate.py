@@ -29,15 +29,6 @@ class MatrixPath:
     def __len__(self):
         return self.grid.shape[0]
 
-    def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.grid - t)))
-        if abs(self.grid[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not a grid node")
-        return k
-
-    def at(self, t: float) -> np.ndarray:
-        return self.values[self.index_of(t)]
-
 
 def same_grid(a, b) -> bool:
     ga = a.grid if isinstance(a, MatrixPath) else np.asarray(a)

@@ -11,20 +11,24 @@ representation; the drift part int C x ds is accumulated with the composite
 trapezoid rule on the fine substep grid, the noise part is the sum of
 R^{1/2} sqrt(h) xi over substeps.
 
-generate_observation_path streams: it runs blocks of whole coarse steps (at
-most NOISE_BLOCK fine steps) through the block kernels simulate_truth and
-simulate_observations, and each block draws the next stretch of every
-stream, which reproduces the one-shot draws exactly. Only the coarse truth
-and the increments outlive a block. A tuple of noise levels eps gives one
-path per level from the same pass: each seed's "x0", "V" and "W" streams,
-F xi and R^{1/2} sqrt(h) xi_W are formed once and shared by every level, and
-each level's path is bitwise the path that level alone gives. That holds
-because every level keeps the products and the reduction order of a single
-level: A x stays one (m, m) @ (m, S) product per level, the drift C x an
-einsum, and the substep sums run on a (level, seed)-major copy, so each
-column is summed over its own contiguous (substeps, n) blocks. numpy sums a
-contiguous length-substeps axis pairwise (n = 1; 8-way unrolled from 8
-terms) and a strided one sequentially, so a time-major sum over every
+generate_observation_path streams: it runs blocks of whole coarse steps
+through the block kernels simulate_truth and simulate_observations, and each
+block draws the next stretch of every stream, which reproduces the one-shot
+draws exactly. A block holds as many whole coarse steps as fit in
+NOISE_BLOCK values, counted as fine steps x levels x seeds x m, and at
+least one. Only the coarse
+truth and the increments outlive a block. The kernels have one shape: a
+block carries E noise levels and S seed columns, states (E, m, S), and a
+single level or seed is E = 1 or S = 1. A tuple of noise levels eps gives
+one path per level from the same pass: each seed's "x0", "V" and "W"
+streams, F xi and R^{1/2} sqrt(h) xi_W are formed once and shared by every
+level, and each level's path is bitwise the path that level alone gives.
+That holds because every level keeps the products and the reduction order
+of a single level: A x stays one (m, m) @ (m, S) product per level, the
+drift C x an einsum, and the substep sums run on a (level, seed)-major copy,
+so each column is summed over its own contiguous (substeps, n) blocks. numpy
+sums a contiguous length-substeps axis pairwise (n = 1; 8-way unrolled from
+8 terms) and a strided one sequentially, so a time-major sum over every
 column would change bits.
 """
 
@@ -40,10 +44,11 @@ from .model import ExperimentConfig, LtvModel
 from .riccati import psd_sqrt
 
 
-# fine steps per block of the streamed truth and observation pass: the
-# block's noise, truth and drift arrays are all that is held at fine
-# resolution (a block is a whole number of coarse steps, at least one)
-NOISE_BLOCK = 512
+# values per block of the streamed truth and observation pass, counted as
+# fine steps x levels x seeds x m: the block's noise, truth and drift arrays
+# are all that is held at fine resolution (a block is a whole number of
+# coarse steps, at least one)
+NOISE_BLOCK = 2 ** 16
 
 
 def _label_key(label: str) -> int:
@@ -84,16 +89,11 @@ class ObservationPath:
     truth: np.ndarray           # (K+1, m) state at the coarse nodes; (K+1, m, S) for S seeds
     substeps: int
     seed: int | tuple           # one seed, or one per column
-    eps: float | tuple          # a tuple only for a block of simulate_observations:
-                                # then (K, E, n, S) increments and (K+1, E, m, S) truth
+    eps: float
 
     def __post_init__(self):
         if self.increments.shape[0] != self.grid.shape[0] - 1:
             raise ValueError("one increment per coarse step is required")
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
 
 
 def fine_grid(grid: np.ndarray, substeps: int) -> np.ndarray:
@@ -132,45 +132,31 @@ def draw_initial_state(cfg: ExperimentConfig, rng: np.random.Generator) -> np.nd
     return x
 
 
-def simulate_truth(model: LtvModel, x0, grid, eps=0.0, rng=None) -> np.ndarray:
-    """Integrate the signal process on the given grid, for one or many seeds.
+def simulate_truth(model: LtvModel, x0: np.ndarray, fine: np.ndarray, eps: tuple,
+                   rng) -> np.ndarray:
+    """Integrate the signal process over one block of fine steps, E levels by S seeds.
 
-    x0 is one initial state (m,) or one seed per column (m, S); the result is
-    (K+1, m) or (K+1, m, S) accordingly.
-    eps = 0: one RK4 transition per grid step (deterministic, no RNG use).
-    eps > 0: Euler-Maruyama, x_{j+1} = x_j + A x_j h + eps F sqrt(h) xi_j,
-    with xi drawn from rng, or for seed columns from a sequence of
-    generators, one per column.
-
-    A tuple of E noise levels is the block kernel of the streamed generator:
-    x0 is (m, S), shared by every level, or (E, m, S), one state per level;
-    rng holds S generators and the result is (K+1, E, m, S). Each generator
-    is drawn once for all levels, and F xi is formed once; level e adds
-    (eps_e sqrt(h)) (F xi). Zero levels take the RK4 steps. Each level's
-    product A x stays one (m, m) @ (m, S) product, so every level is bitwise
-    the truth that level alone gives.
+    x0 is the (E, m, S) state of every level and seed column at fine[0], eps
+    a tuple of the E levels and rng a sequence of S generators, one per seed
+    column (None when every level is 0). Returns the (F+1, E, m, S) truth.
+    Zero levels take one RK4 transition per step and draw nothing. The other
+    levels take Euler-Maruyama steps,
+    x_{j+1} = x_j + A x_j h + eps F sqrt(h) xi_j: each generator is drawn
+    once for every level and F xi is formed once, and level e adds
+    (eps_e sqrt(h)) (F xi). Each level's product A x stays one
+    (m, m) @ (m, S) product, so every level is bitwise the truth that level
+    alone gives.
     """
-    grid = np.asarray(grid, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if isinstance(eps, tuple):
-        levels = np.asarray(eps, dtype=float)
-        x = np.broadcast_to(x0, levels.shape + x0.shape[-2:])
-    else:
-        # one level, and one column when x0 is a single state: the same
-        # (m, m) @ (m, 1) products as the tuple form
-        x0 = x0.reshape(model.m) if x0.ndim < 2 else x0
-        levels = np.array([eps], dtype=float)
-        x = x0.reshape(1, model.m, -1)
+    levels = np.asarray(eps, dtype=float)
     noisy = levels != 0.0
     if noisy.any() and rng is None:
-        raise ValueError("eps > 0 requires an RNG for the system noise")
-    out = np.empty((len(grid),) + x.shape)
+        raise ValueError("eps > 0 requires one RNG per seed column for the system noise")
+    out = np.empty((len(fine),) + x0.shape)
     if not noisy.all():
-        out[:, ~noisy] = _rk4_truth(model, x[~noisy], grid)
+        out[:, ~noisy] = _rk4_truth(model, x0[~noisy], fine)
     if noisy.any():
-        gens = [rng] if x0.ndim == 1 else rng
-        out[:, noisy] = _euler_maruyama(model, x[noisy], grid, levels[noisy], gens)
-    return out if isinstance(eps, tuple) else out[:, 0].reshape((len(grid),) + x0.shape)
+        out[:, noisy] = _euler_maruyama(model, x0[noisy], fine, levels[noisy], rng)
+    return out
 
 
 def _rk4_truth(model: LtvModel, x, grid) -> np.ndarray:
@@ -205,33 +191,24 @@ def _euler_maruyama(model: LtvModel, x, grid, levels, gens) -> np.ndarray:
 
 
 def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndarray,
-                          substeps: int, rng, seed=0, eps=0.0) -> ObservationPath:
-    """Aggregate fine-grid observation increments to the coarse grid.
+                          substeps: int, rngs) -> np.ndarray:
+    """Aggregate one block's fine-grid observation increments to its coarse steps.
 
-    Per coarse step: dy_k = trapezoid of C_s x_s over the substeps plus
-    sum_j R_j^{1/2} sqrt(h) xi_j. Passing rng=None is the deterministic-noise
-    test hook (xi = 0 identically). A truth with seed columns (F+1, m, S)
-    takes a sequence of S generators (or None entries) and gives increments
-    (K, n, S); the coefficient paths C and R^{1/2} are built once, and the
-    noise is drawn one column at a time. With a tuple of E noise levels the
-    truth is (F+1, E, m, S) and the increments (K, E, n, S): each column's
-    observation noise is drawn and formed once and added to the drift of
-    every level.
+    truth_fine is the (F+1, E, m, S) block of simulate_truth and rngs holds
+    S generators, one per seed column; a None entry zeroes that column's
+    observation noise (the noise_off test hook). Returns the (K, E, n, S)
+    increments, K = F / substeps. Per coarse step: dy_k = trapezoid of
+    C_s x_s over the substeps plus sum_j R_j^{1/2} sqrt(h) xi_j. The
+    coefficient paths C and R^{1/2} are built once, and each column's noise
+    is drawn and formed once and added to the drift of every level.
     """
-    fine = np.asarray(fine, dtype=float)
     n_fine = len(fine) - 1
     if n_fine % substeps:
         raise ValueError("fine grid length is not a multiple of substeps")
     n_coarse = n_fine // substeps
-    if isinstance(eps, tuple):
-        rngs, columns = rng, truth_fine
-    elif truth_fine.ndim == 3:
-        rngs, columns = rng, truth_fine[:, None]
-    else:
-        rngs, columns = [rng], truth_fine[:, None, :, None]
     c = model.C_at(fine)
     h = fine[1:] - fine[:-1]
-    cx = np.einsum("tij,tejs->teis", c, columns)
+    cx = np.einsum("tij,tejs->teis", c, truth_fine)
     total = 0.5 * h[:, None, None, None] * (cx[:-1] + cx[1:])
     if any(g is not None for g in rngs):
         xi = np.zeros((n_fine, model.n, len(rngs)))
@@ -248,11 +225,7 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
     # (n = 1) and a strided one sequentially
     cols = np.ascontiguousarray(total.transpose(1, 3, 0, 2))
     inc = cols.reshape(cols.shape[:2] + (n_coarse, substeps, model.n)).sum(axis=3)
-    inc = np.ascontiguousarray(inc.transpose(2, 0, 3, 1))
-    if not isinstance(eps, tuple):
-        inc = inc[:, 0] if truth_fine.ndim == 3 else inc[:, 0, :, 0]
-    return ObservationPath(grid=fine[::substeps], increments=inc,
-                           truth=truth_fine[::substeps], substeps=substeps, seed=seed, eps=eps)
+    return np.ascontiguousarray(inc.transpose(2, 0, 3, 1))
 
 
 def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0,
@@ -266,11 +239,11 @@ def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0,
     may round differently). `eps` is one noise level, or a tuple of levels
     that gives a tuple of paths, one per level, each bitwise the path of that
     level alone: the levels share each seed's streams and are simulated in
-    one pass. The pass runs in blocks of whole coarse steps (NOISE_BLOCK fine
-    steps at most); each block draws the next stretch of every stream, so
-    only the coarse truth and the increments are kept. `noise_off` zeroes
-    the observation noise (test hook) while keeping everything else
-    identical.
+    one pass. The pass runs in blocks of whole coarse steps sized by
+    NOISE_BLOCK (see the module docstring); each block draws the next
+    stretch of every stream, so only the coarse truth and the increments are
+    kept. `noise_off` zeroes the observation noise (test hook) while keeping
+    everything else identical.
     """
     seed = cfg.seed if seed is None else seed
     seeds = seed if isinstance(seed, tuple) else (seed,)
@@ -279,21 +252,21 @@ def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0,
     if x0 is None:
         x0 = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator())
                        for s in seeds], axis=-1)
-    x = np.reshape(x0, (model.m, len(seeds)))
+    n_levels, n_seeds = len(levels), len(seeds)
+    x = np.broadcast_to(np.reshape(x0, (model.m, n_seeds)), (n_levels, model.m, n_seeds))
     vrngs = [RngStream(s, "V").generator() for s in seeds] if any(lv > 0 for lv in levels) else None
     wrngs = [None if noise_off else RngStream(s, "W").generator() for s in seeds]
     n_steps = len(grid) - 1
-    inc = np.empty((len(levels), n_steps, model.n, len(seeds)))
-    truth = np.empty((len(levels), n_steps + 1, model.m, len(seeds)))
+    inc = np.empty((n_levels, n_steps, model.n, n_seeds))
+    truth = np.empty((n_levels, n_steps + 1, model.m, n_seeds))
     truth[:, 0] = x
-    block_steps = max(1, NOISE_BLOCK // sub)
+    block_steps = max(1, NOISE_BLOCK // (sub * n_levels * n_seeds * model.m))
     for lo in range(0, n_steps, block_steps):
         hi = min(lo + block_steps, n_steps)
         fine = fine_grid(grid[lo:hi + 1], sub)
-        block = simulate_truth(model, x, fine, eps=levels, rng=vrngs)
-        obs = simulate_observations(model, block, fine, sub, wrngs, eps=levels)
-        inc[:, lo:hi] = obs.increments.swapaxes(0, 1)
-        truth[:, lo + 1:hi + 1] = obs.truth[1:].swapaxes(0, 1)
+        block = simulate_truth(model, x, fine, levels, vrngs)
+        inc[:, lo:hi] = simulate_observations(model, block, fine, sub, wrngs).swapaxes(0, 1)
+        truth[:, lo + 1:hi + 1] = block[sub::sub].swapaxes(0, 1)
         x = block[-1]
     if not isinstance(seed, tuple):
         inc, truth = inc[..., 0], truth[..., 0]

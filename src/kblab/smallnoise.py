@@ -15,39 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import timed
-from .kalman import FilterPieces, _scan, filter_pieces, filter_pieces_batch, run_filter
+from .kalman import FilterPieces, _scan, filter_pieces_batch
 from .model import ExperimentConfig, LtvModel
 from .propagate import MatrixPath
 from .riccati import covariance_gap
 from .simulate import generate_observation_path
-
-
-@dataclass
-class EpsilonPairResult:
-    eps: float
-    seed: int | tuple
-    sup_mean_gap: float | np.ndarray    # (S,) for a tuple of seeds
-    sup_cov_gap: float
-
-
-def run_epsilon_pair(model: LtvModel, cfg: ExperimentConfig, eps: float, seed,
-                     pieces_eps=None, pieces_zero=None) -> EpsilonPairResult:
-    """One (eps, seed) cell: identical initialization, identical observations.
-
-    A tuple of seeds runs one cell per seed, as seed columns.
-    """
-    grid = cfg.grid()
-    if pieces_eps is None:
-        pieces_eps = filter_pieces(model, grid, cfg.P0, eps_gain=eps)
-    if pieces_zero is None:
-        pieces_zero = filter_pieces(model, grid, cfg.P0, eps_gain=0.0)
-    obs = generate_observation_path(cfg, seed=seed, eps=eps)
-    run_eps = run_filter(model, obs, (cfg.m0, cfg.P0), pieces=pieces_eps)
-    run_zero = run_filter(model, obs, (cfg.m0, cfg.P0), pieces=pieces_zero)
-    mean_gap = np.linalg.norm(run_eps.means - run_zero.means, axis=1)
-    _, _, sup_cov, _ = covariance_gap(eps, pieces_eps.riccati, pieces_zero.riccati)
-    return EpsilonPairResult(eps=eps, seed=seed, sup_mean_gap=mean_gap.max(axis=0),
-                             sup_cov_gap=sup_cov)
 
 
 @dataclass
@@ -75,8 +47,10 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig, epsilons=None) -> Epsi
     eps come from one streamed simulation pass. Each eps-gain filter runs its
     path's seed columns in one scan; the zero-noise-gain filter runs the
     paths of every eps in one scan, as seed columns side by side. Every cell
-    equals run_epsilon_pair for its (eps, seed). The wall time of the three
-    stages goes to stage_times.
+    is bitwise the cell of one eps and one seed run alone: that eps's path
+    from generate_observation_path and the two filters from run_filter. The
+    scans keep only the means. The wall time of the three stages goes to
+    stage_times.
     """
     epsilons = tuple(sorted(cfg.epsilons if epsilons is None else epsilons, reverse=True))
     if not epsilons:
@@ -98,14 +72,14 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig, epsilons=None) -> Epsi
     with timed(times, "filter"):
         n_seeds = len(seeds)
         mean0 = np.repeat(np.reshape(cfg.m0, (model.m, 1)), n_seeds, axis=1)
-        means_zero, _ = _scan(pieces_zero, increments, np.tile(mean0, len(epsilons)))
+        means_zero = _scan(pieces_zero, increments, np.tile(mean0, len(epsilons)))
         sup_mean = np.empty((len(epsilons), n_seeds))
         sup_cov = np.empty((len(epsilons), n_seeds))
         for i, eps in enumerate(epsilons):
             cols = slice(i * n_seeds, (i + 1) * n_seeds)
             # a contiguous (K, n, S) copy: the same matrix products as the
-            # path of run_epsilon_pair
-            means_eps, _ = _scan(pieces[eps], np.ascontiguousarray(increments[:, :, cols]), mean0)
+            # path of this eps alone
+            means_eps = _scan(pieces[eps], np.ascontiguousarray(increments[:, :, cols]), mean0)
             gap = np.linalg.norm(means_eps - means_zero[:, :, cols], axis=1)
             sup_mean[i] = gap.max(axis=0)
             sup_cov[i] = covariance_gap(eps, pieces[eps].riccati, pieces_zero.riccati)[2]
@@ -174,12 +148,10 @@ def exponential_stability_estimate(psi: MatrixPath) -> StabilityEstimate:
 
 
 __all__ = [
-    "EpsilonPairResult",
     "EpsilonSweep",
     "ScalingFit",
     "StabilityEstimate",
     "epsilon_sweep",
     "exponential_stability_estimate",
     "fit_scaling",
-    "run_epsilon_pair",
 ]

@@ -46,6 +46,20 @@ def test_gramian_command_reports_verdict(tmp_path, capsys):
     assert len(rows) > 10
 
 
+def test_smallnoise_command_zero_forcing_is_a_degenerate_failure(tmp_path, capsys):
+    # F = 0: every sup gap is 0, so the fit has no slopes; that fails the
+    # verdict instead of raising
+    cfg = builtin_scenario("smallnoise_stable")
+    cfg = replace(cfg, model=replace(cfg.model, F0=np.zeros((1, 1))), horizon=4.0, mc_runs=4)
+    out = tmp_path / "out"
+    code = cli.main(["smallnoise", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    text = capsys.readouterr().out
+    assert code == 1
+    assert text.startswith("FAIL smallnoise") and "degenerate fit" in text
+    manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert manifest["degenerate"] == "True"
+    assert manifest["mean_slope"] == manifest["cov_slope"] == "none"
+
 def test_stability_mean_pass_and_csv_schema(tmp_path, capsys):
     # shorter horizon -> weaker contraction; the threshold override in the
     # config document is part of what is being exercised here

@@ -10,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kblab import simulate
 from kblab._integrators import _forcing, coefficient_stages, riccati_sweep, transition_steps
-from kblab.kalman import _scan, filter_pieces
+from kblab.kalman import _scan, filter_pieces, mismatched_mc, run_filter
 from kblab.model import constant_model, make_grid, periodic_model
 from kblab.propagate import (
     _half_step_transitions,
@@ -22,7 +23,7 @@ from kblab.propagate import (
 from kblab.riccati import closed_form_dre, psd_sqrt
 from kblab.scenarios import SCENARIOS, builtin_scenario
 from kblab.simulate import (
-    NOISE_BLOCK,
+    ObservationPath,
     RngStream,
     _psd_sqrt_path,
     draw_initial_state,
@@ -219,14 +220,23 @@ def test_scan_equals_per_step_loop(name):
     pieces = filter_pieces(cfg.model, grid, cfg.P0)
     rng = np.random.default_rng(5)
     n, m = cfg.model.n, cfg.model.m
-    cases = [(rng.standard_normal((len(grid) - 1, n)), cfg.m0),                        # one path
-             (rng.standard_normal((len(grid) - 1, n, 4)), rng.standard_normal((m, 4))),  # seed columns
+    cases = [(rng.standard_normal((len(grid) - 1, n, 4)), rng.standard_normal((m, 4))),  # seed columns
              (rng.standard_normal((len(grid) - 1, n, 1)), rng.standard_normal((m, 3)))]  # shared path
     for increments, x0 in cases:
-        means, innov = _scan(pieces, increments, x0)
+        assert np.array_equal(_scan(pieces, increments, x0), _scan_loop(pieces, increments, x0)[0])
+    # run_filter forms the innovations after the scan; a one-seed path runs
+    # as one column and is compared with the (m,) state loop
+    for increments in (rng.standard_normal((len(grid) - 1, n)),          # one path
+                       rng.standard_normal((len(grid) - 1, n, 4))):      # seed columns
+        obs = ObservationPath(grid=grid, increments=increments,
+                              truth=np.zeros((len(grid), m) + increments.shape[2:]), substeps=1,
+                              seed=0, eps=0.0)
+        run = run_filter(cfg.model, obs, (cfg.m0, cfg.P0), pieces=pieces)
+        x0 = cfg.m0 if increments.ndim == 2 else np.repeat(cfg.m0[:, None], 4, axis=1)
         ref_means, ref_innov = _scan_loop(pieces, increments, x0)
-        assert np.array_equal(means, ref_means)
-        assert innov.shape == ref_innov.shape and np.array_equal(innov, ref_innov)
+        assert run.means.shape == ref_means.shape and np.array_equal(run.means, ref_means)
+        assert run.innovations.shape == ref_innov.shape
+        assert np.array_equal(run.innovations, ref_innov)
 
 
 def _em_loop(model, x0, grid, eps, gens):
@@ -234,12 +244,9 @@ def _em_loop(model, x0, grid, eps, gens):
     n_steps = len(grid) - 1
     h = grid[1:] - grid[:-1]
     a, f = model.A_at(grid[:-1]), model.F_at(grid[:-1])
-    if x0.ndim == 1:
-        xi = gens.standard_normal((n_steps, model.m))
-    else:
-        xi = np.empty((n_steps,) + x0.shape)
-        for j, g in enumerate(gens):
-            xi[:, :, j] = g.standard_normal((n_steps, model.m))
+    xi = np.empty((n_steps,) + x0.shape)
+    for j, g in enumerate(gens):
+        xi[:, :, j] = g.standard_normal((n_steps, model.m))
     out = np.empty((n_steps + 1,) + x0.shape)
     out[0] = x = x0
     scale = eps * np.sqrt(h)
@@ -253,16 +260,12 @@ def _em_loop(model, x0, grid, eps, gens):
 def test_em_truth_equals_per_step_loop(name):
     cfg = builtin_scenario(name)
     fine = fine_grid(make_grid(3.0, 0.02), 9)   # 1350 fine steps
-    n_fine = len(fine) - 1
-    assert n_fine > NOISE_BLOCK and n_fine % NOISE_BLOCK
     seeds = (3, 4, 5)
     x0 = np.stack([cfg.m0 + j for j in range(len(seeds))], axis=-1)
-    truth = simulate_truth(cfg.model, x0, fine, eps=0.2,
-                           rng=[RngStream(s, "V").generator() for s in seeds])
+    truth = simulate_truth(cfg.model, x0[None], fine, (0.2,),
+                           [RngStream(s, "V").generator() for s in seeds])
     ref = _em_loop(cfg.model, x0, fine, 0.2, [RngStream(s, "V").generator() for s in seeds])
-    assert np.array_equal(truth, ref)
-    one = simulate_truth(cfg.model, cfg.m0, fine, eps=0.2, rng=RngStream(7, "V").generator())
-    assert np.array_equal(one, _em_loop(cfg.model, cfg.m0, fine, 0.2, RngStream(7, "V").generator()))
+    assert np.array_equal(truth, ref[:, None])
 
 
 def _whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
@@ -315,8 +318,26 @@ def _whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
     return (inc if batch else inc[:, :, 0]), truth[::sub]
 
 
-def _assert_streamed_equals_whole_path(cfg, seed, levels, **kwargs):
-    paths = generate_observation_path(cfg, seed=seed, eps=levels, **kwargs)
+# fine steps per block in the block boundary tests below
+BLOCK_FINE_STEPS = 512
+
+
+def _assert_streamed_equals_whole_path(cfg, seed, levels, monkeypatch=None, **kwargs):
+    """The streamed paths equal the whole-path generator's, level by level.
+
+    With monkeypatch, every generator call runs blocks of BLOCK_FINE_STEPS
+    fine steps (BLOCK_FINE_STEPS // substeps coarse steps) whatever its
+    number of levels and seeds; without it, blocks take the package budget.
+    """
+    def generate(eps):
+        if monkeypatch is not None:
+            n_seeds = len(seed) if isinstance(seed, tuple) else 1
+            n_levels = len(eps) if isinstance(eps, tuple) else 1
+            monkeypatch.setattr(simulate, "NOISE_BLOCK",
+                                BLOCK_FINE_STEPS * n_levels * n_seeds * cfg.model.m)
+        return generate_observation_path(cfg, seed=seed, eps=eps, **kwargs)
+
+    paths = generate(levels)
     assert len(paths) == len(levels)
     for path, eps in zip(paths, levels):
         inc, truth = _whole_path_generator(cfg, seed, eps, **kwargs)
@@ -324,40 +345,40 @@ def _assert_streamed_equals_whole_path(cfg, seed, levels, **kwargs):
         assert np.array_equal(path.grid, cfg.grid())
         assert path.increments.shape == inc.shape and np.array_equal(path.increments, inc)
         assert path.truth.shape == truth.shape and np.array_equal(path.truth, truth)
-    one = generate_observation_path(cfg, seed=seed, eps=levels[0], **kwargs)
+    one = generate(levels[0])
     assert np.array_equal(one.increments, paths[0].increments)
     assert np.array_equal(one.truth, paths[0].truth)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_streamed_generator_equals_whole_path_generator(name):
+def test_streamed_generator_equals_whole_path_generator(name, monkeypatch):
     # 1,030 fine steps: two full blocks and a partial one
     cfg = replace(builtin_scenario(name), dt=0.01, horizon=10.3, substeps=1)
-    assert len(cfg.grid()) - 1 > 2 * NOISE_BLOCK
+    assert len(cfg.grid()) - 1 > 2 * BLOCK_FINE_STEPS
     _assert_streamed_equals_whole_path(cfg, (cfg.seed, cfg.seed + 1, cfg.seed + 2),
-                                       (0.2, 0.0, 0.05))
-    _assert_streamed_equals_whole_path(cfg, cfg.seed, (0.1, 0.3))
-    _assert_streamed_equals_whole_path(cfg, cfg.seed, (0.0,))
+                                       (0.2, 0.0, 0.05), monkeypatch)
+    _assert_streamed_equals_whole_path(cfg, cfg.seed, (0.1, 0.3), monkeypatch)
+    _assert_streamed_equals_whole_path(cfg, cfg.seed, (0.0,), monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["scalar_basic", "rotation_partial", "periodic3"])
 @pytest.mark.parametrize("substeps", [1, 9, 10])
-def test_streamed_generator_block_boundaries(name, substeps):
+def test_streamed_generator_block_boundaries(name, substeps, monkeypatch):
     # K = 1025 coarse steps: blocks of 512, 56 and 51 coarse steps leave a
     # last block of 1, 17 and 5; n = 1 with >= 8 substeps sums them pairwise
     cfg = replace(builtin_scenario(name), dt=0.01, horizon=10.25, substeps=substeps)
-    per_block = max(1, NOISE_BLOCK // substeps)
+    per_block = max(1, BLOCK_FINE_STEPS // substeps)
     assert (len(cfg.grid()) - 1) % per_block
-    _assert_streamed_equals_whole_path(cfg, (3, 4), (0.1, 0.0))
-    _assert_streamed_equals_whole_path(cfg, 5, (0.0, 0.2))
+    _assert_streamed_equals_whole_path(cfg, (3, 4), (0.1, 0.0), monkeypatch)
+    _assert_streamed_equals_whole_path(cfg, 5, (0.0, 0.2), monkeypatch)
 
 
-def test_streamed_generator_time_varying_noise_roots():
+def test_streamed_generator_time_varying_noise_roots(monkeypatch):
     # R varies in time, but the last block is one fine step, whose R^{1/2}
     # path takes the constant-path branch
     cfg = replace(builtin_scenario("periodic3"), model=_models()[3], dt=0.01, horizon=10.25)
-    assert (len(cfg.grid()) - 1) % NOISE_BLOCK == 1
-    _assert_streamed_equals_whole_path(cfg, (3, 4), (0.1, 0.0))
+    assert (len(cfg.grid()) - 1) % BLOCK_FINE_STEPS == 1
+    _assert_streamed_equals_whole_path(cfg, (3, 4), (0.1, 0.0), monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["rotation_atoms", "two_atom", "smallnoise_stable"])
@@ -367,6 +388,26 @@ def test_streamed_generator_hooks(name):
     x0 = np.linspace(-1.0, 1.0, cfg.model.m)
     _assert_streamed_equals_whole_path(cfg, 9, (0.0, 0.05), x0=x0)
     _assert_streamed_equals_whole_path(cfg, (9, 10), (0.2,), x0=np.stack([x0, 2.0 * x0], axis=-1))
+
+
+def test_stream_blocks_are_sized_by_the_values_they_hold(monkeypatch):
+    # a block holds NOISE_BLOCK values (fine steps x levels x seeds x m), so
+    # a short path of few seeds is one block
+    calls = []
+    kernel = simulate.simulate_truth
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]) - 1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_truth", counted)
+    generate_observation_path(replace(builtin_scenario("two_atom"), dt=0.02))
+    assert len(calls) == 1
+    calls.clear()
+    cfg = replace(builtin_scenario("rotation_partial"), horizon=45.0, dt=0.02, mc_runs=10,
+                  mbar=np.array([3.0, -2.0]))
+    mismatched_mc(cfg.model, cfg)
+    assert len(calls) == 1 and calls[0] == (len(cfg.grid()) - 1) * cfg.substeps
 
 
 def _closed_form_loop(P0, phi, info, cond_limit=1e12):

@@ -55,28 +55,28 @@ def test_atom_draw_frequency_within_binomial_band():
 
 def test_truth_constant_dynamics():
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
-    tr = simulate_truth(mdl, [2.5], make_grid(3.0, 0.01))
+    tr = simulate_truth(mdl, np.full((1, 1, 1), 2.5), make_grid(3.0, 0.01), (0.0,), None)
     assert np.abs(tr - 2.5).max() == 0.0
 
 
 def test_truth_scalar_exponential():
     mdl = constant_model([[1.0]], [[1.0]], [[1.0]])
-    tr = simulate_truth(mdl, [1.0], make_grid(1.0, 1e-3))
-    assert abs(tr[-1, 0] - np.e) <= 1e-9
+    tr = simulate_truth(mdl, np.ones((1, 1, 1)), make_grid(1.0, 1e-3), (0.0,), None)
+    assert abs(tr[-1, 0, 0, 0] - np.e) <= 1e-9
 
 
 def test_truth_noise_requires_rng():
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
     with pytest.raises(ValueError):
-        simulate_truth(mdl, [0.0], make_grid(1.0, 0.1), eps=0.1)
+        simulate_truth(mdl, np.zeros((1, 1, 1)), make_grid(1.0, 0.1), (0.1,), None)
 
 
 def test_em_terminal_variance_matches_eps2_t():
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
     fg = fine_grid(make_grid(1.0, 0.05), 5)
     eps, n = 0.3, 500
-    xs = [simulate_truth(mdl, [0.0], fg, eps=eps, rng=RngStream(s, "V").generator())[-1, 0]
-          for s in range(n)]
+    xs = simulate_truth(mdl, np.zeros((1, 1, n)), fg, (eps,),
+                        [RngStream(s, "V").generator() for s in range(n)])[-1, 0, 0]
     var = np.var(xs, ddof=1)
     target = eps * eps
     assert abs(var - target) <= 3.0 * target * np.sqrt(2.0 / (n - 1))
@@ -86,20 +86,20 @@ def test_observation_noise_variance():
     mdl = constant_model([[0.0]], [[0.0]], [[0.25]])
     grid = make_grid(50.0, 0.01)
     fg = fine_grid(grid, 4)
-    tr = simulate_truth(mdl, [0.0], fg)
-    obs = simulate_observations(mdl, tr, fg, 4, RngStream(5, "W").generator())
-    var = np.var(obs.increments[:, 0], ddof=1)
+    tr = simulate_truth(mdl, np.zeros((1, 1, 1)), fg, (0.0,), None)
+    inc = simulate_observations(mdl, tr, fg, 4, [RngStream(5, "W").generator()])[:, 0, 0, 0]
+    var = np.var(inc, ddof=1)
     target = 0.25 * 0.01
-    assert abs(var - target) <= 3.0 * target * np.sqrt(2.0 / (obs.n_steps - 1))
+    assert abs(var - target) <= 3.0 * target * np.sqrt(2.0 / (len(inc) - 1))
 
 
 def test_noiseless_hook_exact_quadrature():
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
     grid = make_grid(1.0, 0.01)
     fg = fine_grid(grid, 10)
-    tr = simulate_truth(mdl, [1.0], fg)
-    obs = simulate_observations(mdl, tr, fg, 10, None)
-    assert np.abs(obs.increments - 0.01).max() <= 1e-15
+    tr = simulate_truth(mdl, np.ones((1, 1, 1)), fg, (0.0,), None)
+    inc = simulate_observations(mdl, tr, fg, 10, [None])
+    assert np.abs(inc - 0.01).max() <= 1e-15
 
 
 def test_substep_refinement_changes_noiseless_increments_little():
@@ -161,12 +161,12 @@ def test_truth_columns_take_one_noise_stream_each():
     mdl = constant_model([[-0.5, 1.0], [0.0, -0.2]], [[1.0, 0.0]], [[1.0]], F=np.eye(2))
     fg = make_grid(1.0, 0.01)
     x0s = np.array([[1.0, -2.0], [0.5, 0.0]])
-    batch = simulate_truth(mdl, x0s, fg, eps=0.3,
-                           rng=[RngStream(s, "V").generator() for s in (1, 2)])
-    assert batch.shape == (len(fg), 2, 2)
+    batch = simulate_truth(mdl, x0s[None], fg, (0.3,),
+                           [RngStream(s, "V").generator() for s in (1, 2)])
+    assert batch.shape == (len(fg), 1, 2, 2)
     for j, s in enumerate((1, 2)):
-        one = simulate_truth(mdl, x0s[:, j], fg, eps=0.3, rng=RngStream(s, "V").generator())
-        assert np.abs(one - batch[:, :, j]).max() <= 1e-12
+        one = simulate_truth(mdl, x0s[None, :, j:j + 1], fg, (0.3,), [RngStream(s, "V").generator()])
+        assert np.abs(one[..., 0] - batch[..., j]).max() <= 1e-12
 
 
 def test_observation_columns_equal_per_column_aggregation():
@@ -175,14 +175,14 @@ def test_observation_columns_equal_per_column_aggregation():
                          [[0.5]], omega=3.0, C1=[[0.3, 0.0]], R1=[[0.2]])
     fg = fine_grid(make_grid(2.0, 0.02), 4)
     x0s = np.array([[1.0, -2.0, 0.0], [0.5, 0.0, 1.0]])
-    truth = simulate_truth(mdl, x0s, fg)
+    truth = simulate_truth(mdl, x0s[None], fg, (0.0,), None)
     gens = [RngStream(s, "W").generator() for s in (1, 2)] + [None]
-    batch = simulate_observations(mdl, truth, fg, 4, gens, seed=(1, 2, 3))
-    assert batch.increments.shape == (len(batch.grid) - 1, 1, 3)
+    batch = simulate_observations(mdl, truth, fg, 4, gens)
+    assert batch.shape == ((len(fg) - 1) // 4, 1, 1, 3)
     for j, s in enumerate((1, 2, None)):
         rng = None if s is None else RngStream(s, "W").generator()
-        one = simulate_observations(mdl, truth[:, :, j], fg, 4, rng)
-        assert np.array_equal(one.increments, batch.increments[:, :, j])
+        one = simulate_observations(mdl, truth[..., j:j + 1], fg, 4, [rng])
+        assert np.array_equal(one[..., 0], batch[..., j])
 
 
 def test_em_truth_matches_stepwise_reference():
@@ -190,11 +190,11 @@ def test_em_truth_matches_stepwise_reference():
                          np.eye(2), F=[[1.0, 0.0], [0.3, 0.5]])
     fg = fine_grid(make_grid(1.0, 0.01), 3)
     x0 = np.array([1.0, -1.0])
-    out = simulate_truth(mdl, x0, fg, eps=0.2, rng=RngStream(9, "V").generator())
+    out = simulate_truth(mdl, x0[None, :, None], fg, (0.2,), [RngStream(9, "V").generator()])
     xi = RngStream(9, "V").generator().standard_normal((len(fg) - 1, 2))
     h = np.diff(fg)
     x = x0
     for k in range(len(fg) - 1):
         a, f = mdl.A_at(fg[k:k + 1])[0], mdl.F_at(fg[k:k + 1])[0]
         x = x + h[k] * (a @ x) + (0.2 * np.sqrt(h[k])) * (f @ xi[k])
-        assert np.array_equal(out[k + 1], x)
+        assert np.array_equal(out[k + 1, 0, :, 0], x)

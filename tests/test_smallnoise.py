@@ -1,20 +1,50 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from kblab.model import constant_model
-from kblab.kalman import filter_pieces
+from kblab.model import ExperimentConfig, LtvModel, constant_model
+from kblab.kalman import filter_pieces, run_filter
 from kblab.propagate import MatrixPath, closed_loop_propagator, make_grid
-from kblab.riccati import integrate_dre
+from kblab.riccati import covariance_gap, integrate_dre
+from kblab.simulate import generate_observation_path
 from kblab.smallnoise import (
     EpsilonSweep,
     epsilon_sweep,
     exponential_stability_estimate,
     fit_scaling,
-    run_epsilon_pair,
 )
 from kblab.scenarios import builtin_scenario
+
+
+@dataclass
+class EpsilonPairResult:
+    eps: float
+    seed: int | tuple
+    sup_mean_gap: float | np.ndarray    # (S,) for a tuple of seeds
+    sup_cov_gap: float
+
+
+def run_epsilon_pair(model: LtvModel, cfg: ExperimentConfig, eps: float, seed,
+                     pieces_eps=None, pieces_zero=None) -> EpsilonPairResult:
+    """One (eps, seed) cell: identical initialization, identical observations.
+
+    The single-cell reference of epsilon_sweep, built independently of it:
+    the path of this eps alone and two run_filter calls. A tuple of seeds
+    runs one cell per seed, as seed columns.
+    """
+    grid = cfg.grid()
+    if pieces_eps is None:
+        pieces_eps = filter_pieces(model, grid, cfg.P0, eps_gain=eps)
+    if pieces_zero is None:
+        pieces_zero = filter_pieces(model, grid, cfg.P0, eps_gain=0.0)
+    obs = generate_observation_path(cfg, seed=seed, eps=eps)
+    run_eps = run_filter(model, obs, (cfg.m0, cfg.P0), pieces=pieces_eps)
+    run_zero = run_filter(model, obs, (cfg.m0, cfg.P0), pieces=pieces_zero)
+    mean_gap = np.linalg.norm(run_eps.means - run_zero.means, axis=1)
+    _, _, sup_cov, _ = covariance_gap(eps, pieces_eps.riccati, pieces_zero.riccati)
+    return EpsilonPairResult(eps=eps, seed=seed, sup_mean_gap=mean_gap.max(axis=0),
+                             sup_cov_gap=sup_cov)
 
 
 def small_cfg(horizon=5.0, mc_runs=4):
