@@ -15,21 +15,20 @@ generate_observation_path streams: it runs blocks of whole coarse steps
 through the block kernels simulate_truth and simulate_observations, and each
 block draws the next stretch of every stream, which reproduces the one-shot
 draws exactly. A block holds as many whole coarse steps as fit in
-NOISE_BLOCK values, counted as fine steps x levels x seeds x m, and at
-least one. Only the coarse
-truth and the increments outlive a block. The kernels have one shape: a
-block carries E noise levels and S seed columns, states (E, m, S), and a
-single level or seed is E = 1 or S = 1. A tuple of noise levels eps gives
-one path per level from the same pass: each seed's "x0", "V" and "W"
-streams, F xi and R^{1/2} sqrt(h) xi_W are formed once and shared by every
-level, and each level's path is bitwise the path that level alone gives.
-That holds because every level keeps the products and the reduction order
-of a single level: A x stays one (m, m) @ (m, S) product per level, the
-drift C x an einsum, and the substep sums run on a (level, seed)-major copy,
-so each column is summed over its own contiguous (substeps, n) blocks. numpy
-sums a contiguous length-substeps axis pairwise (n = 1; 8-way unrolled from
-8 terms) and a strided one sequentially, so a time-major sum over every
-column would change bits.
+NOISE_BLOCK values, counted as fine steps x levels x seeds x m, and at least
+one. Only the coarse truth and the increments outlive a block. The kernels
+have one shape: a block carries E noise levels and S seed columns, states
+(E, m, S), and a single level or seed is E = 1 or S = 1. A tuple of noise
+levels eps gives one path per level from the same pass: each seed's "x0",
+"V" and "W" streams, F xi and R^{1/2} sqrt(h) xi_W are formed once and
+shared by every level, and each level's path is bitwise the path that level
+alone gives. That holds because every level keeps the products and the
+reduction order of a single level: A x stays one (m, m) @ (m, S) product per
+level, the drift C x an einsum, and the substep sums run on a (level,
+seed)-major copy, so each column is summed over its own contiguous
+(substeps, n) blocks. numpy sums a contiguous length-substeps axis pairwise
+(n = 1; 8-way unrolled from 8 terms) and a strided one sequentially, so a
+time-major sum over every column would change bits.
 """
 
 from __future__ import annotations

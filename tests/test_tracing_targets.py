@@ -39,7 +39,8 @@ COUNTED_ARGUMENTS = {
 
 def test_work_counters_read_the_argument_they_count():
     # the counters read args[i] or kwargs[name]: a shifted argument would
-    # only show as a wrong per-layer count
+    # only show as a wrong per-layer count (csvio.write_table's counter
+    # reads its result)
     counted = {(module, func) for module, func, _, count in _tracing().TRACED
                if count is not None and module != "csvio"}
     assert counted == set(COUNTED_ARGUMENTS)
