@@ -7,6 +7,14 @@ Riccati stage values). The Riccati sweep integrates P and keeps the stage
 values the closed loop needs, so quantities that must agree in the discrete
 algebra (filter one-step matrices, propagator products, Riccati stage values)
 are built from bitwise-identical arithmetic.
+
+The Riccati sweep runs one of three loops, chosen by the state dimension m
+alone. m = 1 runs each member through a plain-float scalar recursion. m = 2
+runs each member through a plain-float recursion on the symmetric triple
+(p00, p01, p11), so its stage values p2, p3, p4 are exactly symmetric.
+m >= 3 runs all members together through a numpy matrix loop. The loops
+share the stage formulas; the float loops round each two-term product sum
+as a plain sum, where numpy's matmul may fuse it.
 """
 
 from __future__ import annotations
@@ -101,7 +109,12 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     rk4_linear_steps, so that products of M_k are consistent with the
     returned covariance path. This sweep is the only place M_k is built: the
     closed-loop propagator Psi_t is their running product
-    (propagate.closed_loop_propagator). ||P|| > BLOWUP raises naming the time.
+    (propagate.closed_loop_propagator). ||P|| > BLOWUP or a non-finite entry
+    raises naming the time.
+
+    m = 1 and m = 2 run one member at a time in plain floats (the m = 2
+    loop on the triple (p00, p01, p11), so its stage values are exactly
+    symmetric); m >= 3 runs the members together in a numpy matrix loop.
 
     Several flows on one grid run as members of one sweep: P0 of shape
     (B, m, m) and/or eps of shape (B,), the other broadcast. Each member is
@@ -144,6 +157,20 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
             _riccati_sweep_scalar(grid, hs, *coefs, *(q[:, b].tolist() for q in qcols),
                                   prows[b], srows[:, :, b],
                                   f" in member {b}" if batch else "")
+    elif m == 2:
+        coefs = [_entry_views(c, _ENTRIES) for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
+        qmembers = [q.reshape(n_steps, -1, m, m) for q in (q_lo, q_mid, q_hi)]
+        pmembers = paths.reshape(-1, n_steps + 1, m, m)
+        smembers = p234.reshape(3, n_steps, -1, m, m)
+        for b in range(len(pmembers)):
+            _riccati_sweep_pair(grid, memoryview(h), *coefs,
+                                *(_entry_views(q[:, b], _TRIPLE) for q in qmembers),
+                                _entry_views(pmembers[b], _TRIPLE),
+                                [_entry_views(s[:, b], _TRIPLE) for s in smembers],
+                                f" in member {b}" if batch else "")
+        # the float loop writes the upper triangle
+        paths[..., 1, 0] = paths[..., 0, 1]
+        p234[..., 1, 0] = p234[..., 0, 1]
     else:
         for k in range(n_steps):
             hk = h[k]
@@ -164,11 +191,12 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
 
             P = P + (hk / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
             P = 0.5 * (P + P.swapaxes(-1, -2))
-            if np.abs(P).max() > BLOWUP:
+            # "not <=" so that a nan entry counts as a blow-up
+            if not np.abs(P).max() <= BLOWUP:
                 where = ""
                 if batch:
                     norms = np.abs(np.broadcast_to(P, batch + (m, m))).max(axis=(1, 2))
-                    where = f" in member {np.argmax(norms > BLOWUP)}"
+                    where = f" in member {np.argmax(~(norms <= BLOWUP))}"
                 raise _blowup_error(where, grid[k + 1])
             path[k + 1] = P
             p2s[k], p3s[k], p4s[k] = p2, p3, p4
@@ -221,12 +249,95 @@ def _riccati_sweep_scalar(grid, hs, a1, a2, a3, g1, g2, g3, q1, q2, q3, pout, so
         p4 = p + hk * k3p
         k4p = 2.0 * A3 * p4 - G3 * p4 * p4 + q3[k]
         p = p + (hk / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        if abs(p) > BLOWUP:
+        if not abs(p) <= BLOWUP:
             raise _blowup_error(where, grid[k + 1])
         pout[k + 1] = p
         s2[k] = p2
         s3[k] = p3
         s4[k] = p4
+
+
+# entries of a 2x2 matrix: all four, and the upper triangle of a symmetric one
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+_TRIPLE = ((0, 0), (0, 1), (1, 1))
+
+
+def _entry_views(stack, entries):
+    """Zero-copy memoryviews of the given (i, j) entries of a (K, 2, 2) stack.
+
+    Each view reads and writes the stack in place, one float per step.
+    """
+    return [memoryview(stack[:, i, j]) for i, j in entries]
+
+
+def _riccati_sweep_pair(grid, hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q_hi,
+                        pout, sout, where):
+    """m = 2 P recursion of one member in plain float arithmetic; same stage formulas.
+
+    P = [[a, b], [b, c]] and its stage values are carried as symmetric
+    triples, and each stage derivative A P + (A P)^T - (P G) P + Q is formed
+    entry by entry on the triple. a_*, g_* hold the entries 00, 01, 10, 11
+    of A and G, q_* the triple of eps^2 F F^T; pout holds the member's rows
+    of p00, p01, p11, starting from P0, and sout[s] those of the stage values
+    p2, p3, p4. Every row is a memoryview of floats.
+    """
+    ra, rb, rc = pout
+    (sa2, sb2, sc2), (sa3, sb3, sc3), (sa4, sb4, sc4) = sout
+    xa1, xb1, xc1, xd1 = a_lo
+    xa2, xb2, xc2, xd2 = a_mid
+    xa3, xb3, xc3, xd3 = a_hi
+    ya1, yb1, yc1, yd1 = g_lo
+    ya2, yb2, yc2, yd2 = g_mid
+    ya3, yb3, yc3, yd3 = g_hi
+    qa1, qb1, qc1 = q_lo
+    qa2, qb2, qc2 = q_mid
+    qa3, qb3, qc3 = q_hi
+    a, b, c = ra[0], rb[0], rc[0]
+    for k in range(len(hs)):
+        hk = hs[k]
+        x00, x01, x10, x11 = xa1[k], xb1[k], xc1[k], xd1[k]
+        y00, y01, y10, y11 = ya1[k], yb1[k], yc1[k], yd1[k]
+        g00, g01, g10, g11 = (a * y00 + b * y10, a * y01 + b * y11,
+                              b * y00 + c * y10, b * y01 + c * y11)
+        k1a = 2.0 * (x00 * a + x01 * b) - (g00 * a + g01 * b) + qa1[k]
+        k1b = (x00 * b + x01 * c) + (x10 * a + x11 * b) - (g00 * b + g01 * c) + qb1[k]
+        k1c = 2.0 * (x10 * b + x11 * c) - (g10 * b + g11 * c) + qc1[k]
+        a2, b2, c2 = a + 0.5 * hk * k1a, b + 0.5 * hk * k1b, c + 0.5 * hk * k1c
+
+        x00, x01, x10, x11 = xa2[k], xb2[k], xc2[k], xd2[k]
+        y00, y01, y10, y11 = ya2[k], yb2[k], yc2[k], yd2[k]
+        qa, qb, qc = qa2[k], qb2[k], qc2[k]
+        g00, g01, g10, g11 = (a2 * y00 + b2 * y10, a2 * y01 + b2 * y11,
+                              b2 * y00 + c2 * y10, b2 * y01 + c2 * y11)
+        k2a = 2.0 * (x00 * a2 + x01 * b2) - (g00 * a2 + g01 * b2) + qa
+        k2b = (x00 * b2 + x01 * c2) + (x10 * a2 + x11 * b2) - (g00 * b2 + g01 * c2) + qb
+        k2c = 2.0 * (x10 * b2 + x11 * c2) - (g10 * b2 + g11 * c2) + qc
+        a3, b3, c3 = a + 0.5 * hk * k2a, b + 0.5 * hk * k2b, c + 0.5 * hk * k2c
+
+        g00, g01, g10, g11 = (a3 * y00 + b3 * y10, a3 * y01 + b3 * y11,
+                              b3 * y00 + c3 * y10, b3 * y01 + c3 * y11)
+        k3a = 2.0 * (x00 * a3 + x01 * b3) - (g00 * a3 + g01 * b3) + qa
+        k3b = (x00 * b3 + x01 * c3) + (x10 * a3 + x11 * b3) - (g00 * b3 + g01 * c3) + qb
+        k3c = 2.0 * (x10 * b3 + x11 * c3) - (g10 * b3 + g11 * c3) + qc
+        a4, b4, c4 = a + hk * k3a, b + hk * k3b, c + hk * k3c
+
+        x00, x01, x10, x11 = xa3[k], xb3[k], xc3[k], xd3[k]
+        y00, y01, y10, y11 = ya3[k], yb3[k], yc3[k], yd3[k]
+        g00, g01, g10, g11 = (a4 * y00 + b4 * y10, a4 * y01 + b4 * y11,
+                              b4 * y00 + c4 * y10, b4 * y01 + c4 * y11)
+        k4a = 2.0 * (x00 * a4 + x01 * b4) - (g00 * a4 + g01 * b4) + qa3[k]
+        k4b = (x00 * b4 + x01 * c4) + (x10 * a4 + x11 * b4) - (g00 * b4 + g01 * c4) + qb3[k]
+        k4c = 2.0 * (x10 * b4 + x11 * c4) - (g10 * b4 + g11 * c4) + qc3[k]
+
+        a = a + (hk / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        b = b + (hk / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        c = c + (hk / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        if not (abs(a) <= BLOWUP and abs(b) <= BLOWUP and abs(c) <= BLOWUP):
+            raise _blowup_error(where, grid[k + 1])
+        ra[k + 1], rb[k + 1], rc[k + 1] = a, b, c
+        sa2[k], sb2[k], sc2[k] = a2, b2, c2
+        sa3[k], sb3[k], sc3[k] = a3, b3, c3
+        sa4[k], sb4[k], sc4[k] = a4, b4, c4
 
 
 def gain_steps(model: LtvModel, grid, msteps: np.ndarray, phi_steps: np.ndarray) -> np.ndarray:

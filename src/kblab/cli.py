@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import write_manifest, write_matrix_path, write_table
+from .csvio import timed, write_manifest, write_matrix_path, write_table
 from .kalman import filter_pieces_batch, lyapunov_path, mismatched_mc, run_filter
 from .model import ConfigError, ModelValidationError, parse_config, validate_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
@@ -61,6 +61,11 @@ def _stride(n_nodes: int, max_rows: int = 2001) -> int:
     return max(1, int(np.ceil(n_nodes / max_rows)))
 
 
+def _time_entries(times: dict) -> dict:
+    """Manifest entries time.<stage> for the wall times csvio.timed collected."""
+    return {f"time.{stage}": f"{sec:.6f}" for stage, sec in times.items()}
+
+
 def _verdict(name: str, ok: bool, detail: str) -> int:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return PASS if ok else FAIL
@@ -74,20 +79,27 @@ def _slope(value, spec: str) -> str:
 def cmd_riccati(args) -> int:
     cfg = _load_config(args)
     t0 = time.time()
+    times = {}
     grid = cfg.grid()
-    sol = integrate_dre(cfg.model, cfg.P0, grid)
-    phi = fundamental_matrix(cfg.model, grid)
-    info = accumulated_information(cfg.model, phi)
-    oracle = closed_form_dre(cfg.model, cfg.P0, phi, info)
-    resid = np.linalg.norm(sol.values - oracle.values, ord=2, axis=(1, 2))
+    with timed(times, "riccati"):
+        sol = integrate_dre(cfg.model, cfg.P0, grid)
+    with timed(times, "oracle"):
+        phi = fundamental_matrix(cfg.model, grid)
+        info = accumulated_information(cfg.model, phi)
+        oracle = closed_form_dre(cfg.model, cfg.P0, phi, info)
+        resid = np.linalg.norm(sol.values - oracle.values, ord=2, axis=(1, 2))
     s = _stride(len(grid))
-    write_matrix_path(Path(args.out) / "dre_path.csv", sol.path, "P", stride=s)
-    write_table(Path(args.out) / "closed_form_residual.csv", ["t", "residual"],
-                ((grid[k], resid[k]) for k in range(0, len(grid), s)))
+    with timed(times, "write"):
+        write_matrix_path(Path(args.out) / "dre_path.csv", sol.path, "P", stride=s)
+        write_table(Path(args.out) / "closed_form_residual.csv", ["t", "residual"],
+                    ((grid[k], resid[k]) for k in range(0, len(grid), s)))
     tol = cfg.thresholds["tol_oracle"]
-    write_manifest(args.out, cfg, extra={"max_oracle_residual": f"{resid.max():.17g}",
-                                         "tolerance": tol},
-                   wall_time=time.time() - t0)
+    write_manifest(args.out, cfg, extra={
+        "max_oracle_residual": f"{resid.max():.17g}",
+        "tolerance": tol,
+        "health.min_eig_P": f"{sol.min_eigs.min():.17g}",
+        **_time_entries(times),
+    }, wall_time=time.time() - t0)
     return _verdict("riccati", resid.max() <= tol,
                     f"integration vs exact solution residual {resid.max():.3e} (tol {tol:g})")
 
@@ -115,15 +127,24 @@ def cmd_gramian(args) -> int:
 def cmd_stability_cov(args) -> int:
     cfg = _load_config(args)
     t0 = time.time()
+    times = {}
     grid = cfg.grid()
-    resid, mx, pieces = error_factorization_check(cfg.model, cfg.P0, cfg.Pbar, grid)
-    gapn = np.linalg.norm(pieces["sol"].values - pieces["solbar"].values, ord=2, axis=(1, 2))
+    with timed(times, "riccati"):
+        resid, mx, pieces = error_factorization_check(cfg.model, cfg.P0, cfg.Pbar, grid)
+        gapn = np.linalg.norm(pieces["sol"].values - pieces["solbar"].values,
+                              ord=2, axis=(1, 2))
     s = _stride(len(grid))
-    write_table(Path(args.out) / "factorization.csv", ["t", "cov_gap", "residual"],
-                ((grid[k], gapn[k], resid[k]) for k in range(0, len(grid), s)))
+    with timed(times, "write"):
+        write_table(Path(args.out) / "factorization.csv", ["t", "cov_gap", "residual"],
+                    ((grid[k], gapn[k], resid[k]) for k in range(0, len(grid), s)))
     tol = cfg.thresholds["tol_oracle"]
-    write_manifest(args.out, cfg, extra={"max_residual": f"{mx:.17g}", "tolerance": tol},
-                   wall_time=time.time() - t0)
+    min_eig = min(pieces[key].min_eigs.min() for key in ("sol", "solbar"))
+    write_manifest(args.out, cfg, extra={
+        "max_residual": f"{mx:.17g}",
+        "tolerance": tol,
+        "health.min_eig_P": f"{min_eig:.17g}",
+        **_time_entries(times),
+    }, wall_time=time.time() - t0)
     return _verdict("stability-cov", mx <= tol,
                     f"covariance-difference factorization residual {mx:.3e} (tol {tol:g})")
 
@@ -247,7 +268,7 @@ def cmd_smallnoise(args) -> int:
         "alpha": f"{est.alpha:.17g}",
         "k_fit": f"{est.k_fit:.17g}",
         "exponential_plausible": est.plausibly_exponential,
-        **{f"time.{stage}": f"{sec:.6f}" for stage, sec in sweep.stage_times.items()},
+        **_time_entries(sweep.stage_times),
     }, wall_time=time.time() - t0)
     ok = cov_ok and mean_ok and mono and est.plausibly_exponential
     if fit.degenerate:

@@ -47,6 +47,8 @@ class RiccatiSolution:
 
 def _symmetric(P0) -> np.ndarray:
     P0 = np.asarray(P0, dtype=float)
+    if not np.isfinite(P0).all():
+        raise ValueError("P0 must be finite")
     if np.abs(P0 - P0.swapaxes(-1, -2)).max() > 1e-12:
         raise ValueError("P0 must be symmetric")
     return P0
@@ -68,7 +70,8 @@ def integrate_dre(model: LtvModel, P0, grid, eps: float = 0.0) -> RiccatiSolutio
     """4th-order integration of the Riccati flow with per-step symmetrization.
 
     Negative eigenvalues below -1e-10 are recorded as diagnostics; blow-up
-    (||P|| > 1e12) raises naming the time.
+    (||P|| > 1e12 or a non-finite entry) raises naming the time. A
+    non-finite or asymmetric P0 raises ValueError.
     """
     grid = np.asarray(grid, dtype=float)
     P0 = _symmetric(P0)

@@ -93,7 +93,7 @@ def test_batch_requires_a_member_axis():
         integrate_dre_batch(mdl, np.eye(2), make_grid(1.0, 0.1))
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_blowup_names_the_member_and_time(m):
     # unobserved unstable mode: P grows like e^{40 t}; only the large start
     # crosses 1e12 within the horizon

@@ -35,6 +35,20 @@ def test_riccati_command_artifacts_and_exit(tmp_path):
     assert "config_hash" in manifest and "wall_time_s" in manifest
 
 
+@pytest.mark.parametrize("command, stages", [("riccati", ("riccati", "oracle", "write")),
+                                              ("stability-cov", ("riccati", "write"))])
+def test_riccati_manifests_record_stage_times_and_min_eig(tmp_path, command, stages):
+    cfg = replace(builtin_scenario("rotation"), horizon=2.0)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    times = sorted(k for k in manifest if k.startswith("time."))
+    assert times == sorted(f"time.{s}" for s in stages)
+    assert all(float(manifest[f"time.{s}"]) >= 0.0 for s in stages)
+    # rotation's P stays positive definite
+    assert float(manifest["health.min_eig_P"]) > 0.0
+
+
 def test_gramian_command_reports_verdict(tmp_path, capsys):
     cfg = builtin_scenario("rotation_partial")
     out = tmp_path / "out"

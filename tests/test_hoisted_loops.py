@@ -33,6 +33,18 @@ from kblab.simulate import (
 )
 
 
+def _dense_pair_model():
+    """Time-varying 2x2 model with full A0, A1, a two-row C, R1 and F1.
+
+    Unlike rotation_partial (A in {0, +-1}, G = diag(1, 0)), its products
+    round, so a change in the order of a sum shows in the bits.
+    """
+    return periodic_model([[-0.3, 1.1], [-0.7, 0.2]], [[0.25, -0.4], [0.35, 0.15]],
+                          [[0.9, 0.3], [-0.2, 0.8]], [[1.1, 0.2], [0.2, 0.5]], omega=1.7,
+                          F=[[0.6, 0.2], [0.1, 0.7]], C1=[[0.2, -0.1], [0.05, 0.3]],
+                          R1=[[0.3, 0.0], [0.0, 0.1]], F1=[[0.4, 0.1], [-0.2, 0.3]])
+
+
 def _models():
     return {
         2: builtin_scenario("rotation_partial").model,
@@ -94,22 +106,105 @@ def _sweep_loop(model, grid, P0, eps):
     return np.moveaxis(path, 0, -3), np.moveaxis(msteps, 0, -3)
 
 
+def _pair_sweep_loop(model, grid, P0, eps):
+    """m = 2 sweep in plain float arithmetic, one member at a time.
+
+    Matrix products are summed left to right over nested lists. Each stage
+    derivative keeps its upper triangle and mirrors it, so P and its stage
+    values stay exactly symmetric; M_k is built in the same step, in matrix
+    form, from those stage values.
+    """
+    n_steps = len(grid) - 1
+    P0, eps = np.asarray(P0, dtype=float), np.asarray(eps, dtype=float)
+    batch = np.broadcast_shapes(P0.shape[:-2], eps.shape)
+    stages = coefficient_stages(model, grid)
+    a_lo, a_mid, a_hi = stages["A"]
+    g_lo, g_mid, g_hi = stages["G"]
+    qs = [q.reshape(n_steps, -1, 2, 2) for q in
+          _forcing(stages["FFt"], np.broadcast_to(eps, batch), n_steps, 2)]
+    p0s = np.broadcast_to(0.5 * (P0 + P0.swapaxes(-1, -2)), batch + (2, 2)).reshape(-1, 2, 2)
+    hs = (grid[1:] - grid[:-1]).tolist()
+    eye = np.eye(2)
+
+    def mul(x, y):
+        return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+
+    def deriv(a, g, q, p):
+        ap, pgp = mul(a, p), mul(mul(p, g), p)
+        d = [[ap[i][j] + ap[j][i] - pgp[i][j] + q[i][j] for j in range(2)] for i in range(2)]
+        d[1][0] = d[0][1]
+        return d
+
+    def step(p, s, d):
+        return [[p[i][j] + s * d[i][j] for j in range(2)] for i in range(2)]
+
+    paths = np.empty((len(p0s), n_steps + 1, 2, 2))
+    msteps = np.empty((len(p0s), n_steps, 2, 2))
+    for b in range(len(p0s)):
+        P = p0s[b].tolist()
+        paths[b, 0] = P
+        for k in range(n_steps):
+            hk = hs[k]
+            A1, A2, A3 = a_lo[k], a_mid[k], a_hi[k]
+            G1, G2, G3 = g_lo[k], g_mid[k], g_hi[k]
+            Q1, Q2, Q3 = (q[k, b].tolist() for q in qs)
+            k1p = deriv(A1.tolist(), G1.tolist(), Q1, P)
+            p2 = step(P, 0.5 * hk, k1p)
+            k2p = deriv(A2.tolist(), G2.tolist(), Q2, p2)
+            p3 = step(P, 0.5 * hk, k2p)
+            k3p = deriv(A2.tolist(), G2.tolist(), Q2, p3)
+            p4 = step(P, hk, k3p)
+            k4p = deriv(A3.tolist(), G3.tolist(), Q3, p4)
+            k1m = A1 - np.array(P) @ G1
+            k2m = (A2 - np.array(p2) @ G2) @ (eye + (0.5 * hk) * k1m)
+            k3m = (A2 - np.array(p3) @ G2) @ (eye + (0.5 * hk) * k2m)
+            k4m = (A3 - np.array(p4) @ G3) @ (eye + hk * k3m)
+            P = [[P[i][j] + (hk / 6.0) * (k1p[i][j] + 2.0 * k2p[i][j] + 2.0 * k3p[i][j]
+                                           + k4p[i][j]) for j in range(2)] for i in range(2)]
+            paths[b, k + 1] = P
+            msteps[b, k] = eye + (hk / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+    return (paths.reshape(batch + (n_steps + 1, 2, 2)),
+            msteps.reshape(batch + (n_steps, 2, 2)))
+
+
+def _member_cases(m, members):
+    P0s = _spd_stack(m, 3, seed=20 + m)
+    return {"single": (P0s[0], 0.1), "P0": (P0s, np.array([0.0, 0.1, 0.0])),
+            "eps": (P0s[1], np.array([0.0, 0.1]))}[members]
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("members", ["single", "P0", "eps"])
 def test_riccati_sweep_equals_per_step_loop(m, members):
-    mdl = _models()[m]
+    # m = 2 runs the float recursion, m = 3 the numpy matrix loop
+    if m == 2:
+        reference, models = _pair_sweep_loop, (_models()[2], _dense_pair_model())
+    else:
+        reference, models = _sweep_loop, (_models()[3],)
     grid = make_grid(3.0, 0.01)
-    P0s = _spd_stack(m, 3, seed=20 + m)
-    P0, eps = {"single": (P0s[0], 0.1), "P0": (P0s, np.array([0.0, 0.1, 0.0])),
-               "eps": (P0s[1], np.array([0.0, 0.1]))}[members]
+    P0, eps = _member_cases(m, members)
+    for mdl in models:
+        path, msteps = riccati_sweep(mdl, grid, P0, eps=eps)
+        ref_path, ref_msteps = reference(mdl, grid, P0, eps)
+        assert np.array_equal(path, ref_path)
+        assert np.array_equal(msteps, ref_msteps)
+        if members == "single":
+            path, msteps = riccati_sweep(mdl, grid, P0)
+            ref_path, ref_msteps = reference(mdl, grid, P0, 0.0)
+            assert np.array_equal(path, ref_path) and np.array_equal(msteps, ref_msteps)
+
+
+@pytest.mark.parametrize("members", ["single", "P0", "eps"])
+def test_pair_float_recursion_agrees_with_matrix_loop(members):
+    # on a model whose sums round, the float path and the numpy loop differ
+    # only in where each two-term sum rounds
+    mdl = _dense_pair_model()
+    grid = make_grid(3.0, 0.01)
+    P0, eps = _member_cases(2, members)
     path, msteps = riccati_sweep(mdl, grid, P0, eps=eps)
     ref_path, ref_msteps = _sweep_loop(mdl, grid, P0, eps)
-    assert np.array_equal(path, ref_path)
-    assert np.array_equal(msteps, ref_msteps)
-    if members == "single":
-        path, msteps = riccati_sweep(mdl, grid, P0)
-        ref_path, ref_msteps = _sweep_loop(mdl, grid, P0, 0.0)
-        assert np.array_equal(path, ref_path) and np.array_equal(msteps, ref_msteps)
+    assert np.abs(path - ref_path).max() <= 1e-13 * np.abs(ref_path).max()
+    assert np.abs(msteps - ref_msteps).max() <= 1e-13 * np.abs(ref_msteps).max()
 
 
 def _scalar_models():

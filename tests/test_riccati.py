@@ -50,6 +50,25 @@ def test_blowup_detection_names_time():
         integrate_dre(mdl, [[1e6]], make_grid(2.0, 1e-3))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_non_finite_path_is_a_blowup(m):
+    # the first step overflows to inf - inf = nan, which no "> BLOWUP" test catches
+    mdl = constant_model(1e300 * np.eye(m), np.eye(m), np.eye(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"blow-up: .* at t=0\.01$"):
+            integrate_dre(mdl, np.eye(m), make_grid(0.1, 0.01))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_dre_rejects_non_finite_init(m, bad):
+    mdl = constant_model(np.zeros((m, m)), np.eye(m), np.eye(m))
+    P0 = np.eye(m)
+    P0[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        integrate_dre(mdl, P0, make_grid(0.1, 0.01))
+
+
 def test_psd_sqrt_clamps_negatives():
     root = psd_sqrt(np.array([[4.0, 0.0], [0.0, -1e-14]]))
     assert np.allclose(root, [[2.0, 0.0], [0.0, 0.0]], atol=1e-12)
