@@ -119,7 +119,7 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     Several flows on one grid run as members of one sweep: P0 of shape
     (B, m, m) and/or eps of shape (B,), the other broadcast. Each member is
     bitwise what a single sweep of its (P0, eps) returns; a blow-up names the
-    member.
+    member that crosses first (the lowest index on a tie), whichever loop runs.
 
     Returns (P_path (K+1,m,m), M_steps (K,m,m)); members add a leading axis B.
     """
@@ -146,6 +146,7 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     # the loops carry only the P recursion and keep its stage values p2, p3, p4
     p234 = np.empty((3, n_steps) + batch + (m, m))
     p2s, p3s, p4s = p234
+    stops = []  # per member of a float loop: the node of its blow-up, or None
 
     if m == 1:
         coefs = [c[:, 0, 0].tolist() for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
@@ -153,21 +154,19 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
         prows = paths.reshape(-1, n_steps + 1)
         srows = p234.reshape(3, n_steps, -1)
         qcols = [q.reshape(n_steps, -1) for q in (q_lo, q_mid, q_hi)]
-        for b in range(len(prows)):
-            _riccati_sweep_scalar(grid, hs, *coefs, *(q[:, b].tolist() for q in qcols),
-                                  prows[b], srows[:, :, b],
-                                  f" in member {b}" if batch else "")
+        stops = [_riccati_sweep_scalar(hs, *coefs, *(q[:, b].tolist() for q in qcols),
+                                       prows[b], srows[:, :, b])
+                 for b in range(len(prows))]
     elif m == 2:
         coefs = [_entry_views(c, _ENTRIES) for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
         qmembers = [q.reshape(n_steps, -1, m, m) for q in (q_lo, q_mid, q_hi)]
         pmembers = paths.reshape(-1, n_steps + 1, m, m)
         smembers = p234.reshape(3, n_steps, -1, m, m)
-        for b in range(len(pmembers)):
-            _riccati_sweep_pair(grid, memoryview(h), *coefs,
-                                *(_entry_views(q[:, b], _TRIPLE) for q in qmembers),
-                                _entry_views(pmembers[b], _TRIPLE),
-                                [_entry_views(s[:, b], _TRIPLE) for s in smembers],
-                                f" in member {b}" if batch else "")
+        stops = [_riccati_sweep_pair(memoryview(h), *coefs,
+                                     *(_entry_views(q[:, b], _TRIPLE) for q in qmembers),
+                                     _entry_views(pmembers[b], _TRIPLE),
+                                     [_entry_views(s[:, b], _TRIPLE) for s in smembers])
+                 for b in range(len(pmembers))]
         # the float loop writes the upper triangle
         paths[..., 1, 0] = paths[..., 0, 1]
         p234[..., 1, 0] = p234[..., 0, 1]
@@ -193,13 +192,15 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
             P = 0.5 * (P + P.swapaxes(-1, -2))
             # "not <=" so that a nan entry counts as a blow-up
             if not np.abs(P).max() <= BLOWUP:
-                where = ""
-                if batch:
-                    norms = np.abs(np.broadcast_to(P, batch + (m, m))).max(axis=(1, 2))
-                    where = f" in member {np.argmax(~(norms <= BLOWUP))}"
-                raise _blowup_error(where, grid[k + 1])
+                norms = np.abs(np.broadcast_to(P, batch + (m, m))).max(axis=(-2, -1))
+                raise _blowup_error(np.argmax(~(norms <= BLOWUP)) if batch else None, grid[k + 1])
             path[k + 1] = P
             p2s[k], p3s[k], p4s[k] = p2, p3, p4
+    # as in the matrix loop, name the earliest blow-up (lowest member on a tie)
+    hits = [(k, b) for b, k in enumerate(stops) if k is not None]
+    if hits:
+        k, b = min(hits)
+        raise _blowup_error(b if batch else None, grid[k])
 
     # closed-loop generators A - P G at the four stages, the last three in place
     shape = (n_steps,) + (1,) * len(batch) + (m, m)
@@ -225,15 +226,17 @@ def _forcing(ffts, eps: np.ndarray, n_steps: int, m: int):
     return tuple(np.where(e2 != 0.0, e2 * np.expand_dims(f, members), 0.0) for f in ffts)
 
 
-def _blowup_error(where: str, t: float) -> FloatingPointError:
+def _blowup_error(member, t: float) -> FloatingPointError:
+    where = "" if member is None else f" in member {member}"
     return FloatingPointError(f"Riccati blow-up{where}: ||P|| > {BLOWUP:g} at t={t:.6g}")
 
 
-def _riccati_sweep_scalar(grid, hs, a1, a2, a3, g1, g2, g3, q1, q2, q3, pout, sout, where):
+def _riccati_sweep_scalar(hs, a1, a2, a3, g1, g2, g3, q1, q2, q3, pout, sout):
     """Scalar (m = n = 1) P recursion of one member in plain float arithmetic; same stage formulas.
 
     Coefficients and steps come as lists; pout is the member's (K+1,) row of
-    P and sout its (3, K) rows of the stage values p2, p3, p4.
+    P and sout its (3, K) rows of the stage values p2, p3, p4. Returns the
+    node of a blow-up, None if there is none.
     """
     p = float(pout[0])
     s2, s3, s4 = sout
@@ -250,7 +253,7 @@ def _riccati_sweep_scalar(grid, hs, a1, a2, a3, g1, g2, g3, q1, q2, q3, pout, so
         k4p = 2.0 * A3 * p4 - G3 * p4 * p4 + q3[k]
         p = p + (hk / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         if not abs(p) <= BLOWUP:
-            raise _blowup_error(where, grid[k + 1])
+            return k + 1
         pout[k + 1] = p
         s2[k] = p2
         s3[k] = p3
@@ -270,8 +273,7 @@ def _entry_views(stack, entries):
     return [memoryview(stack[:, i, j]) for i, j in entries]
 
 
-def _riccati_sweep_pair(grid, hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q_hi,
-                        pout, sout, where):
+def _riccati_sweep_pair(hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q_hi, pout, sout):
     """m = 2 P recursion of one member in plain float arithmetic; same stage formulas.
 
     P = [[a, b], [b, c]] and its stage values are carried as symmetric
@@ -279,7 +281,8 @@ def _riccati_sweep_pair(grid, hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_
     entry by entry on the triple. a_*, g_* hold the entries 00, 01, 10, 11
     of A and G, q_* the triple of eps^2 F F^T; pout holds the member's rows
     of p00, p01, p11, starting from P0, and sout[s] those of the stage values
-    p2, p3, p4. Every row is a memoryview of floats.
+    p2, p3, p4. Every row is a memoryview of floats. Returns the node of a
+    blow-up, None if there is none.
     """
     ra, rb, rc = pout
     (sa2, sb2, sc2), (sa3, sb3, sc3), (sa4, sb4, sc4) = sout
@@ -333,7 +336,7 @@ def _riccati_sweep_pair(grid, hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_
         b = b + (hk / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
         c = c + (hk / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
         if not (abs(a) <= BLOWUP and abs(b) <= BLOWUP and abs(c) <= BLOWUP):
-            raise _blowup_error(where, grid[k + 1])
+            return k + 1
         ra[k + 1], rb[k + 1], rc[k + 1] = a, b, c
         sa2[k], sb2[k], sc2[k] = a2, b2, c2
         sa3[k], sb3[k], sc3[k] = a3, b3, c3

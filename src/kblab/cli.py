@@ -57,13 +57,10 @@ def _load_config(args):
     return cfg
 
 
-def _stride(n_nodes: int, max_rows: int = 2001) -> int:
-    return max(1, int(np.ceil(n_nodes / max_rows)))
-
-
-def _time_entries(times: dict) -> dict:
-    """Manifest entries time.<stage> for the wall times csvio.timed collected."""
-    return {f"time.{stage}": f"{sec:.6f}" for stage, sec in times.items()}
+def _row_norms(x):
+    """Euclidean norm of each row of x, bitwise np.linalg.norm(row): sqrt(row.dot(row))."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 def _verdict(name: str, ok: bool, detail: str) -> int:
@@ -78,8 +75,7 @@ def _slope(value, spec: str) -> str:
 
 def cmd_riccati(args) -> int:
     cfg = _load_config(args)
-    t0 = time.time()
-    times = {}
+    t0, times = time.time(), {}
     grid = cfg.grid()
     with timed(times, "riccati"):
         sol = integrate_dre(cfg.model, cfg.P0, grid)
@@ -88,37 +84,36 @@ def cmd_riccati(args) -> int:
         info = accumulated_information(cfg.model, phi)
         oracle = closed_form_dre(cfg.model, cfg.P0, phi, info)
         resid = np.linalg.norm(sol.values - oracle.values, ord=2, axis=(1, 2))
-    s = _stride(len(grid))
     with timed(times, "write"):
-        write_matrix_path(Path(args.out) / "dre_path.csv", sol.path, "P", stride=s)
-        write_table(Path(args.out) / "closed_form_residual.csv", ["t", "residual"],
-                    ((grid[k], resid[k]) for k in range(0, len(grid), s)))
+        write_matrix_path(Path(args.out) / "dre_path.csv", sol.path, "P")
+        write_table(Path(args.out) / "closed_form_residual.csv", ["t", "residual"], [grid, resid])
     tol = cfg.thresholds["tol_oracle"]
     write_manifest(args.out, cfg, extra={
         "max_oracle_residual": f"{resid.max():.17g}",
         "tolerance": tol,
         "health.min_eig_P": f"{sol.min_eigs.min():.17g}",
-        **_time_entries(times),
-    }, wall_time=time.time() - t0)
+    }, times=times, wall_time=time.time() - t0)
     return _verdict("riccati", resid.max() <= tol,
                     f"integration vs exact solution residual {resid.max():.3e} (tol {tol:g})")
 
 
 def cmd_gramian(args) -> int:
     cfg = _load_config(args)
-    t0 = time.time()
+    t0, times = time.time(), {}
     grid = cfg.grid()
-    phi = fundamental_matrix(cfg.model, grid)
-    est = uco_gramian(cfg.model, phi, cfg.uco_window)
-    write_table(Path(args.out) / "gramian_windows.csv",
-                ["t_end", "lambda_min", "lambda_max"],
-                zip(est.ends, est.lambda_min, est.lambda_max))
+    with timed(times, "transition"):
+        phi = fundamental_matrix(cfg.model, grid)
+    with timed(times, "gramian"):
+        est = uco_gramian(cfg.model, phi, cfg.uco_window)
+    with timed(times, "write"):
+        write_table(Path(args.out) / "gramian_windows.csv", ["t_end", "lambda_min", "lambda_max"],
+                    [est.ends, est.lambda_min, est.lambda_max])
     write_manifest(args.out, cfg, extra={
         "window": f"{cfg.uco_window:.17g}",
         "rho1": f"{est.rho1:.17g}",
         "rho2": f"{est.rho2:.17g}",
         "uco_plausible": est.uco_plausible,
-    }, wall_time=time.time() - t0)
+    }, times=times, wall_time=time.time() - t0)
     print(f"gramian: rho1 = {est.rho1:.6g}, rho2 = {est.rho2:.6g}, "
           f"UCO plausible on horizon: {est.uco_plausible}")
     return PASS
@@ -126,50 +121,46 @@ def cmd_gramian(args) -> int:
 
 def cmd_stability_cov(args) -> int:
     cfg = _load_config(args)
-    t0 = time.time()
-    times = {}
+    t0, times = time.time(), {}
     grid = cfg.grid()
     with timed(times, "riccati"):
         resid, mx, pieces = error_factorization_check(cfg.model, cfg.P0, cfg.Pbar, grid)
         gapn = np.linalg.norm(pieces["sol"].values - pieces["solbar"].values,
                               ord=2, axis=(1, 2))
-    s = _stride(len(grid))
     with timed(times, "write"):
         write_table(Path(args.out) / "factorization.csv", ["t", "cov_gap", "residual"],
-                    ((grid[k], gapn[k], resid[k]) for k in range(0, len(grid), s)))
+                    [grid, gapn, resid])
     tol = cfg.thresholds["tol_oracle"]
     min_eig = min(pieces[key].min_eigs.min() for key in ("sol", "solbar"))
     write_manifest(args.out, cfg, extra={
         "max_residual": f"{mx:.17g}",
         "tolerance": tol,
         "health.min_eig_P": f"{min_eig:.17g}",
-        **_time_entries(times),
-    }, wall_time=time.time() - t0)
+    }, times=times, wall_time=time.time() - t0)
     return _verdict("stability-cov", mx <= tol,
                     f"covariance-difference factorization residual {mx:.3e} (tol {tol:g})")
 
 
 def cmd_stability_mean(args) -> int:
     cfg = _load_config(args)
-    t0 = time.time()
-    sweep = mismatched_mc(cfg.model, cfg)
-    write_table(Path(args.out) / "per_seed.csv",
-                ["seed", "initial_gap", "terminal_gap", "ratio", "max_residual"],
-                ((s, sweep.initial_gap, sweep.terminal_gaps[j],
-                  sweep.terminal_gaps[j] / sweep.initial_gap, sweep.max_residuals[j])
-                 for j, s in enumerate(sweep.seeds)))
-
+    t0, times = time.time(), {}
+    with timed(times, "monte_carlo"):
+        sweep = mismatched_mc(cfg.model, cfg)
     # the sample path of seed cfg.seed (column 0): decomposition terms and the
     # Lyapunov value of the initial gap, which every column shares
     pair, diag = sweep.pair, sweep.diag
-    v = lyapunov_path(pair.psibar, pair.runbar.riccati, pair.gap[0, :, :1])[:, 0]
-    grid = pair.grid
-    s = _stride(len(grid))
-    write_table(Path(args.out) / "sample_path.csv",
-                ["t", "gap_mean", "gap_cov", "term1", "znorm", "V"],
-                ((grid[k], pair.mean_gap[k, 0], pair.cov_gap[k],
-                  np.linalg.norm(diag.term1[k, :, 0]), np.linalg.norm(diag.zhat[k, :, 0]), v[k])
-                 for k in range(0, len(grid), s)))
+    with timed(times, "lyapunov"):
+        v = lyapunov_path(pair.psibar, pair.runbar.riccati, pair.gap[0, :, :1])[:, 0]
+    with timed(times, "write"):
+        write_table(Path(args.out) / "per_seed.csv",
+                    ["seed", "initial_gap", "terminal_gap", "ratio", "max_residual"],
+                    [sweep.seeds, np.full(len(sweep.seeds), sweep.initial_gap),
+                     sweep.terminal_gaps, sweep.terminal_gaps / sweep.initial_gap,
+                     sweep.max_residuals])
+        write_table(Path(args.out) / "sample_path.csv",
+                    ["t", "gap_mean", "gap_cov", "term1", "znorm", "V"],
+                    [pair.grid, pair.mean_gap[:, 0], pair.cov_gap,
+                     _row_norms(diag.term1[:, :, 0]), _row_norms(diag.zhat[:, :, 0]), v])
 
     tol_ratio = cfg.thresholds["tol_terminal_gap_ratio"]
     tol_recon = cfg.thresholds["tol_reconstruction"]
@@ -182,7 +173,7 @@ def cmd_stability_mean(args) -> int:
         "max_reconstruction_residual": f"{sweep.max_residuals.max():.17g}",
         "max_remainder_gap": f"{remainder_gap:.17g}",
         "max_term3": f"{np.linalg.norm(diag.term3, axis=1).max():.17g}",
-    }, wall_time=time.time() - t0)
+    }, times=times, wall_time=time.time() - t0)
     return _verdict(
         "stability-mean", ok,
         f"terminal/initial mean gap {sweep.worst_ratio:.3e} over {len(sweep.seeds)} seeds "
@@ -194,28 +185,28 @@ def cmd_nongaussian(args) -> int:
     if not cfg.atoms:
         print("error: nongaussian requires a nonempty [atoms] section", file=sys.stderr)
         return CONFIG_ERROR
-    t0 = time.time()
-    obs = generate_observation_path(cfg)
+    t0, times = time.time(), {}
+    with timed(times, "simulate"):
+        obs = generate_observation_path(cfg)
     init = (cfg.m0, cfg.P0)
-    pieces, refpieces = filter_pieces_batch(cfg.model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
-    ext = integrate_extended_system(cfg.model, obs.grid, obs, init, pieces=pieces)
-    mix = mixture_filter(cfg.model, obs, cfg.atoms, init, ext=ext)
-    bank = bank_oracle(cfg.model, obs, cfg.atoms, init, pieces=pieces)
-    ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar), pieces=refpieces)
+    with timed(times, "riccati"):
+        pieces, refpieces = filter_pieces_batch(cfg.model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
+    with timed(times, "filter"):
+        ext = integrate_extended_system(cfg.model, obs.grid, obs, init, pieces=pieces)
+        mix = mixture_filter(cfg.model, obs, cfg.atoms, init, ext=ext)
+        bank = bank_oracle(cfg.model, obs, cfg.atoms, init, pieces=pieces)
+        ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar), pieces=refpieces)
     freqs = [[0.5] * cfg.model.m, [1.0] * cfg.model.m, [2.0] * cfg.model.m]
-    rep = merging_report(mix, ref, ref.riccati, freqs)
+    with timed(times, "merging"):
+        rep = merging_report(mix, ref, ref.riccati, freqs)
 
     mean_gap_eq = float(np.abs(mix.mean - bank.mean).max())
     logw_gap = float(np.abs(mix.log_weights - bank.log_weights).max())
-    grid = obs.grid
-    s = _stride(len(grid))
-    n_atoms = len(cfg.atoms)
     header = (["t", "mean_gap"] + [f"gap_cos_a{i + 1}" for i in range(len(freqs))]
-              + [f"w_{i + 1}" for i in range(n_atoms)])
-    weights = mix.weights
-    write_table(Path(args.out) / "merging.csv", header,
-                (([grid[k], rep.mean_gap[k]] + list(rep.cos_gaps[k]) + list(weights[k]))
-                 for k in range(0, len(grid), s)))
+              + [f"w_{i + 1}" for i in range(len(cfg.atoms))])
+    with timed(times, "write"):
+        write_table(Path(args.out) / "merging.csv", header,
+                    [obs.grid, rep.mean_gap, rep.cos_gaps, mix.weights])
     th = cfg.thresholds
     ratios = [rep.ratios[k] for k in rep.ratios]
     ok = (mean_gap_eq <= th["tol_equivalence_mean"] and logw_gap <= th["tol_equivalence_logw"]
@@ -225,7 +216,7 @@ def cmd_nongaussian(args) -> int:
         "equivalence_mean_gap": f"{mean_gap_eq:.17g}",
         "equivalence_logw_gap": f"{logw_gap:.17g}",
         **{f"ratio_{k}": f"{v:.17g}" for k, v in rep.ratios.items()},
-    }, wall_time=time.time() - t0)
+    }, times=times, wall_time=time.time() - t0)
     return _verdict(
         "nongaussian", ok,
         f"mixture vs bank: means {mean_gap_eq:.2e} (tol {th['tol_equivalence_mean']:g}), "
@@ -243,15 +234,15 @@ def cmd_smallnoise(args) -> int:
     fit = fit_scaling(sweep)
     est = exponential_stability_estimate(closed_loop_propagator(sweep.pieces_zero.riccati))
 
-    write_table(Path(args.out) / "sweep.csv",
-                ["epsilon", "seed", "sup_mean_gap", "sup_cov_gap"],
-                ((eps, seed, sweep.sup_mean_gaps[i, j], sweep.sup_cov_gaps[i, j])
-                 for i, eps in enumerate(sweep.epsilons)
-                 for j, seed in enumerate(sweep.seeds)))
-    write_table(Path(args.out) / "summary.csv",
-                ["epsilon", "median_sup_mean_gap", "median_sup_cov_gap"],
-                ((eps, sweep.median_mean[i], sweep.median_cov[i])
-                 for i, eps in enumerate(sweep.epsilons)))
+    with timed(sweep.stage_times, "write"):
+        write_table(Path(args.out) / "sweep.csv",
+                    ["epsilon", "seed", "sup_mean_gap", "sup_cov_gap"],
+                    [np.repeat(sweep.epsilons, len(sweep.seeds)),
+                     np.tile(sweep.seeds, len(sweep.epsilons)),
+                     sweep.sup_mean_gaps.ravel(), sweep.sup_cov_gaps.ravel()])
+        write_table(Path(args.out) / "summary.csv",
+                    ["epsilon", "median_sup_mean_gap", "median_sup_cov_gap"],
+                    [sweep.epsilons, sweep.median_mean, sweep.median_cov])
 
     th = cfg.thresholds
     mono = bool(np.all(np.diff(sweep.sup_mean_gaps, axis=0)
@@ -268,8 +259,7 @@ def cmd_smallnoise(args) -> int:
         "alpha": f"{est.alpha:.17g}",
         "k_fit": f"{est.k_fit:.17g}",
         "exponential_plausible": est.plausibly_exponential,
-        **_time_entries(sweep.stage_times),
-    }, wall_time=time.time() - t0)
+    }, times=sweep.stage_times, wall_time=time.time() - t0)
     ok = cov_ok and mean_ok and mono and est.plausibly_exponential
     if fit.degenerate:
         note = " [degenerate fit: every median sup gap is 0, so there is no slope]"

@@ -1,8 +1,10 @@
-"""CSV artifact writing with 17-significant-digit round-trip formatting.
+"""CSV artifact writing with 17-significant-digit round-trip formatting ("%.17g").
 
 Artifacts are plain diffable text: CSV tables plus a key = value manifest.
-Re-running a command with the same config and seed reproduces identical CSV
-bytes; the manifest carries wall time and is exempt from byte identity.
+A table goes in as equal-length columns (a 2-D block is one column per entry
+of its rows) and keeps every ceil(N / MAX_ROWS)-th of its N rows from the
+first. The same config and seed reproduce identical CSV bytes; the manifest
+carries wall times and is exempt from byte identity.
 """
 
 from __future__ import annotations
@@ -15,28 +17,30 @@ import numpy as np
 
 from .propagate import MatrixPath
 
-
-def _f(x) -> str:
-    return format(float(x), ".17g")
+MAX_ROWS = 2001
 
 
-def write_table(path, header, rows):
-    """Write a CSV table; rows are iterables of floats (or strings)."""
+def write_table(path, header, columns):
+    """Write a CSV table of equal-length columns (1-D arrays or 2-D blocks); returns the path.
+
+    The thinned columns are stacked as floats and formatted in one operation,
+    each row by "%.17g,...,%.17g".
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else _f(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    stride = max(1, -(-len(columns[0]) // MAX_ROWS))
+    table = np.column_stack([np.asarray(c, dtype=float)[::stride] for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
     return path
 
 
-def write_matrix_path(path, mp: MatrixPath, name: str, stride: int = 1):
+def write_matrix_path(path, mp: MatrixPath, name: str):
     """Header t,<name>_11,<name>_12,... with row-major matrix entries."""
-    p, q = mp.values.shape[1:]
+    n, p, q = mp.values.shape
     header = ["t"] + [f"{name}_{i + 1}{j + 1}" for i in range(p) for j in range(q)]
-    rows = ([mp.grid[k]] + list(mp.values[k].reshape(-1)) for k in range(0, len(mp), stride))
-    return write_table(path, header, rows)
+    return write_table(path, header, [mp.grid, mp.values.reshape(n, p * q)])
 
 
 @contextmanager
@@ -49,8 +53,8 @@ def timed(times: dict, stage: str):
         times[stage] = times.get(stage, 0.0) + time.perf_counter() - start
 
 
-def write_manifest(out_dir, cfg, extra=None, seeds=None, wall_time=None):
-    """Plain-text manifest; present only once a run has completed."""
+def write_manifest(out_dir, cfg, extra=None, seeds=None, wall_time=None, times=None):
+    """Plain-text manifest, stage times as time.<stage>; present only once a run has completed."""
     import kblab
 
     out_dir = Path(out_dir)
@@ -60,14 +64,15 @@ def write_manifest(out_dir, cfg, extra=None, seeds=None, wall_time=None):
         f"kblab_version = {kblab.__version__}",
         f"numpy_version = {np.__version__}",
         f"seed = {cfg.seed}",
-        f"horizon = {_f(cfg.horizon)}",
-        f"dt = {_f(cfg.dt)}",
+        "horizon = %.17g" % cfg.horizon,
+        "dt = %.17g" % cfg.dt,
         f"substeps = {cfg.substeps}",
     ]
     if seeds is not None:
         lines.append("seeds = " + " ".join(str(s) for s in seeds))
     for key, val in (extra or {}).items():
         lines.append(f"{key} = {val}")
+    lines += [f"time.{stage} = {sec:.6f}" for stage, sec in (times or {}).items()]
     lines.append(f"wall_time_s = {0.0 if wall_time is None else wall_time:.3f}")
     path = out_dir / "manifest.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

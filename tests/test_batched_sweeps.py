@@ -103,6 +103,16 @@ def test_blowup_names_the_member_and_time(m):
         integrate_dre_batch(mdl, P0s, make_grid(0.5, 1e-3))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_blowup_names_the_earliest_member(m):
+    # every member blows up; the float loops (m = 1, 2) run member by member
+    # but must name the member that crosses first, lowest index on a tie
+    mdl = constant_model(20.0 * np.eye(m), np.zeros((m, m)), np.eye(m))
+    P0s = np.stack([1e3 * np.eye(m), 1e6 * np.eye(m), 1e6 * np.eye(m)])
+    with pytest.raises(FloatingPointError, match=r"member 1: .* at t=0\.346$"):
+        integrate_dre_batch(mdl, P0s, make_grid(1.0, 1e-3))
+
+
 def test_factorization_pieces_equal_single_sweeps():
     cfg = builtin_scenario("rotation")
     grid = make_grid(5.0, cfg.dt)

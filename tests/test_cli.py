@@ -49,6 +49,23 @@ def test_riccati_manifests_record_stage_times_and_min_eig(tmp_path, command, sta
     assert float(manifest["health.min_eig_P"]) > 0.0
 
 
+# the riccati and stability-cov manifests are checked by the test above
+@pytest.mark.parametrize("command, name, stages", [
+    ("gramian", "rotation_partial", ("transition", "gramian", "write")),
+    ("stability-mean", "scalar_unstable", ("monte_carlo", "lyapunov", "write")),
+    ("nongaussian", "two_atom", ("simulate", "riccati", "filter", "merging", "write")),
+    ("smallnoise", "smallnoise_stable", ("riccati", "simulate", "filter", "write")),
+])
+def test_manifests_record_stage_times_including_write(tmp_path, command, name, stages):
+    cfg = replace(builtin_scenario(name), horizon=8.0, dt=0.01, mc_runs=3)
+    out = tmp_path / "out"
+    cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    times = sorted(k for k in manifest if k.startswith("time."))
+    assert times == sorted(f"time.{s}" for s in stages)
+    assert all(float(manifest[f"time.{s}"]) >= 0.0 for s in stages)
+
+
 def test_gramian_command_reports_verdict(tmp_path, capsys):
     cfg = builtin_scenario("rotation_partial")
     out = tmp_path / "out"
