@@ -36,22 +36,15 @@ def _stage_times(grid):
 def coefficient_stages(model: LtvModel, grid):
     """Coefficient matrices at step starts, midpoints and ends, batched.
 
-    Returns a dict with keys 'A', 'G' (= C^T R^-1 C), 'C', 'Rinv', 'FFt',
-    each a tuple of (lo, mid, hi) stacked arrays of shape (K, ., .).
+    Returns a dict with keys 'A', 'G' (= C^T R^-1 C) and 'FFt', each a
+    tuple of (lo, mid, hi) stacked arrays of shape (K, m, m).
     """
-    lo, mid, hi = _stage_times(grid)
-    out = {}
-    a_all = [model.A_at(t) for t in (lo, mid, hi)]
-    c_all = [model.C_at(t) for t in (lo, mid, hi)]
-    r_all = [model.R_at(t) for t in (lo, mid, hi)]
-    f_all = [model.F_at(t) for t in (lo, mid, hi)]
-    rinv = [np.linalg.inv(r) for r in r_all]
-    out["A"] = tuple(a_all)
-    out["C"] = tuple(c_all)
-    out["Rinv"] = tuple(rinv)
-    out["G"] = tuple(np.swapaxes(c, 1, 2) @ ri @ c for c, ri in zip(c_all, rinv))
-    out["FFt"] = tuple(f @ np.swapaxes(f, 1, 2) for f in f_all)
-    return out
+    times = _stage_times(grid)
+    cs = [model.C_at(t) for t in times]
+    rinv = [np.linalg.inv(model.R_at(t)) for t in times]
+    return {"A": tuple(model.A_at(t) for t in times),
+            "G": tuple(np.swapaxes(c, 1, 2) @ ri @ c for c, ri in zip(cs, rinv)),
+            "FFt": tuple(f @ np.swapaxes(f, 1, 2) for f in map(model.F_at, times))}
 
 
 def rk4_linear_steps(b1, b2, b3, b4, h) -> np.ndarray:

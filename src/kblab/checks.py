@@ -34,13 +34,7 @@ from .kalman import (
 )
 from .model import constant_model, make_grid, serialize_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
-from .propagate import (
-    accumulated_information,
-    closed_loop_propagator,
-    fundamental_matrix,
-    psi_decay_integral,
-    uco_gramian,
-)
+from .propagate import closed_loop_propagator, fundamental_matrix, psi_decay_integral, uco_gramian
 from .riccati import (
     closed_form_dre,
     error_factorization_check,
@@ -113,11 +107,10 @@ def _check_criterion1():
     for mdl in families:
         m = mdl.m
         phi = fundamental_matrix(mdl, grid)
-        info = accumulated_information(mdl, phi)
         roots = [rng.standard_normal((m, m)) for _ in range(3)]
         P0s = np.stack([L @ L.T + 0.1 * np.eye(m) for L in roots])
         for P0, sol in zip(P0s, integrate_dre_batch(mdl, P0s, grid)):
-            cf = closed_form_dre(mdl, P0, phi, info)
+            cf = closed_form_dre(mdl, P0, phi)
             worst = max(worst, float(np.linalg.norm(sol.values - cf.values, ord=2, axis=(1, 2)).max()))
     elapsed = time.time() - t0
     ok = worst <= 1e-6 and elapsed <= 10.0
@@ -167,7 +160,7 @@ def _check_criterion4():
     for name in ("scalar_unstable", "rotation"):
         cfg = builtin_scenario(name)
         t0 = time.time()
-        sweep = mismatched_mc(cfg.model, cfg)
+        sweep = mismatched_mc(cfg)
         total += time.time() - t0
         ok = ok and sweep.worst_ratio <= 1e-3 and sweep.max_residuals.max() <= 1e-6
         details.append(f"{name}: T=50 gap ratio max-over-20-seeds {sweep.worst_ratio:.2e} "
@@ -207,7 +200,7 @@ def _check_criterion6():
         pieces = filter_pieces(cfg.model, cfg.grid(), cfg.P0)
         for ds in range(5):
             obs = generate_observation_path(cfg, seed=cfg.seed + ds)
-            ext = integrate_extended_system(cfg.model, obs.grid, obs, init, pieces=pieces)
+            ext = integrate_extended_system(cfg.model, obs, init, pieces=pieces)
             mix = mixture_filter(cfg.model, obs, cfg.atoms, init, ext=ext)
             bank = bank_oracle(cfg.model, obs, cfg.atoms, init, pieces=pieces)
             wm = max(wm, float(np.abs(mix.mean - bank.mean).max()))
@@ -218,10 +211,10 @@ def _check_criterion6():
     # merging with a wrongly initialized Gaussian filter on two_atom
     cfg = builtin_scenario("two_atom")
     obs = generate_observation_path(cfg)
-    exts["two_atom"] = integrate_extended_system(cfg.model, obs.grid, obs, (cfg.m0, cfg.P0))
+    exts["two_atom"] = integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0))
     mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0), ext=exts["two_atom"])
     ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar))
-    rep = merging_report(mix, ref, ref.riccati, [[0.5], [1.0], [2.0]])
+    rep = merging_report(mix, ref, [[0.5], [1.0], [2.0]])
     ratios = [rep.ratios["mean"]] + [rep.ratios[f"cos_{i}"] for i in range(3)]
 
     # G_t = Phi_t + S_t is the closed-loop propagator Psi_t = P_t Phi_t^{-T} P0^{-1}
@@ -230,7 +223,7 @@ def _check_criterion6():
     for name, ext in exts.items():
         cfg = builtin_scenario(name)
         phi = fundamental_matrix(cfg.model, ext.grid)
-        p = closed_form_dre(cfg.model, cfg.P0, phi, accumulated_information(cfg.model, phi)).values
+        p = closed_form_dre(cfg.model, cfg.P0, phi).values
         psi = p @ np.linalg.inv(phi.values).swapaxes(1, 2) @ np.linalg.inv(cfg.P0)
         gworst = max(gworst, float(np.abs(ext.propagator - psi).max()))
 
@@ -244,7 +237,7 @@ def _check_criterion6():
 def _smallnoise_run():
     cfg = builtin_scenario("smallnoise_stable")
     t0 = time.time()
-    sweep = epsilon_sweep(cfg.model, cfg)
+    sweep = epsilon_sweep(cfg)
     fit = fit_scaling(sweep)
     est = exponential_stability_estimate(closed_loop_propagator(sweep.pieces_zero.riccati))
     return sweep, fit, est, time.time() - t0

@@ -26,12 +26,7 @@ from .csvio import timed, write_manifest, write_matrix_path, write_table
 from .kalman import filter_pieces_batch, lyapunov_path, mismatched_mc, run_filter
 from .model import ConfigError, ModelValidationError, parse_config, validate_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
-from .propagate import (
-    accumulated_information,
-    closed_loop_propagator,
-    fundamental_matrix,
-    uco_gramian,
-)
+from .propagate import closed_loop_propagator, fundamental_matrix, uco_gramian
 from .riccati import closed_form_dre, error_factorization_check, integrate_dre
 from .simulate import generate_observation_path
 from .smallnoise import epsilon_sweep, exponential_stability_estimate, fit_scaling
@@ -80,9 +75,7 @@ def cmd_riccati(args) -> int:
     with timed(times, "riccati"):
         sol = integrate_dre(cfg.model, cfg.P0, grid)
     with timed(times, "oracle"):
-        phi = fundamental_matrix(cfg.model, grid)
-        info = accumulated_information(cfg.model, phi)
-        oracle = closed_form_dre(cfg.model, cfg.P0, phi, info)
+        oracle = closed_form_dre(cfg.model, cfg.P0, fundamental_matrix(cfg.model, grid))
         resid = np.linalg.norm(sol.values - oracle.values, ord=2, axis=(1, 2))
     with timed(times, "write"):
         write_matrix_path(Path(args.out) / "dre_path.csv", sol.path, "P")
@@ -145,12 +138,12 @@ def cmd_stability_mean(args) -> int:
     cfg = _load_config(args)
     t0, times = time.time(), {}
     with timed(times, "monte_carlo"):
-        sweep = mismatched_mc(cfg.model, cfg)
+        sweep = mismatched_mc(cfg)
     # the sample path of seed cfg.seed (column 0): decomposition terms and the
     # Lyapunov value of the initial gap, which every column shares
     pair, diag = sweep.pair, sweep.diag
     with timed(times, "lyapunov"):
-        v = lyapunov_path(pair.psibar, pair.runbar.riccati, pair.gap[0, :, :1])[:, 0]
+        v = lyapunov_path(pair.psibar, pair.runbar.pieces.riccati, pair.gap[0, :, :1])[:, 0]
     with timed(times, "write"):
         write_table(Path(args.out) / "per_seed.csv",
                     ["seed", "initial_gap", "terminal_gap", "ratio", "max_residual"],
@@ -192,13 +185,13 @@ def cmd_nongaussian(args) -> int:
     with timed(times, "riccati"):
         pieces, refpieces = filter_pieces_batch(cfg.model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
     with timed(times, "filter"):
-        ext = integrate_extended_system(cfg.model, obs.grid, obs, init, pieces=pieces)
+        ext = integrate_extended_system(cfg.model, obs, init, pieces=pieces)
         mix = mixture_filter(cfg.model, obs, cfg.atoms, init, ext=ext)
         bank = bank_oracle(cfg.model, obs, cfg.atoms, init, pieces=pieces)
         ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar), pieces=refpieces)
     freqs = [[0.5] * cfg.model.m, [1.0] * cfg.model.m, [2.0] * cfg.model.m]
     with timed(times, "merging"):
-        rep = merging_report(mix, ref, ref.riccati, freqs)
+        rep = merging_report(mix, ref, freqs)
 
     mean_gap_eq = float(np.abs(mix.mean - bank.mean).max())
     logw_gap = float(np.abs(mix.log_weights - bank.log_weights).max())
@@ -230,7 +223,7 @@ def cmd_smallnoise(args) -> int:
         print("error: smallnoise requires >= 3 positive epsilons in [noise]", file=sys.stderr)
         return CONFIG_ERROR
     t0 = time.time()
-    sweep = epsilon_sweep(cfg.model, cfg)
+    sweep = epsilon_sweep(cfg)
     fit = fit_scaling(sweep)
     est = exponential_stability_estimate(closed_loop_propagator(sweep.pieces_zero.riccati))
 

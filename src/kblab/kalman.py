@@ -40,17 +40,14 @@ from .simulate import ObservationPath, generate_observation_path
 class FilterPieces:
     """Per-step affine update pieces shared by every run on one (P0, eps) pair."""
 
-    grid: np.ndarray
-    riccati: RiccatiSolution
-    msteps: np.ndarray          # (K, m, m) closed-loop one-step matrices
+    riccati: RiccatiSolution    # its grid and closed-loop one-step matrices M_k
     gains: np.ndarray           # (K, m, n)
     cdt: np.ndarray             # (K, n, m) C_k * dt
     remainder: np.ndarray       # (K, m, m) E_k = (Phi_step_k - M_k) - D_k C_k dt
 
 
 def filter_pieces(model: LtvModel, grid, P0, eps_gain: float = 0.0) -> FilterPieces:
-    grid = np.asarray(grid, dtype=float)
-    return _assemble(model, grid, [integrate_dre(model, P0, grid, eps=eps_gain)])[0]
+    return _assemble(model, [integrate_dre(model, P0, grid, eps=eps_gain)])[0]
 
 
 def filter_pieces_batch(model: LtvModel, grid, P0, eps_gain=0.0) -> list[FilterPieces]:
@@ -59,20 +56,19 @@ def filter_pieces_batch(model: LtvModel, grid, P0, eps_gain=0.0) -> list[FilterP
     P0 is (B, m, m) and/or eps_gain has B entries (see integrate_dre_batch);
     member b is bitwise filter_pieces(model, grid, P0[b], eps_gain[b]).
     """
-    grid = np.asarray(grid, dtype=float)
-    return _assemble(model, grid, integrate_dre_batch(model, P0, grid, eps=eps_gain))
+    return _assemble(model, integrate_dre_batch(model, P0, grid, eps=eps_gain))
 
 
-def _assemble(model: LtvModel, grid, rics) -> list[FilterPieces]:
-    """Pieces per Riccati solution; the gains of all members come from one call."""
+def _assemble(model: LtvModel, rics) -> list[FilterPieces]:
+    """Pieces per Riccati solution on one grid; the gains of all members come from one call."""
+    grid = rics[0].grid
     phi_steps = transition_steps(model, grid)
     msteps = np.stack([r.closed_loop_steps for r in rics])
     gains = gain_steps(model, grid, msteps, phi_steps)
     h = (grid[1:] - grid[:-1])[:, None, None]
     cdt = model.C_at(grid[:-1]) * h
     remainders = (phi_steps - msteps) - gains @ cdt
-    return [FilterPieces(grid=grid, riccati=r, msteps=r.closed_loop_steps, gains=g, cdt=cdt,
-                         remainder=e)
+    return [FilterPieces(riccati=r, gains=g, cdt=cdt, remainder=e)
             for r, g, e in zip(rics, gains, remainders)]
 
 
@@ -83,9 +79,7 @@ class FilterRun:
     grid: np.ndarray
     means: np.ndarray           # (K+1, m); (K+1, m, S) for S seed columns
     innovations: np.ndarray     # (K, n), dnu_k = dy_k - C_k x_k dt; (K, n, S)
-    riccati: RiccatiSolution
-    init_mean: np.ndarray       # (m,); (m, S)
-    pieces: FilterPieces
+    pieces: FilterPieces        # its riccati is the filter's covariance path
 
 
 def _scan(pieces: FilterPieces, increments: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -96,7 +90,7 @@ def _scan(pieces: FilterPieces, increments: np.ndarray, x0: np.ndarray) -> np.nd
     (K+1, m, S) means. The loop carries only the mean recursion; the gain
     products are stacked over steps before it.
     """
-    msteps = pieces.msteps
+    msteps = pieces.riccati.closed_loop_steps
     means = np.empty((len(msteps) + 1,) + x0.shape)
     means[0] = x = x0
     gdy = pieces.gains @ increments
@@ -109,12 +103,12 @@ def _scan(pieces: FilterPieces, increments: np.ndarray, x0: np.ndarray) -> np.nd
     return means
 
 
-def run_filter(model: LtvModel, obs: ObservationPath, init, eps_gain: float = 0.0,
+def run_filter(model: LtvModel, obs: ObservationPath, init,
                pieces: FilterPieces | None = None) -> FilterRun:
     """Run the mean filter for initial belief init = (mean, cov).
 
-    eps_gain selects the Riccati flow feeding the gain (0 recovers the
-    noise-free gain); the same observation increments are consumed either way.
+    Without pieces the gain follows the noise-free Riccati flow from cov; pass
+    pieces=filter_pieces(model, obs.grid, cov, eps_gain) for another flow.
     Observations with seed columns start every column from the same mean. A
     one-seed path runs as one column and its results drop the column axis.
     The innovations dnu_k = dy_k - C_k x_k dt are formed after the scan.
@@ -124,16 +118,15 @@ def run_filter(model: LtvModel, obs: ObservationPath, init, eps_gain: float = 0.
     one_path = obs.increments.ndim == 2
     increments = obs.increments[..., None] if one_path else obs.increments
     if pieces is None:
-        pieces = filter_pieces(model, obs.grid, P0, eps_gain=eps_gain)
-    elif not np.array_equal(pieces.grid, obs.grid):
+        pieces = filter_pieces(model, obs.grid, P0)
+    elif not np.array_equal(pieces.riccati.grid, obs.grid):
         raise ValueError("pieces grid does not match the observation grid")
     x0 = np.repeat(mean0[:, None], increments.shape[2], axis=1)
     means = _scan(pieces, increments, x0)
     innov = increments - pieces.cdt @ means[:-1]
     if one_path:
-        means, innov, x0 = means[..., 0], innov[..., 0], mean0
-    return FilterRun(grid=obs.grid, means=means, innovations=innov,
-                     riccati=pieces.riccati, init_mean=x0, pieces=pieces)
+        means, innov = means[..., 0], innov[..., 0]
+    return FilterRun(grid=obs.grid, means=means, innovations=innov, pieces=pieces)
 
 
 @dataclass
@@ -157,8 +150,9 @@ def mismatched_pair(model: LtvModel, obs: ObservationPath, correct, wrong,
     run = run_filter(model, obs, correct, pieces=pieces)
     runbar = run_filter(model, obs, wrong, pieces=piecesbar)
     gap = run.means - runbar.means
-    cov_gap = np.linalg.norm(run.riccati.values - runbar.riccati.values, ord=2, axis=(1, 2))
-    return PairRun(run=run, runbar=runbar, psibar=closed_loop_propagator(runbar.riccati),
+    ric, ricbar = run.pieces.riccati, runbar.pieces.riccati
+    cov_gap = np.linalg.norm(ric.values - ricbar.values, ord=2, axis=(1, 2))
+    return PairRun(run=run, runbar=runbar, psibar=closed_loop_propagator(ricbar),
                    mean_gap=np.linalg.norm(gap, axis=1), cov_gap=cov_gap, gap=gap)
 
 
@@ -171,11 +165,8 @@ class DecompositionDiagnostics:
 
     term1: np.ndarray           # (K+1, m) Psibar_t (m0 - mbar)
     zhat: np.ndarray            # (K+1, m) martingale-part integrand sum
-    term2: np.ndarray           # (K+1, m) Psibar_t Zhat_t
     term3: np.ndarray           # (K+1, m) discretization term of the gain remainders
     residual: np.ndarray        # (K+1,) reconstruction residual norms
-    max_residual: float         # over nodes and seeds
-    zhat_drift: float           # ||Zhat_T - Zhat_{T/2}|| (max over seeds), stabilization evidence
 
 
 def mean_decomposition_diagnostics(pair: PairRun) -> DecompositionDiagnostics:
@@ -204,14 +195,9 @@ def mean_decomposition_diagnostics(pair: PairRun) -> DecompositionDiagnostics:
 
     term2, zhat = propagated_sum(run.pieces.gains - runbar.pieces.gains, run.innovations)
     term3, _ = propagated_sum(runbar.pieces.remainder - run.pieces.remainder, run.means[:-1])
-    d0 = run.init_mean - runbar.init_mean
-    term1 = np.einsum("kij,j...->ki...", psibar, d0)
+    term1 = np.einsum("kij,j...->ki...", psibar, run.means[0] - runbar.means[0])
     resid = np.linalg.norm(pair.gap - (term1 + term2 + term3), axis=1)
-    half = len(pair.grid) // 2
-    drift = float(np.linalg.norm(zhat[-1] - zhat[half], axis=0).max())
-    return DecompositionDiagnostics(term1=term1, zhat=zhat, term2=term2, term3=term3,
-                                    residual=resid, max_residual=float(resid.max()),
-                                    zhat_drift=drift)
+    return DecompositionDiagnostics(term1=term1, zhat=zhat, term3=term3, residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +270,7 @@ class MismatchedSweep:
         return float(self.terminal_gaps.max() / self.initial_gap)
 
 
-def mismatched_mc(model: LtvModel, cfg, noise_off=False) -> MismatchedSweep:
+def mismatched_mc(cfg, noise_off=False) -> MismatchedSweep:
     """Run correct/mismatched filter pairs over seeds cfg.seed + i, i < cfg.mc_runs, batched.
 
     The observations of seed s are generate_observation_path(cfg, seed=s), one
@@ -299,8 +285,8 @@ def mismatched_mc(model: LtvModel, cfg, noise_off=False) -> MismatchedSweep:
                                    "(a zero initial mean gap has no terminal/initial ratio)")
     seeds = tuple(cfg.seed + i for i in range(cfg.mc_runs))
     obs = generate_observation_path(cfg, seed=seeds, noise_off=noise_off)
-    pieces, piecesbar = filter_pieces_batch(model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
-    pair = mismatched_pair(model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
+    pieces, piecesbar = filter_pieces_batch(cfg.model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
+    pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
                            pieces=pieces, piecesbar=piecesbar)
     return MismatchedSweep(seeds=seeds, initial_gap=float(np.linalg.norm(cfg.m0 - cfg.mbar)),
                            pair=pair, diag=mean_decomposition_diagnostics(pair))

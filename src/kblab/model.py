@@ -249,16 +249,16 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
             rep.add("atom weights must be nonnegative")
     if any(e < 0 for e in cfg.epsilons):
         rep.add("epsilons must be >= 0")
+    if len(set(cfg.epsilons)) < len(cfg.epsilons):
+        rep.add("epsilons must be distinct")
 
-    # P0 invertibility (standing assumption)
-    if abs(np.linalg.det(cfg.P0)) < 1e-300 or np.linalg.cond(cfg.P0) > 1e14:
-        rep.add("P0 not invertible")
-    eig0 = np.linalg.eigvalsh(0.5 * (cfg.P0 + cfg.P0.T))
-    if eig0.min() < -1e-10:
-        rep.add(f"P0 not positive semidefinite (min eig {eig0.min():.3e})")
-    eigb = np.linalg.eigvalsh(0.5 * (cfg.Pbar + cfg.Pbar.T))
-    if eigb.min() < -1e-10:
-        rep.add(f"Pbar not positive semidefinite (min eig {eigb.min():.3e})")
+    # initial covariances: invertible (standing assumption) and PSD
+    for name, P in (("P0", cfg.P0), ("Pbar", cfg.Pbar)):
+        if abs(np.linalg.det(P)) < 1e-300 or np.linalg.cond(P) > 1e14:
+            rep.add(f"{name} not invertible")
+        eig = np.linalg.eigvalsh(0.5 * (P + P.T))
+        if eig.min() < -1e-10:
+            rep.add(f"{name} not positive semidefinite (min eig {eig.min():.3e})")
 
     # finite, bounded, SPD-R schedules on a sampled grid
     if cfg.horizon < cfg.dt:

@@ -47,34 +47,29 @@ class ExtendedSystemPaths:
     mean: np.ndarray            # (K+1, m) shared Gaussian filter mean
     cov: RiccatiSolution        # shared covariance path
     propagator: np.ndarray      # (K+1, m, m) G_t (atom-to-mean coupling)
-    coupling: np.ndarray        # (K+1, m, m) S_t = G_t - Phi_t
     quad_closed: np.ndarray     # (K+1, m, m) Q_t
     quad_info: np.ndarray       # (K+1, m, m) M_t
     linear: np.ndarray          # (K+1, m) b_t
-    gauss_run: FilterRun
 
     @property
     def weight_quad(self) -> np.ndarray:
         return self.quad_closed - self.quad_info
 
 
-def integrate_extended_system(model: LtvModel, grid, obs: ObservationPath,
-                              init, pieces: FilterPieces | None = None) -> ExtendedSystemPaths:
-    """Integrate the shared filter plus the coupling/weight paths on one grid.
+def integrate_extended_system(model: LtvModel, obs: ObservationPath, init,
+                              pieces: FilterPieces | None = None) -> ExtendedSystemPaths:
+    """Integrate the shared filter plus the coupling/weight paths on the grid of obs.
 
     init = (mean, cov) of the Gaussian component of x0; the covariance must be
     nonsingular for the weights to be meaningful.
     """
-    grid = np.asarray(grid, dtype=float)
-    if not np.array_equal(grid, obs.grid):
-        raise ValueError("grid does not match the observation grid")
+    grid = obs.grid
     mprime, pprime = init
     if pieces is None:
         pieces = filter_pieces(model, grid, pprime)
     run = run_filter(model, obs, (mprime, pprime), pieces=pieces)
     phi = fundamental_matrix(model, grid)
     prop = closed_loop_propagator(pieces.riccati).values
-    coupling = prop - phi.values
 
     h = grid[1:] - grid[:-1]
     c = model.C_at(grid[:-1])
@@ -82,7 +77,7 @@ def integrate_extended_system(model: LtvModel, grid, obs: ObservationPath,
     g = np.swapaxes(c, 1, 2) @ rinv @ c              # (K, m, m)
 
     phi_lo = phi.values[:-1]
-    s_lo = coupling[:-1]
+    s_lo = prop[:-1] - phi_lo                        # S_t = G_t - Phi_t
     gp = g @ phi_lo
     gs = g @ s_lo
     m_inc = (np.swapaxes(phi_lo, 1, 2) @ gp) * h[:, None, None]
@@ -95,17 +90,15 @@ def integrate_extended_system(model: LtvModel, grid, obs: ObservationPath,
     np.cumsum(m_inc, axis=0, out=quad_info[1:])
     np.cumsum(q_inc, axis=0, out=quad_closed[1:])
 
-    # b increments: G_k^T C_k^T R_k^-1 (dy_k - C_k mean_k dt)
-    resid = obs.increments - np.einsum("kij,kj->ki", c * h[:, None, None], run.means[:-1])
+    # b increments: G_k^T C_k^T R_k^-1 dnu_k, dnu the shared filter's innovations
     gcr = np.swapaxes(prop[:-1], 1, 2) @ np.swapaxes(c, 1, 2) @ rinv
-    b_inc = np.einsum("kij,kj->ki", gcr, resid)
+    b_inc = np.einsum("kij,kj->ki", gcr, run.innovations)
     linear = np.zeros((k1, model.m))
     np.cumsum(b_inc, axis=0, out=linear[1:])
 
     return ExtendedSystemPaths(grid=grid, mean=run.means, cov=pieces.riccati,
-                               propagator=prop, coupling=coupling,
-                               quad_closed=quad_closed, quad_info=quad_info,
-                               linear=linear, gauss_run=run)
+                               propagator=prop, quad_closed=quad_closed, quad_info=quad_info,
+                               linear=linear)
 
 
 @dataclass
@@ -148,7 +141,7 @@ def mixture_filter(model: LtvModel, obs: ObservationPath, atoms, gaussian_init,
     locs = np.stack([np.asarray(x, dtype=float).reshape(model.m) for x, _ in atoms])
     logpi = np.log(np.array([w for _, w in atoms], dtype=float))
     if ext is None:
-        ext = integrate_extended_system(model, obs.grid, obs, gaussian_init)
+        ext = integrate_extended_system(model, obs, gaussian_init)
     wq = ext.weight_quad                               # (K+1, m, m)
     quad = 0.5 * np.einsum("ki,tij,kj->tk", locs, wq, locs)
     lin = np.einsum("tj,kj->tk", ext.linear, locs)
@@ -205,7 +198,6 @@ class MergingReport:
     """Distributional proximity of the mixture posterior to a reference Gaussian."""
 
     grid: np.ndarray
-    frequencies: np.ndarray     # (n_freq, m) cosine test-function frequencies
     mean_gap: np.ndarray        # (K+1,)
     cos_gaps: np.ndarray        # (K+1, n_freq)
     ratios: dict                # gap(T)/gap(1) per tracked quantity
@@ -219,8 +211,10 @@ def _gaussian_cos(mean, cov, freqs):
 
 
 def merging_report(posterior: MixturePosterior, reference: FilterRun,
-                   reference_ric: RiccatiSolution, frequencies) -> MergingReport:
+                   frequencies) -> MergingReport:
     """Gap paths |pi_t(g_a) - N(ref mean, ref cov)(g_a)| for g_a = cos(a^T x).
+
+    The reference Gaussian is the filter run's mean and covariance paths.
 
     Mixture expectations are exact finite sums of Gaussian characteristic
     values; ratios compare the horizon end against the grid node nearest t = 1.
@@ -231,7 +225,7 @@ def merging_report(posterior: MixturePosterior, reference: FilterRun,
     phase = np.einsum("fi,tki->tkf", freqs, posterior.component_means)
     damp = np.exp(-0.5 * np.einsum("fi,tij,fj->tf", freqs, posterior.component_cov, freqs))
     mix = np.einsum("tk,tkf->tf", w, np.cos(phase)) * damp
-    ref = _gaussian_cos(reference.means, reference_ric.values, freqs)
+    ref = _gaussian_cos(reference.means, reference.pieces.riccati.values, freqs)
     cos_gaps = np.abs(mix - ref)
     mean_gap = np.linalg.norm(posterior.mean - reference.means, axis=1)
     kref = int(np.argmin(np.abs(grid - 1.0)))
@@ -244,8 +238,7 @@ def merging_report(posterior: MixturePosterior, reference: FilterRun,
     ratios = {"mean": ratio(mean_gap[-1], mean_gap[kref])}
     for i in range(freqs.shape[0]):
         ratios[f"cos_{i}"] = ratio(cos_gaps[-1, i], cos_gaps[kref, i])
-    return MergingReport(grid=grid, frequencies=freqs, mean_gap=mean_gap,
-                         cos_gaps=cos_gaps, ratios=ratios)
+    return MergingReport(grid=grid, mean_gap=mean_gap, cos_gaps=cos_gaps, ratios=ratios)
 
 
 __all__ = [

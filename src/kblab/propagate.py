@@ -103,7 +103,6 @@ _MAX_WINDOWS = 200
 class UcoEstimate:
     """Sliding-window observability Gramian eigenvalue ranges."""
 
-    window: float
     ends: np.ndarray            # window end times
     lambda_min: np.ndarray
     lambda_max: np.ndarray
@@ -158,7 +157,7 @@ def uco_gramian(model: LtvModel, phi: MatrixPath, window: float,
     w = info.values[ends] - info.values[ends - wsteps]
     gram = np.linalg.solve(ftt, np.linalg.solve(ftt, w.swapaxes(1, 2)).swapaxes(1, 2))
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.swapaxes(1, 2)))
-    return UcoEstimate(window=window, ends=grid[ends], lambda_min=eigs[:, 0],
+    return UcoEstimate(ends=grid[ends], lambda_min=eigs[:, 0],
                        lambda_max=eigs[:, -1])
 
 

@@ -9,13 +9,13 @@ eps = 0). The eps-perturbed flow adds the forcing eps^2 F F^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._integrators import riccati_sweep
 from .model import LtvModel
-from .propagate import MatrixPath, closed_loop_propagator, same_grid
+from .propagate import MatrixPath, accumulated_information, closed_loop_propagator, same_grid
 
 
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
@@ -31,10 +31,8 @@ class RiccatiSolution:
 
     path: MatrixPath
     init: np.ndarray
-    eps: float
-    min_eigs: np.ndarray
+    min_eigs: np.ndarray        # (K+1,) smallest eigenvalue of P per node
     closed_loop_steps: np.ndarray
-    diagnostics: list = field(default_factory=list)
 
     @property
     def grid(self):
@@ -54,29 +52,22 @@ def _symmetric(P0) -> np.ndarray:
     return P0
 
 
-def _solution(grid, P0, eps: float, path, msteps) -> RiccatiSolution:
-    min_eigs = np.linalg.eigvalsh(path)[:, 0]
-    diags = []
-    bad = np.nonzero(min_eigs < -1e-10)[0]
-    if bad.size:
-        diags.append(
-            f"negative covariance eigenvalue {min_eigs[bad[0]]:.3e} at t={grid[bad[0]]:.6g} "
-            f"({bad.size} nodes affected)")
-    return RiccatiSolution(path=MatrixPath(grid, path), init=P0, eps=eps, min_eigs=min_eigs,
-                           closed_loop_steps=msteps, diagnostics=diags)
+def _solution(grid, P0, path, msteps) -> RiccatiSolution:
+    return RiccatiSolution(path=MatrixPath(grid, path), init=P0,
+                           min_eigs=np.linalg.eigvalsh(path)[:, 0], closed_loop_steps=msteps)
 
 
 def integrate_dre(model: LtvModel, P0, grid, eps: float = 0.0) -> RiccatiSolution:
     """4th-order integration of the Riccati flow with per-step symmetrization.
 
-    Negative eigenvalues below -1e-10 are recorded as diagnostics; blow-up
+    The smallest eigenvalue of P at each node is kept as min_eigs; blow-up
     (||P|| > 1e12 or a non-finite entry) raises naming the time. A
     non-finite or asymmetric P0 raises ValueError.
     """
     grid = np.asarray(grid, dtype=float)
     P0 = _symmetric(P0)
     path, msteps = riccati_sweep(model, grid, P0, eps=eps)
-    return _solution(grid, P0, eps, path, msteps)
+    return _solution(grid, P0, path, msteps)
 
 
 def integrate_dre_batch(model: LtvModel, P0, grid, eps=0.0) -> list[RiccatiSolution]:
@@ -93,21 +84,20 @@ def integrate_dre_batch(model: LtvModel, P0, grid, eps=0.0) -> list[RiccatiSolut
         raise ValueError("a batch needs P0 of shape (B, m, m) or one eps per member")
     paths, msteps = riccati_sweep(model, grid, P0, eps=eps)
     P0 = np.broadcast_to(P0, paths.shape[:1] + P0.shape[-2:])
-    eps = np.broadcast_to(eps, paths.shape[:1])
-    return [_solution(grid, P0[b].copy(), float(eps[b]), paths[b], msteps[b])
+    return [_solution(grid, P0[b].copy(), paths[b], msteps[b])
             for b in range(len(paths))]
 
 
-def closed_form_dre(model: LtvModel, P0, phi: MatrixPath, info: MatrixPath,
+def closed_form_dre(model: LtvModel, P0, phi: MatrixPath,
                     cond_limit: float = 1e12) -> MatrixPath:
-    """Exact noise-free Riccati solution evaluated on the grid.
+    """Exact noise-free Riccati solution evaluated on the grid of phi.
 
     P_t = Phi_t sqrt(P0) (I + sqrt(P0) I_t sqrt(P0))^-1 sqrt(P0) Phi_t^T,
-    with I_t the accumulated information path. Serves as the independent
-    oracle for integrate_dre with eps = 0.
+    with phi the free-flow fundamental path and I_t its accumulated
+    information path (accumulated_information(model, phi)). Serves as the
+    independent oracle for integrate_dre with eps = 0.
     """
-    if not same_grid(phi, info):
-        raise ValueError("phi and info paths must share a grid")
+    info = accumulated_information(model, phi)
     root = psd_sqrt(P0)
     core = np.eye(model.m) + root @ info.values @ root
     bad = np.nonzero(np.linalg.cond(core) > cond_limit)[0]
@@ -136,7 +126,7 @@ def error_factorization_check(model: LtvModel, P0, Pbar0, grid):
     return resid, float(resid.max()), pieces
 
 
-def covariance_gap(eps: float, qeps: RiccatiSolution, p: RiccatiSolution):
+def covariance_gap(qeps: RiccatiSolution, p: RiccatiSolution):
     """Per-node gap Q^eps_t - P_t, its spectral norm path and PSD check.
 
     Both solutions must share the grid and the initial condition. Returns

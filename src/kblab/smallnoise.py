@@ -16,7 +16,7 @@ import numpy as np
 
 from .csvio import timed
 from .kalman import FilterPieces, _scan, filter_pieces_batch
-from .model import ExperimentConfig, LtvModel
+from .model import ExperimentConfig
 from .propagate import MatrixPath
 from .riccati import covariance_gap
 from .simulate import generate_observation_path
@@ -38,8 +38,8 @@ class EpsilonSweep:
         self.median_cov = np.median(self.sup_cov_gaps, axis=1)
 
 
-def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig, epsilons=None) -> EpsilonSweep:
-    """Run the (eps, seed) grid with seeds cfg.seed + i, i < cfg.mc_runs.
+def epsilon_sweep(cfg: ExperimentConfig) -> EpsilonSweep:
+    """Run the (eps, seed) grid of cfg.model, eps in cfg.epsilons and seeds cfg.seed + i, i < mc_runs.
 
     Epsilons are processed in descending order (the convention the per-seed
     monotonicity check relies on). The Riccati flows of eps = 0 and of every
@@ -52,7 +52,7 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig, epsilons=None) -> Epsi
     scans keep only the means. The wall time of the three stages goes to
     stage_times.
     """
-    epsilons = tuple(sorted(cfg.epsilons if epsilons is None else epsilons, reverse=True))
+    epsilons = tuple(sorted(cfg.epsilons, reverse=True))
     if not epsilons:
         raise ValueError("no epsilon values configured")
     seeds = tuple(cfg.seed + i for i in range(cfg.mc_runs))
@@ -61,7 +61,7 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig, epsilons=None) -> Epsi
 
     with timed(times, "riccati"):
         members = tuple(dict.fromkeys((0.0,) + epsilons))
-        pieces = dict(zip(members, filter_pieces_batch(model, grid, cfg.P0, eps_gain=members)))
+        pieces = dict(zip(members, filter_pieces_batch(cfg.model, grid, cfg.P0, eps_gain=members)))
     pieces_zero = pieces[0.0]
     with timed(times, "simulate"):
         # the paths of every eps side by side as seed columns; their truth is
@@ -71,7 +71,7 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig, epsilons=None) -> Epsi
         del paths
     with timed(times, "filter"):
         n_seeds = len(seeds)
-        mean0 = np.repeat(np.reshape(cfg.m0, (model.m, 1)), n_seeds, axis=1)
+        mean0 = np.repeat(np.reshape(cfg.m0, (cfg.model.m, 1)), n_seeds, axis=1)
         means_zero = _scan(pieces_zero, increments, np.tile(mean0, len(epsilons)))
         sup_mean = np.empty((len(epsilons), n_seeds))
         sup_cov = np.empty((len(epsilons), n_seeds))
@@ -82,7 +82,7 @@ def epsilon_sweep(model: LtvModel, cfg: ExperimentConfig, epsilons=None) -> Epsi
             means_eps = _scan(pieces[eps], np.ascontiguousarray(increments[:, :, cols]), mean0)
             gap = np.linalg.norm(means_eps - means_zero[:, :, cols], axis=1)
             sup_mean[i] = gap.max(axis=0)
-            sup_cov[i] = covariance_gap(eps, pieces[eps].riccati, pieces_zero.riccati)[2]
+            sup_cov[i] = covariance_gap(pieces[eps].riccati, pieces_zero.riccati)[2]
     return EpsilonSweep(epsilons=epsilons, seeds=seeds, sup_mean_gaps=sup_mean,
                         sup_cov_gaps=sup_cov, pieces_zero=pieces_zero, stage_times=times)
 
@@ -109,8 +109,8 @@ def fit_scaling(sweep: EpsilonSweep) -> ScalingFit:
     degenerate with no fit.
     """
     eps = [e for e in sweep.epsilons if e > 0]
-    if len(eps) < 3:
-        raise ValueError("need at least 3 positive epsilon values to fit a slope")
+    if len(set(eps)) < 3:
+        raise ValueError("need at least 3 distinct positive epsilon values to fit a slope")
     keep = [i for i, e in enumerate(sweep.epsilons) if e > 0]
     mean_slope = _loglog_slope(eps, sweep.median_mean[keep])
     cov_slope = _loglog_slope(eps, sweep.median_cov[keep])

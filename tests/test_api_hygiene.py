@@ -1,0 +1,80 @@
+"""API hygiene of the kblab package, checked on its source with ast.
+
+Every function parameter is read in its function's body, and every dataclass
+field or property is read as an attribute somewhere in the package. A
+parameter the body never reads, or a field nothing reads, is either a copy of
+a value that has a home elsewhere or a value with no use.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kblab"
+
+# (record, field) pairs that the package writes but does not read itself:
+# tests compare a simulated path against its truth and its noise level
+UNREAD_FIELDS = {("ObservationPath", "truth"), ("ObservationPath", "eps")}
+
+
+def _trees():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def _params(args: ast.arguments):
+    named = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return [a.arg for a in named if a is not None]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _is_property(fn) -> bool:
+    return any(getattr(dec, "id", None) == "property" for dec in fn.decorator_list)
+
+
+def _attributes_read(trees):
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for fname, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            unread += [f"{fname}: {name}({p})" for p in _params(fn.args) if p not in read]
+    assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def test_every_record_field_and_property_is_read():
+    trees = _trees()
+    read = _attributes_read(trees)
+    unread = []
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = [fn.name for fn in cls.body
+                     if isinstance(fn, ast.FunctionDef) and _is_property(fn)]
+            if _is_dataclass(cls):
+                names += [stmt.target.id for stmt in cls.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            unread += [(cls.name, n) for n in names
+                       if n not in read and (cls.name, n) not in UNREAD_FIELDS]
+    assert not unread, f"fields or properties never read in kblab: {sorted(unread)}"
+
+
+def test_allowed_unread_fields_are_still_unread():
+    # an allowed field that the package starts to read leaves the list
+    read = _attributes_read(_trees())
+    assert not {name for _, name in UNREAD_FIELDS} & read

@@ -146,6 +146,27 @@ def test_zero_mc_runs_is_a_config_error(tmp_path, capsys, command):
     assert "horizon 0.004 shorter than one step" in capsys.readouterr().err
 
 
+def test_singular_pbar_is_a_config_error(tmp_path, capsys):
+    # the mismatched filter's Lyapunov path solves with Pbar's flow
+    cfg = replace(builtin_scenario("rotation"), horizon=2.0, mc_runs=2,
+                  mbar=np.array([2.0, 0.0]), Pbar=np.diag([1.0, 0.0]))
+    code = cli.main(["stability-mean", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "Pbar not invertible" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_epsilons_are_a_config_error(tmp_path, capsys):
+    # one noise level three times has no log-log slope
+    cfg = replace(builtin_scenario("smallnoise_stable"), horizon=2.0, epsilons=(0.1, 0.1, 0.1))
+    code = cli.main(["smallnoise", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "epsilons must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_stability_mean_sample_path_is_the_first_seed_column(tmp_path):
     cfg = replace(builtin_scenario("rotation"), horizon=30.0, dt=0.02, mc_runs=5)
     out = tmp_path / "out"

@@ -99,7 +99,7 @@ def test_sample_path_norm_columns_are_per_row_linalg_norms(tmp_path, name, overr
     lines = (tmp_path / "out" / "sample_path.csv").read_text().splitlines()
     assert lines[0] == "t,gap_mean,gap_cov,term1,znorm,V"
     table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    diag = mismatched_mc(cfg.model, cfg).diag
+    diag = mismatched_mc(cfg).diag
     rows = range(0, len(diag.term1), _stride(len(diag.term1)))
     assert len(table) == len(rows) == 1251
     assert np.array_equal(table[:, 3], [np.linalg.norm(diag.term1[k, :, 0]) for k in rows])

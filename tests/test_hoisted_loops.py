@@ -295,7 +295,7 @@ def test_free_flow_steps_equal_reference_kernel(name):
 
 def _scan_loop(pieces, increments, x0):
     """Per-step filter scan computing innovation, gain product and mean together."""
-    msteps, gains, cdt = pieces.msteps, pieces.gains, pieces.cdt
+    msteps, gains, cdt = pieces.riccati.closed_loop_steps, pieces.gains, pieces.cdt
     x = np.asarray(x0, dtype=float)
     means = np.empty((len(msteps) + 1,) + x.shape)
     innov = np.empty((len(msteps), cdt.shape[1]) + x.shape[1:])
@@ -501,7 +501,7 @@ def test_stream_blocks_are_sized_by_the_values_they_hold(monkeypatch):
     calls.clear()
     cfg = replace(builtin_scenario("rotation_partial"), horizon=45.0, dt=0.02, mc_runs=10,
                   mbar=np.array([3.0, -2.0]))
-    mismatched_mc(cfg.model, cfg)
+    mismatched_mc(cfg)
     assert len(calls) == 1 and calls[0] == (len(cfg.grid()) - 1) * cfg.substeps
 
 
@@ -525,7 +525,7 @@ def test_closed_form_equals_per_node_loop(name):
     grid = make_grid(50.0, 0.01)                # 5000 steps
     phi = fundamental_matrix(cfg.model, grid)
     info = accumulated_information(cfg.model, phi)
-    out = closed_form_dre(cfg.model, cfg.P0, phi, info)
+    out = closed_form_dre(cfg.model, cfg.P0, phi)
     assert np.array_equal(out.values, _closed_form_loop(cfg.P0, phi, info))
 
 
@@ -542,7 +542,7 @@ def test_closed_form_names_first_ill_conditioned_node():
         _closed_form_loop(np.eye(2), phi, info, cond_limit=1e3)
     assert not str(ref.value).endswith("t=0")
     with pytest.raises(FloatingPointError, match=re.escape(str(ref.value)) + "$"):
-        closed_form_dre(_saddle(), np.eye(2), phi, info, cond_limit=1e3)
+        closed_form_dre(_saddle(), np.eye(2), phi, cond_limit=1e3)
 
 
 def _uco_loop(phi, info, wsteps, normalize, cond_limit=1e12):

@@ -42,7 +42,8 @@ def test_constant_schedule_at_arbitrary_time():
     assert np.all(mdl.A_at(t) == 0)
     assert np.array_equal(mdl.C_at(t), np.eye(2))
     assert np.array_equal(mdl.R_at(t), np.eye(2))
-    assert np.array_equal(coefficient_stages(mdl, np.array([t, 4.0]))["Rinv"][0][0], np.eye(2))
+    # G = C^T R^-1 C
+    assert np.array_equal(coefficient_stages(mdl, np.array([t, 4.0]))["G"][0][0], np.eye(2))
     assert np.array_equal(mdl.F_at(t), np.eye(2))
 
 
@@ -70,8 +71,10 @@ def test_rinv_product_identity():
         times = np.union1d(np.linspace(0, 10, 23), np.linspace(0, cfg.horizon, 37))
         lo, mid, hi = times[:-1], 0.5 * (times[:-1] + times[1:]), times[1:]
         worst = 0.0
-        for ts, rinv in zip((lo, mid, hi), coefficient_stages(cfg.model, times)["Rinv"]):
-            worst = max(worst, np.abs(cfg.model.R_at(ts) @ rinv - np.eye(cfg.model.n)).max())
+        for ts, g in zip((lo, mid, hi), coefficient_stages(cfg.model, times)["G"]):
+            c = cfg.model.C_at(ts)
+            ref = np.swapaxes(c, 1, 2) @ np.linalg.solve(cfg.model.R_at(ts), c)
+            worst = max(worst, np.abs(g - ref).max())
         assert worst <= 1e-12, name
 
 

@@ -12,7 +12,7 @@ from kblab.nongaussian import (
     merging_report,
     mixture_filter,
 )
-from kblab.propagate import accumulated_information, fundamental_matrix
+from kblab.propagate import fundamental_matrix
 from kblab.riccati import closed_form_dre
 from kblab.simulate import generate_observation_path
 from kblab.scenarios import builtin_scenario
@@ -30,8 +30,9 @@ def test_unobserved_system_has_trivial_coupling():
     cfg = ExperimentConfig(model=mdl, horizon=2.0, dt=1e-3, substeps=1, seed=0,
                            m0=[0.0], P0=[[1.0]])
     obs = generate_observation_path(cfg)
-    ext = integrate_extended_system(mdl, obs.grid, obs, (cfg.m0, cfg.P0))
-    assert np.abs(ext.coupling).max() == 0.0
+    ext = integrate_extended_system(mdl, obs, (cfg.m0, cfg.P0))
+    # S_t = G_t - Phi_t
+    assert np.abs(ext.propagator - fundamental_matrix(mdl, obs.grid).values).max() == 0.0
     assert np.abs(ext.quad_closed).max() == 0.0
     assert np.abs(ext.quad_info).max() == 0.0
     assert np.abs(ext.linear).max() == 0.0
@@ -40,9 +41,10 @@ def test_unobserved_system_has_trivial_coupling():
 def test_extended_scalar_coupling_and_info():
     cfg = replace(builtin_scenario("scalar_basic"), horizon=2.0)
     obs = generate_observation_path(cfg)
-    ext = integrate_extended_system(cfg.model, obs.grid, obs, (np.zeros(1), np.eye(1)))
+    ext = integrate_extended_system(cfg.model, obs, (np.zeros(1), np.eye(1)))
     k1 = np.argmin(np.abs(obs.grid - 1.0))
-    assert ext.coupling[k1, 0, 0] == pytest.approx(-0.5, abs=1e-8)
+    coupling = ext.propagator - fundamental_matrix(cfg.model, obs.grid).values
+    assert coupling[k1, 0, 0] == pytest.approx(-0.5, abs=1e-8)
     assert np.abs(ext.quad_info[:, 0, 0] - obs.grid).max() <= 1e-9
     # weight quadratic is negative semidefinite along the whole path
     assert ext.weight_quad.max() <= 1e-12
@@ -53,9 +55,9 @@ def test_propagator_identity_matches_closed_loop():
     # with P_t from the closed-form solution rather than the sweep
     cfg = replace(builtin_scenario("two_atom_neutral"), horizon=5.0)
     obs = generate_observation_path(cfg)
-    ext = integrate_extended_system(cfg.model, obs.grid, obs, (cfg.m0, cfg.P0))
+    ext = integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0))
     phi = fundamental_matrix(cfg.model, obs.grid)
-    p = closed_form_dre(cfg.model, cfg.P0, phi, accumulated_information(cfg.model, phi)).values
+    p = closed_form_dre(cfg.model, cfg.P0, phi).values
     psi = p @ np.linalg.inv(phi.values).swapaxes(1, 2) @ np.linalg.inv(cfg.P0)
     assert np.abs(ext.propagator - psi).max() <= 1e-6
 
@@ -67,7 +69,7 @@ def test_single_atom_at_origin_equals_plain_filter():
     mix = mixture_filter(cfg.model, obs, [(np.zeros(1), 1.0)], init)
     run = run_filter(cfg.model, obs, init)
     assert np.abs(mix.mean - run.means).max() <= 1e-9
-    assert np.abs(mix.cov[:, 0, 0] - run.riccati.values[:, 0, 0]).max() <= 1e-12
+    assert np.abs(mix.cov[:, 0, 0] - run.pieces.riccati.values[:, 0, 0]).max() <= 1e-12
     assert np.abs(mix.weights - 1.0).max() <= 1e-15
 
 
@@ -93,7 +95,7 @@ def test_mixture_equals_bank_multivariate():
     cfg = replace(builtin_scenario("rotation_atoms"), horizon=5.0)
     obs = generate_observation_path(cfg)
     pieces = filter_pieces(cfg.model, obs.grid, cfg.P0)
-    ext = integrate_extended_system(cfg.model, obs.grid, obs, (cfg.m0, cfg.P0), pieces=pieces)
+    ext = integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0), pieces=pieces)
     mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0), ext=ext)
     bank = bank_oracle(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0), pieces=pieces)
     assert np.abs(mix.mean - bank.mean).max() <= 1e-6
@@ -146,11 +148,11 @@ def test_merging_constant_function_gap_zero():
     # single atom: the normalized weight is exactly 1 and the gap exactly 0
     mix1 = mixture_filter(cfg.model, obs, [(np.zeros(1), 1.0)], init)
     ref = run_filter(cfg.model, obs, init)
-    rep1 = merging_report(mix1, ref, ref.riccati, [[0.0]])
+    rep1 = merging_report(mix1, ref, [[0.0]])
     assert rep1.cos_gaps.max() == 0.0
     # several atoms: limited only by the float representation of the simplex
     mix2 = mixture_filter(cfg.model, obs, cfg.atoms, init)
-    rep2 = merging_report(mix2, ref, ref.riccati, [[0.0]])
+    rep2 = merging_report(mix2, ref, [[0.0]])
     assert rep2.cos_gaps.max() <= 4e-16
 
 
@@ -160,7 +162,7 @@ def test_merging_same_distribution_gap_negligible():
     init = (cfg.m0, cfg.P0)
     mix = mixture_filter(cfg.model, obs, [(np.zeros(1), 1.0)], init)
     ref = run_filter(cfg.model, obs, init)
-    rep = merging_report(mix, ref, ref.riccati, [[1.0]])
+    rep = merging_report(mix, ref, [[1.0]])
     assert rep.cos_gaps.max() <= 1e-8
 
 
@@ -169,7 +171,7 @@ def test_merging_ratios_decay_with_mismatched_reference():
     obs = generate_observation_path(cfg)
     mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0))
     ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar))
-    rep = merging_report(mix, ref, ref.riccati, [[0.5], [1.0], [2.0]])
+    rep = merging_report(mix, ref, [[0.5], [1.0], [2.0]])
     assert rep.ratios["mean"] <= 0.1
     for i in range(3):
         assert rep.ratios[f"cos_{i}"] <= 0.1

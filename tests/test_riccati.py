@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kblab.model import constant_model
-from kblab.propagate import accumulated_information, fundamental_matrix, make_grid
+from kblab.propagate import fundamental_matrix, make_grid
 from kblab.riccati import (
     closed_form_dre,
     covariance_gap,
@@ -78,17 +78,15 @@ def test_closed_form_ill_conditioned_core_raises():
     mdl = constant_model(np.zeros((2, 2)), np.eye(2), np.eye(2))
     grid = make_grid(10.0, 0.1)
     phi = fundamental_matrix(mdl, grid)
-    info = accumulated_information(mdl, phi)
     with pytest.raises(FloatingPointError, match="ill-conditioned"):
-        closed_form_dre(mdl, np.diag([1e13, 0.0]), phi, info)
+        closed_form_dre(mdl, np.diag([1e13, 0.0]), phi)
 
 
 def test_closed_form_identity_initialization():
     mdl = constant_model(np.zeros((2, 2)), np.eye(2), np.eye(2))
     grid = make_grid(4.0, 1e-3)
     phi = fundamental_matrix(mdl, grid)
-    info = accumulated_information(mdl, phi)
-    cf = closed_form_dre(mdl, np.eye(2), phi, info)
+    cf = closed_form_dre(mdl, np.eye(2), phi)
     assert np.abs(cf.values - np.eye(2) / (1.0 + grid)[:, None, None]).max() <= 1e-10
 
 
@@ -96,8 +94,7 @@ def test_closed_form_zero_initialization():
     mdl = scalar_model()
     grid = make_grid(2.0, 1e-2)
     phi = fundamental_matrix(mdl, grid)
-    info = accumulated_information(mdl, phi)
-    cf = closed_form_dre(mdl, [[0.0]], phi, info)
+    cf = closed_form_dre(mdl, [[0.0]], phi)
     assert np.abs(cf.values).max() == 0.0
 
 
@@ -109,8 +106,7 @@ def test_oracle_equivalence_random_spd():
     grid = make_grid(5.0, 1e-3)
     sol = integrate_dre(cfg.model, P0, grid)
     phi = fundamental_matrix(cfg.model, grid)
-    info = accumulated_information(cfg.model, phi)
-    cf = closed_form_dre(cfg.model, P0, phi, info)
+    cf = closed_form_dre(cfg.model, P0, phi)
     gap = np.linalg.norm(sol.values - cf.values, ord=2, axis=(1, 2)).max()
     assert gap <= 1e-6
 
@@ -143,12 +139,12 @@ def test_covariance_gap_trivial_cases():
     grid = make_grid(5.0, cfg.dt)
     p = integrate_dre(cfg.model, cfg.P0, grid, eps=0.0)
     q = integrate_dre(cfg.model, cfg.P0, grid, eps=0.0)
-    _, norms, sup, _ = covariance_gap(0.0, q, p)
+    _, norms, sup, _ = covariance_gap(q, p)
     assert sup == 0.0
     mdl = constant_model([[-0.5]], [[1.0]], [[1.0]], F=[[0.0]])
     pf = integrate_dre(mdl, cfg.P0, grid, eps=0.0)
     qf = integrate_dre(mdl, cfg.P0, grid, eps=0.7)
-    _, _, supf, _ = covariance_gap(0.7, qf, pf)
+    _, _, supf, _ = covariance_gap(qf, pf)
     assert supf == 0.0
 
 
@@ -159,7 +155,7 @@ def test_covariance_gap_eps2_scaling_and_psd():
     sups = {}
     for eps in (0.1, 0.05):
         q = integrate_dre(cfg.model, cfg.P0, grid, eps=eps)
-        _, _, sups[eps], min_eig = covariance_gap(eps, q, p)
+        _, _, sups[eps], min_eig = covariance_gap(q, p)
         assert min_eig >= -1e-10
     assert 3.5 <= sups[0.1] / sups[0.05] <= 4.5
 
@@ -170,7 +166,7 @@ def test_covariance_gap_rejects_mismatched_inputs():
     p = integrate_dre(cfg.model, cfg.P0, grid)
     q_other = integrate_dre(cfg.model, 2.0 * cfg.P0, grid)
     with pytest.raises(ValueError):
-        covariance_gap(0.1, q_other, p)
+        covariance_gap(q_other, p)
 
 
 def test_riccati_flow_preserves_psd_order():
@@ -220,4 +216,3 @@ def test_riccati_symmetry_and_eig_floor():
     asym = np.abs(sol.values - np.swapaxes(sol.values, 1, 2)).max()
     assert asym <= 1e-12
     assert sol.min_eigs.min() >= -1e-10
-    assert not sol.diagnostics

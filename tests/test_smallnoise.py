@@ -42,7 +42,7 @@ def run_epsilon_pair(model: LtvModel, cfg: ExperimentConfig, eps: float, seed,
     run_eps = run_filter(model, obs, (cfg.m0, cfg.P0), pieces=pieces_eps)
     run_zero = run_filter(model, obs, (cfg.m0, cfg.P0), pieces=pieces_zero)
     mean_gap = np.linalg.norm(run_eps.means - run_zero.means, axis=1)
-    _, _, sup_cov, _ = covariance_gap(eps, pieces_eps.riccati, pieces_zero.riccati)
+    _, _, sup_cov, _ = covariance_gap(pieces_eps.riccati, pieces_zero.riccati)
     return EpsilonPairResult(eps=eps, seed=seed, sup_mean_gap=mean_gap.max(axis=0),
                              sup_cov_gap=sup_cov)
 
@@ -85,7 +85,7 @@ def test_zero_forcing_pair_is_identically_zero():
 
 def test_pair_matches_sweep_cell_bitwise():
     cfg = small_cfg(horizon=4.0, mc_runs=3)
-    sweep = epsilon_sweep(cfg.model, cfg, epsilons=(0.1, 0.05, 0.025))
+    sweep = epsilon_sweep(replace(cfg, epsilons=(0.1, 0.05, 0.025)))
     r = run_epsilon_pair(cfg.model, cfg, 0.05, cfg.seed + 2)
     assert r.sup_mean_gap == sweep.sup_mean_gaps[1, 2]
     assert r.sup_cov_gap == sweep.sup_cov_gaps[1, 2]
@@ -93,7 +93,7 @@ def test_pair_matches_sweep_cell_bitwise():
 
 def test_every_sweep_cell_equals_its_pair():
     cfg = small_cfg(horizon=4.0, mc_runs=3)
-    sweep = epsilon_sweep(cfg.model, cfg, epsilons=(0.1, 0.05, 0.025))
+    sweep = epsilon_sweep(replace(cfg, epsilons=(0.1, 0.05, 0.025)))
     for i, eps in enumerate(sweep.epsilons):
         pieces_eps = filter_pieces(cfg.model, cfg.grid(), cfg.P0, eps_gain=eps)
         for j, seed in enumerate(sweep.seeds):
@@ -106,12 +106,12 @@ def test_every_sweep_cell_equals_its_pair():
 def test_sweep_requires_epsilons():
     cfg = replace(small_cfg(), epsilons=())
     with pytest.raises(ValueError):
-        epsilon_sweep(cfg.model, cfg)
+        epsilon_sweep(cfg)
 
 
 def test_sweep_orders_epsilons_descending():
     cfg = small_cfg(horizon=2.0, mc_runs=2)
-    sweep = epsilon_sweep(cfg.model, cfg, epsilons=(0.05, 0.2, 0.1))
+    sweep = epsilon_sweep(replace(cfg, epsilons=(0.05, 0.2, 0.1)))
     assert sweep.epsilons == (0.2, 0.1, 0.05)
 
 
@@ -139,6 +139,14 @@ def test_fit_scaling_needs_three_epsilons():
     sweep = EpsilonSweep(epsilons=(0.1, 0.05), seeds=(0,),
                          sup_mean_gaps=np.ones((2, 1)), sup_cov_gaps=np.ones((2, 1)))
     with pytest.raises(ValueError):
+        fit_scaling(sweep)
+
+
+def test_fit_scaling_needs_three_distinct_epsilons():
+    # three values but one level: no slope can be fitted
+    sweep = EpsilonSweep(epsilons=(0.1, 0.1, 0.1), seeds=(0,),
+                         sup_mean_gaps=np.ones((3, 1)), sup_cov_gaps=np.ones((3, 1)))
+    with pytest.raises(ValueError, match="distinct"):
         fit_scaling(sweep)
 
 
@@ -188,13 +196,13 @@ def test_two_time_constant_dominates_fit_constant():
 
 def test_sweep_monotone_per_seed():
     cfg = small_cfg(horizon=8.0, mc_runs=6)
-    sweep = epsilon_sweep(cfg.model, cfg)
+    sweep = epsilon_sweep(cfg)
     assert np.all(np.diff(sweep.sup_mean_gaps, axis=0) <= 0.05 * sweep.sup_mean_gaps[:-1])
     assert np.all(np.diff(sweep.sup_cov_gaps, axis=0) <= 0.0)
 
 
 def test_cov_gap_slope_is_quadratic():
     cfg = small_cfg(horizon=8.0, mc_runs=4)
-    sweep = epsilon_sweep(cfg.model, cfg)
+    sweep = epsilon_sweep(cfg)
     fit = fit_scaling(sweep)
     assert 1.8 <= fit.cov_slope <= 2.2
