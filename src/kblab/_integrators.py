@@ -8,6 +8,11 @@ values the closed loop needs, so quantities that must agree in the discrete
 algebra (filter one-step matrices, propagator products, Riccati stage values)
 are built from bitwise-identical arithmetic.
 
+Every linear recursion over the steps of a grid, z_{k+1} = S_k z_k plus an
+optional offset (running products, the noise-free truth, the filter means),
+runs in one loop, linear_recursion, with its independent recursions as
+members of a batched product per step.
+
 The Riccati sweep runs one of three loops, chosen by the state dimension m
 alone. m = 1 runs each member through a plain-float scalar recursion. m = 2
 runs each member through a plain-float recursion on the symmetric triple
@@ -77,19 +82,46 @@ def transition_steps(model: LtvModel, grid) -> np.ndarray:
     return rk4_linear_steps(model.A_at(lo), a_mid, a_mid, model.A_at(hi), grid[1:] - grid[:-1])
 
 
-def accumulate_transitions(steps: np.ndarray) -> np.ndarray:
-    """Running products: out[0] = identity, out[k+1] = steps[k] @ out[k]."""
-    n, m, _ = steps.shape
-    out = np.empty((n + 1, m, m))
-    out[0] = np.eye(m)
-    if m == 1:
-        out[1:, 0, 0] = np.cumprod(steps[:, 0, 0])
+def linear_recursion(steps: np.ndarray, out: np.ndarray, offset: bool = False) -> np.ndarray:
+    """Run out[k+1] = steps[k] @ out[k] in place, adding out[k+1] when offset is set.
+
+    steps is (K, ..., m, m) and out is (K+1, ..., m, S) with out[0] the start
+    (and out[1:] the offsets); the axes between time and matrix are members,
+    which broadcast as in matmul. One step is one batched matmul into out[k+1]
+    (or into a buffer that is then added to the offset), so each member takes
+    the (m, m) @ (m, S) product it takes alone. This is the one time loop of
+    every linear recursion: running products, noise-free truth, filter means.
+    """
+    if not offset:
+        for step, x, nxt in zip(steps, out[:-1], out[1:]):
+            np.matmul(step, x, out=nxt)
         return out
-    cur = out[0]
-    for k in range(n):
-        cur = steps[k] @ cur
-        out[k + 1] = cur
+    buf = np.empty(out.shape[1:])
+    for step, x, nxt in zip(steps, out[:-1], out[1:]):
+        np.matmul(step, x, out=buf)
+        np.add(nxt, buf, out=nxt)
     return out
+
+
+def accumulate_transitions(steps: np.ndarray) -> np.ndarray:
+    """Running products: out[0] = identity, out[k+1] = steps[k] @ out[k].
+
+    steps is (K, m, m), or (B, K, m, m) for B members that step together in
+    one loop; out is (K+1, m, m), or (B, K+1, m, m) with each member
+    contiguous. For m = 1 the products are a cumulative product along time,
+    bitwise the same.
+    """
+    m = steps.shape[-1]
+    if m == 1:
+        out = np.empty(steps.shape[:-3] + (steps.shape[-3] + 1, 1, 1))
+        out[..., 0, :, :] = 1.0
+        np.cumprod(steps, axis=-3, out=out[..., 1:, :, :])
+        return out
+    steps = np.moveaxis(steps, -3, 0)
+    out = np.empty((len(steps) + 1,) + steps.shape[1:])
+    out[0] = np.eye(m)
+    linear_recursion(steps, out)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -3))
 
 
 def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
@@ -148,7 +180,8 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
         srows = p234.reshape(3, n_steps, -1)
         qcols = [q.reshape(n_steps, -1) for q in (q_lo, q_mid, q_hi)]
         stops = [_riccati_sweep_scalar(hs, *coefs, *(q[:, b].tolist() for q in qcols),
-                                       prows[b], srows[:, :, b])
+                                       memoryview(prows[b]),
+                                       [memoryview(s) for s in srows[:, :, b]])
                  for b in range(len(prows))]
     elif m == 2:
         coefs = [_entry_views(c, _ENTRIES) for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
@@ -227,25 +260,27 @@ def _blowup_error(member, t: float) -> FloatingPointError:
 def _riccati_sweep_scalar(hs, a1, a2, a3, g1, g2, g3, q1, q2, q3, pout, sout):
     """Scalar (m = n = 1) P recursion of one member in plain float arithmetic; same stage formulas.
 
-    Coefficients and steps come as lists; pout is the member's (K+1,) row of
-    P and sout its (3, K) rows of the stage values p2, p3, p4. Returns the
-    node of a blow-up, None if there is none.
+    Coefficients and steps come as lists; pout is a memoryview of the
+    member's (K+1,) row of P and sout memoryviews of its rows of the stage
+    values p2, p3, p4. Returns the node of a blow-up, None if there is none.
     """
-    p = float(pout[0])
+    p = pout[0]
     s2, s3, s4 = sout
     for k in range(len(hs)):
         hk = hs[k]
+        half, sixth = 0.5 * hk, hk / 6.0
         A1, A2, A3 = a1[k], a2[k], a3[k]
         G1, G2, G3 = g1[k], g2[k], g3[k]
         k1p = 2.0 * A1 * p - G1 * p * p + q1[k]
-        p2 = p + 0.5 * hk * k1p
+        p2 = p + half * k1p
         k2p = 2.0 * A2 * p2 - G2 * p2 * p2 + q2[k]
-        p3 = p + 0.5 * hk * k2p
+        p3 = p + half * k2p
         k3p = 2.0 * A2 * p3 - G2 * p3 * p3 + q2[k]
         p4 = p + hk * k3p
         k4p = 2.0 * A3 * p4 - G3 * p4 * p4 + q3[k]
-        p = p + (hk / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        if not abs(p) <= BLOWUP:
+        p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        # a chained compare is False for nan, so nan counts as a blow-up
+        if not -BLOWUP <= p <= BLOWUP:
             return k + 1
         pout[k + 1] = p
         s2[k] = p2
@@ -291,6 +326,7 @@ def _riccati_sweep_pair(hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q
     a, b, c = ra[0], rb[0], rc[0]
     for k in range(len(hs)):
         hk = hs[k]
+        half, sixth = 0.5 * hk, hk / 6.0
         x00, x01, x10, x11 = xa1[k], xb1[k], xc1[k], xd1[k]
         y00, y01, y10, y11 = ya1[k], yb1[k], yc1[k], yd1[k]
         g00, g01, g10, g11 = (a * y00 + b * y10, a * y01 + b * y11,
@@ -298,7 +334,7 @@ def _riccati_sweep_pair(hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q
         k1a = 2.0 * (x00 * a + x01 * b) - (g00 * a + g01 * b) + qa1[k]
         k1b = (x00 * b + x01 * c) + (x10 * a + x11 * b) - (g00 * b + g01 * c) + qb1[k]
         k1c = 2.0 * (x10 * b + x11 * c) - (g10 * b + g11 * c) + qc1[k]
-        a2, b2, c2 = a + 0.5 * hk * k1a, b + 0.5 * hk * k1b, c + 0.5 * hk * k1c
+        a2, b2, c2 = a + half * k1a, b + half * k1b, c + half * k1c
 
         x00, x01, x10, x11 = xa2[k], xb2[k], xc2[k], xd2[k]
         y00, y01, y10, y11 = ya2[k], yb2[k], yc2[k], yd2[k]
@@ -308,7 +344,7 @@ def _riccati_sweep_pair(hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q
         k2a = 2.0 * (x00 * a2 + x01 * b2) - (g00 * a2 + g01 * b2) + qa
         k2b = (x00 * b2 + x01 * c2) + (x10 * a2 + x11 * b2) - (g00 * b2 + g01 * c2) + qb
         k2c = 2.0 * (x10 * b2 + x11 * c2) - (g10 * b2 + g11 * c2) + qc
-        a3, b3, c3 = a + 0.5 * hk * k2a, b + 0.5 * hk * k2b, c + 0.5 * hk * k2c
+        a3, b3, c3 = a + half * k2a, b + half * k2b, c + half * k2c
 
         g00, g01, g10, g11 = (a3 * y00 + b3 * y10, a3 * y01 + b3 * y11,
                               b3 * y00 + c3 * y10, b3 * y01 + c3 * y11)
@@ -325,10 +361,10 @@ def _riccati_sweep_pair(hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q
         k4b = (x00 * b4 + x01 * c4) + (x10 * a4 + x11 * b4) - (g00 * b4 + g01 * c4) + qb3[k]
         k4c = 2.0 * (x10 * b4 + x11 * c4) - (g10 * b4 + g11 * c4) + qc3[k]
 
-        a = a + (hk / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        b = b + (hk / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        c = c + (hk / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        if not (abs(a) <= BLOWUP and abs(b) <= BLOWUP and abs(c) <= BLOWUP):
+        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        if not (-BLOWUP <= a <= BLOWUP and -BLOWUP <= b <= BLOWUP and -BLOWUP <= c <= BLOWUP):
             return k + 1
         ra[k + 1], rb[k + 1], rc[k + 1] = a, b, c
         sa2[k], sb2[k], sc2[k] = a2, b2, c2

@@ -34,7 +34,13 @@ from .kalman import (
 )
 from .model import constant_model, make_grid, serialize_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
-from .propagate import closed_loop_propagator, fundamental_matrix, psi_decay_integral, uco_gramian
+from .propagate import (
+    closed_loop_propagator,
+    fundamental_matrix,
+    psi_decay_integral,
+    spectral_norms,
+    uco_gramian,
+)
 from .riccati import (
     closed_form_dre,
     error_factorization_check,
@@ -111,7 +117,7 @@ def _check_criterion1():
         P0s = np.stack([L @ L.T + 0.1 * np.eye(m) for L in roots])
         for P0, sol in zip(P0s, integrate_dre_batch(mdl, P0s, grid)):
             cf = closed_form_dre(mdl, P0, phi)
-            worst = max(worst, float(np.linalg.norm(sol.values - cf.values, ord=2, axis=(1, 2)).max()))
+            worst = max(worst, float(spectral_norms(sol.values - cf.values).max()))
     elapsed = time.time() - t0
     ok = worst <= 1e-6 and elapsed <= 10.0
     return ok, (f"DRE vs closed form on [0,5], dt=1e-3, 3 seeded SPD P0 per family: "

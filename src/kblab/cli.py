@@ -26,7 +26,7 @@ from .csvio import timed, write_manifest, write_matrix_path, write_table
 from .kalman import filter_pieces_batch, lyapunov_path, mismatched_mc, run_filter
 from .model import ConfigError, ModelValidationError, parse_config, validate_config
 from .nongaussian import bank_oracle, integrate_extended_system, merging_report, mixture_filter
-from .propagate import closed_loop_propagator, fundamental_matrix, uco_gramian
+from .propagate import closed_loop_propagator, fundamental_matrix, spectral_norms, uco_gramian
 from .riccati import closed_form_dre, error_factorization_check, integrate_dre
 from .simulate import generate_observation_path
 from .smallnoise import epsilon_sweep, exponential_stability_estimate, fit_scaling
@@ -76,7 +76,7 @@ def cmd_riccati(args) -> int:
         sol = integrate_dre(cfg.model, cfg.P0, grid)
     with timed(times, "oracle"):
         oracle = closed_form_dre(cfg.model, cfg.P0, fundamental_matrix(cfg.model, grid))
-        resid = np.linalg.norm(sol.values - oracle.values, ord=2, axis=(1, 2))
+        resid = spectral_norms(sol.values - oracle.values)
     with timed(times, "write"):
         write_matrix_path(Path(args.out) / "dre_path.csv", sol.path, "P")
         write_table(Path(args.out) / "closed_form_residual.csv", ["t", "residual"], [grid, resid])
@@ -118,8 +118,7 @@ def cmd_stability_cov(args) -> int:
     grid = cfg.grid()
     with timed(times, "riccati"):
         resid, mx, pieces = error_factorization_check(cfg.model, cfg.P0, cfg.Pbar, grid)
-        gapn = np.linalg.norm(pieces["sol"].values - pieces["solbar"].values,
-                              ord=2, axis=(1, 2))
+        gapn = spectral_norms(pieces["sol"].values - pieces["solbar"].values)
     with timed(times, "write"):
         write_table(Path(args.out) / "factorization.csv", ["t", "cov_gap", "residual"],
                     [grid, gapn, resid])
@@ -159,8 +158,7 @@ def cmd_stability_mean(args) -> int:
     tol_recon = cfg.thresholds["tol_reconstruction"]
     ok = sweep.worst_ratio <= tol_ratio and sweep.max_residuals.max() <= tol_recon
     # max_k ||E_k - Ebar_k||: the gain remainders behind the decomposition's third term
-    remainder_gap = np.linalg.norm(pair.run.pieces.remainder - pair.runbar.pieces.remainder,
-                                   ord=2, axis=(1, 2)).max()
+    remainder_gap = spectral_norms(pair.run.pieces.remainder - pair.runbar.pieces.remainder).max()
     write_manifest(args.out, cfg, seeds=sweep.seeds, extra={
         "worst_terminal_ratio": f"{sweep.worst_ratio:.17g}",
         "max_reconstruction_residual": f"{sweep.max_residuals.max():.17g}",

@@ -20,7 +20,13 @@ with term3_t the propagated sum of the remainder terms, an algebraic
 identity of the implementation rather than an approximation.
 
 Observation paths may carry one seed per column; filters, pairs and the
-decomposition then run on every column at once.
+decomposition then run on every column at once. Filters on one grid run as
+members of one scan (_scan): the gain products D_k dy_k of every member are
+formed before the time loop, in the rows of the means they offset, and the
+loop is _integrators.linear_recursion, one batched product per step. Each
+member takes the (m, m) @ (m, S) products it takes when run alone, so its
+means are bitwise the same; the mismatched pair and the small-noise sweep
+run their filters this way.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import gain_steps, transition_steps
+from ._integrators import gain_steps, linear_recursion, transition_steps
 from .model import LtvModel, ModelValidationError
-from .propagate import MatrixPath, closed_loop_propagator, same_grid
+from .propagate import MatrixPath, closed_loop_propagator, same_grid, spectral_norms
 from .riccati import RiccatiSolution, integrate_dre, integrate_dre_batch
 from .simulate import ObservationPath, generate_observation_path
 
@@ -82,25 +88,68 @@ class FilterRun:
     pieces: FilterPieces        # its riccati is the filter's covariance path
 
 
-def _scan(pieces: FilterPieces, increments: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Run the affine mean recursion on seed columns.
+def _scan(pieces, increments: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Run the affine mean recursions of B filters on one grid in one loop.
 
-    x0 is (m, S), one state per column; increments are (K, n, S), one path
-    per column, or (K, n, 1), one path shared by every column. Returns the
-    (K+1, m, S) means. The loop carries only the mean recursion; the gain
-    products are stacked over steps before it.
+    pieces holds the B members' FilterPieces and x0 their (B, m, S) start
+    states, one per seed column. increments are (K, n, G S): G blocks of S
+    columns, one path per column, with member b on block b // (B / G) (so
+    with G = 1 every member runs on the same paths); or (K, n, 1), one path
+    shared by every column. Returns the (K+1, B, m, S) means. The gain
+    products D_k dy_k are formed before the loop, in the rows of the means
+    they offset, and the loop (_integrators.linear_recursion) carries only
+    x_{k+1} = M_k x_k + D_k dy_k. Each member takes the products it takes
+    when run alone.
     """
-    msteps = pieces.riccati.closed_loop_steps
-    means = np.empty((len(msteps) + 1,) + x0.shape)
-    means[0] = x = x0
-    gdy = pieces.gains @ increments
-    for k in range(len(msteps)):
-        x = msteps[k] @ x + gdy[k]
-        means[k + 1] = x
-    if not np.all(np.isfinite(x)):
-        bad = np.nonzero(~np.isfinite(means).all(axis=(1, 2)))[0]
+    n_members, _, n_cols = x0.shape
+    blocks = increments.shape[2] // n_cols or 1
+    if n_members % blocks:
+        raise ValueError(f"{n_members} filters do not split over {blocks} column blocks")
+    means = np.empty((len(increments) + 1,) + x0.shape)
+    means[0] = x0
+    for b, p in enumerate(pieces):
+        lo = b // (n_members // blocks) * n_cols
+        dy = increments[:, :, lo:lo + n_cols]
+        if dy.shape[2] == n_cols:
+            np.matmul(p.gains, dy, out=means[1:, b])
+        else:
+            means[1:, b] = p.gains @ dy
+    steps = np.stack([p.riccati.closed_loop_steps for p in pieces], axis=1)
+    linear_recursion(steps, means, offset=True)
+    if not np.all(np.isfinite(means[-1])):
+        bad = np.nonzero(~np.isfinite(means).all(axis=(1, 2, 3)))[0]
         raise FloatingPointError(f"filter mean not finite from step {bad[0]}")
     return means
+
+
+def _run_filters(model: LtvModel, obs: ObservationPath, inits, pieces) -> list[FilterRun]:
+    """Run the mean filters of several initial beliefs on obs as members of one scan.
+
+    inits holds (mean, cov) pairs and pieces one FilterPieces or None for
+    each; see run_filter.
+    """
+    one_path = obs.increments.ndim == 2
+    increments = obs.increments[..., None] if one_path else obs.increments
+    members, x0 = [], []
+    for (mean0, P0), p in zip(inits, pieces):
+        if p is None:
+            p = filter_pieces(model, obs.grid, P0)
+        elif not np.array_equal(p.riccati.grid, obs.grid):
+            raise ValueError("pieces grid does not match the observation grid")
+        elif not np.array_equal(p.riccati.init, np.asarray(P0, dtype=float)):
+            raise ValueError("pieces start from another covariance than init")
+        members.append(p)
+        mean0 = np.asarray(mean0, dtype=float).reshape(model.m)
+        x0.append(np.repeat(mean0[:, None], increments.shape[2], axis=1))
+    means = _scan(members, increments, np.stack(x0))
+    runs = []
+    for b, p in enumerate(members):
+        mb = means[:, b]
+        innov = increments - p.cdt @ mb[:-1]
+        if one_path:
+            mb, innov = mb[..., 0], innov[..., 0]
+        runs.append(FilterRun(grid=obs.grid, means=mb, innovations=innov, pieces=p))
+    return runs
 
 
 def run_filter(model: LtvModel, obs: ObservationPath, init,
@@ -109,24 +158,13 @@ def run_filter(model: LtvModel, obs: ObservationPath, init,
 
     Without pieces the gain follows the noise-free Riccati flow from cov; pass
     pieces=filter_pieces(model, obs.grid, cov, eps_gain) for another flow.
-    Observations with seed columns start every column from the same mean. A
-    one-seed path runs as one column and its results drop the column axis.
-    The innovations dnu_k = dy_k - C_k x_k dt are formed after the scan.
+    Pieces whose flow starts from another covariance than cov raise
+    ValueError. Observations with seed columns start every column from the
+    same mean. A one-seed path runs as one column and its results drop the
+    column axis. The innovations dnu_k = dy_k - C_k x_k dt are formed after
+    the scan.
     """
-    mean0, P0 = init
-    mean0 = np.asarray(mean0, dtype=float).reshape(model.m)
-    one_path = obs.increments.ndim == 2
-    increments = obs.increments[..., None] if one_path else obs.increments
-    if pieces is None:
-        pieces = filter_pieces(model, obs.grid, P0)
-    elif not np.array_equal(pieces.riccati.grid, obs.grid):
-        raise ValueError("pieces grid does not match the observation grid")
-    x0 = np.repeat(mean0[:, None], increments.shape[2], axis=1)
-    means = _scan(pieces, increments, x0)
-    innov = increments - pieces.cdt @ means[:-1]
-    if one_path:
-        means, innov = means[..., 0], innov[..., 0]
-    return FilterRun(grid=obs.grid, means=means, innovations=innov, pieces=pieces)
+    return _run_filters(model, obs, [init], [pieces])[0]
 
 
 @dataclass
@@ -147,11 +185,11 @@ class PairRun:
 
 def mismatched_pair(model: LtvModel, obs: ObservationPath, correct, wrong,
                     pieces=None, piecesbar=None) -> PairRun:
-    run = run_filter(model, obs, correct, pieces=pieces)
-    runbar = run_filter(model, obs, wrong, pieces=piecesbar)
+    """The correct and the mismatched filter on obs, run as two members of one scan."""
+    run, runbar = _run_filters(model, obs, [correct, wrong], [pieces, piecesbar])
     gap = run.means - runbar.means
     ric, ricbar = run.pieces.riccati, runbar.pieces.riccati
-    cov_gap = np.linalg.norm(ric.values - ricbar.values, ord=2, axis=(1, 2))
+    cov_gap = spectral_norms(ric.values - ricbar.values)
     return PairRun(run=run, runbar=runbar, psibar=closed_loop_propagator(ricbar),
                    mean_gap=np.linalg.norm(gap, axis=1), cov_gap=cov_gap, gap=gap)
 

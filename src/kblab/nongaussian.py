@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integrators import accumulate_transitions, transition_steps
 from .kalman import FilterPieces, FilterRun, _scan, filter_pieces, run_filter
 from .model import LtvModel
-from .propagate import closed_loop_propagator, fundamental_matrix
 from .riccati import RiccatiSolution
 from .simulate import ObservationPath
 
@@ -68,15 +68,16 @@ def integrate_extended_system(model: LtvModel, obs: ObservationPath, init,
     if pieces is None:
         pieces = filter_pieces(model, grid, pprime)
     run = run_filter(model, obs, (mprime, pprime), pieces=pieces)
-    phi = fundamental_matrix(model, grid)
-    prop = closed_loop_propagator(pieces.riccati).values
+    # the free flow Phi and the closed loop G, two members of one running product
+    phi, prop = accumulate_transitions(
+        np.stack([transition_steps(model, grid), pieces.riccati.closed_loop_steps]))
 
     h = grid[1:] - grid[:-1]
     c = model.C_at(grid[:-1])
     rinv = np.linalg.inv(model.R_at(grid[:-1]))
     g = np.swapaxes(c, 1, 2) @ rinv @ c              # (K, m, m)
 
-    phi_lo = phi.values[:-1]
+    phi_lo = phi[:-1]
     s_lo = prop[:-1] - phi_lo                        # S_t = G_t - Phi_t
     gp = g @ phi_lo
     gs = g @ s_lo
@@ -174,7 +175,7 @@ def bank_oracle(model: LtvModel, obs: ObservationPath, atoms, gaussian_init,
     if pieces is None:
         pieces = filter_pieces(model, grid, pprime)
     x0 = (mprime[:, None] + locs.T)                    # (m, k)
-    means = _scan(pieces, obs.increments[:, :, None], x0)      # (K+1, m, k)
+    means = _scan([pieces], obs.increments[:, :, None], x0[None])[:, 0]      # (K+1, m, k)
 
     h = grid[1:] - grid[:-1]
     c = model.C_at(grid[:-1])

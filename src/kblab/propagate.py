@@ -30,6 +30,19 @@ class MatrixPath:
         return self.grid.shape[0]
 
 
+def spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a (K, m, m) stack.
+
+    For m = 1 it is the absolute value: bitwise what the SVD gives wherever
+    LAPACK does not rescale its input (about 1e-137 < |x| < 1e137), and
+    exact outside that range. For m >= 2 it stays the SVD, whose last bit a
+    closed form would move.
+    """
+    if mats.shape[-2:] == (1, 1):
+        return np.abs(mats[..., 0, 0])
+    return np.linalg.norm(mats, ord=2, axis=(-2, -1))
+
+
 def same_grid(a, b) -> bool:
     ga = a.grid if isinstance(a, MatrixPath) else np.asarray(a)
     gb = b.grid if isinstance(b, MatrixPath) else np.asarray(b)
@@ -189,6 +202,7 @@ __all__ = [
     "make_grid",
     "psi_decay_integral",
     "same_grid",
+    "spectral_norms",
     "transition_steps",
     "uco_gramian",
 ]

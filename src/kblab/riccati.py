@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import riccati_sweep
+from ._integrators import accumulate_transitions, riccati_sweep
 from .model import LtvModel
-from .propagate import MatrixPath, accumulated_information, closed_loop_propagator, same_grid
+from .propagate import MatrixPath, accumulated_information, same_grid, spectral_norms
 
 
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
@@ -31,7 +31,6 @@ class RiccatiSolution:
 
     path: MatrixPath
     init: np.ndarray
-    min_eigs: np.ndarray        # (K+1,) smallest eigenvalue of P per node
     closed_loop_steps: np.ndarray
 
     @property
@@ -41,6 +40,11 @@ class RiccatiSolution:
     @property
     def values(self):
         return self.path.values
+
+    @property
+    def min_eigs(self) -> np.ndarray:
+        """(K+1,) smallest eigenvalue of P per node, computed when read."""
+        return np.linalg.eigvalsh(self.values)[:, 0]
 
 
 def _symmetric(P0) -> np.ndarray:
@@ -53,16 +57,15 @@ def _symmetric(P0) -> np.ndarray:
 
 
 def _solution(grid, P0, path, msteps) -> RiccatiSolution:
-    return RiccatiSolution(path=MatrixPath(grid, path), init=P0,
-                           min_eigs=np.linalg.eigvalsh(path)[:, 0], closed_loop_steps=msteps)
+    return RiccatiSolution(path=MatrixPath(grid, path), init=P0, closed_loop_steps=msteps)
 
 
 def integrate_dre(model: LtvModel, P0, grid, eps: float = 0.0) -> RiccatiSolution:
     """4th-order integration of the Riccati flow with per-step symmetrization.
 
-    The smallest eigenvalue of P at each node is kept as min_eigs; blow-up
-    (||P|| > 1e12 or a non-finite entry) raises naming the time. A
-    non-finite or asymmetric P0 raises ValueError.
+    The smallest eigenvalue of P at each node is min_eigs, computed when
+    read; blow-up (||P|| > 1e12 or a non-finite entry) raises naming the
+    time. A non-finite or asymmetric P0 raises ValueError.
     """
     grid = np.asarray(grid, dtype=float)
     P0 = _symmetric(P0)
@@ -112,16 +115,18 @@ def error_factorization_check(model: LtvModel, P0, Pbar0, grid):
 
     The difference of two Riccati solutions factorizes through the two
     closed-loop propagators: P_t - Pbar_t = Psi_t (P0 - Pbar0) Psibar_t^T.
-    Both flows integrate in one batched sweep, and each propagator is the
-    running product of the one-step matrices that sweep built for its flow.
+    Both flows integrate in one batched sweep, and the propagators are the
+    running products of the one-step matrices that sweep built for each
+    flow, taken together as two members of one loop.
     Returns (residual path ||lhs - rhs||_2 per node, max residual, pieces).
     """
     sol, solbar = integrate_dre_batch(model, np.stack([P0, Pbar0]), grid)
-    psi, psibar = closed_loop_propagator(sol), closed_loop_propagator(solbar)
+    prods = accumulate_transitions(np.stack([sol.closed_loop_steps, solbar.closed_loop_steps]))
+    psi, psibar = (MatrixPath(sol.grid, values) for values in prods)
     d0 = np.asarray(P0, dtype=float) - np.asarray(Pbar0, dtype=float)
     lhs = sol.values - solbar.values
     rhs = psi.values @ d0 @ np.swapaxes(psibar.values, 1, 2)
-    resid = np.linalg.norm(lhs - rhs, ord=2, axis=(1, 2))
+    resid = spectral_norms(lhs - rhs)
     pieces = {"sol": sol, "solbar": solbar, "psi": psi, "psibar": psibar}
     return resid, float(resid.max()), pieces
 
@@ -139,7 +144,7 @@ def covariance_gap(qeps: RiccatiSolution, p: RiccatiSolution):
     if not np.array_equal(qeps.init, p.init):
         raise ValueError("Riccati solutions have different initial conditions")
     gap = qeps.values - p.values
-    norms = np.linalg.norm(gap, ord=2, axis=(1, 2))
+    norms = spectral_norms(gap)
     min_eig = float(np.linalg.eigvalsh(gap)[:, 0].min())
     return gap, norms, float(norms.max()), min_eig
 

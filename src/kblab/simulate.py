@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import transition_steps
+from ._integrators import linear_recursion, transition_steps
 from .model import ExperimentConfig, LtvModel
 from .riccati import psd_sqrt
 
@@ -138,11 +138,14 @@ def simulate_truth(model: LtvModel, x0: np.ndarray, fine: np.ndarray, eps: tuple
     x0 is the (E, m, S) state of every level and seed column at fine[0], eps
     a tuple of the E levels and rng a sequence of S generators, one per seed
     column (None when every level is 0). Returns the (F+1, E, m, S) truth.
-    Zero levels take one RK4 transition per step and draw nothing. The other
+    Zero levels take one RK4 transition per step and draw nothing, in the
+    shared linear-recursion loop (_integrators.linear_recursion). The other
     levels take Euler-Maruyama steps,
     x_{j+1} = x_j + A x_j h + eps F sqrt(h) xi_j: each generator is drawn
     once for every level and F xi is formed once, and level e adds
-    (eps_e sqrt(h)) (F xi). Each level's product A x stays one
+    (eps_e sqrt(h)) (F xi). Each step is written straight into its row of
+    the output by in-place operations in the order of that expression, with
+    no temporary per step. Each level's product A x stays one
     (m, m) @ (m, S) product, so every level is bitwise the truth that level
     alone gives.
     """
@@ -160,13 +163,9 @@ def simulate_truth(model: LtvModel, x0: np.ndarray, fine: np.ndarray, eps: tuple
 
 def _rk4_truth(model: LtvModel, x, grid) -> np.ndarray:
     """Noise-free truth of the states x (E, m, S): one RK4 transition per step."""
-    steps = transition_steps(model, grid)
     out = np.empty((len(grid),) + x.shape)
     out[0] = x
-    for k in range(len(grid) - 1):
-        x = steps[k] @ x
-        out[k + 1] = x
-    return out
+    return linear_recursion(transition_steps(model, grid), out)
 
 
 def _euler_maruyama(model: LtvModel, x, grid, levels, gens) -> np.ndarray:
@@ -183,9 +182,13 @@ def _euler_maruyama(model: LtvModel, x, grid, levels, gens) -> np.ndarray:
     noise = scale[:, :, None, None] * (model.F_at(grid[:-1]) @ xi)[:, None]
     out = np.empty((n_steps + 1,) + x.shape)
     out[0] = x
-    for k in range(n_steps):
-        x = x + h[k] * (a[k] @ x) + noise[k]
-        out[k + 1] = x
+    # x_{k+1} = (x_k + h_k (A_k x_k)) + noise_k, in that order of operations
+    ax = np.empty(x.shape)
+    for a_k, h_k, noise_k, x, nxt in zip(a, h.tolist(), noise, out[:-1], out[1:]):
+        np.matmul(a_k, x, out=ax)
+        ax *= h_k
+        np.add(x, ax, out=nxt)
+        nxt += noise_k
     return out
 
 

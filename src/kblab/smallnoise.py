@@ -6,6 +6,10 @@ noise-free Riccati gain on the SAME observation path (the zero-noise-gain
 filter is deliberately driven by the noisy observations — that is the whole
 comparison), and record sup-path mean and covariance gaps. Sweeps fit log-log
 scaling exponents of the median sup gaps against eps.
+
+A sweep makes one Riccati sweep, one streamed simulation pass and two filter
+scans: the zero-noise-gain filter over the paths of every eps, and the E
+eps-gain filters as members of one scan, each on the path of its eps.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .csvio import timed
 from .kalman import FilterPieces, _scan, filter_pieces_batch
 from .model import ExperimentConfig
-from .propagate import MatrixPath
+from .propagate import MatrixPath, spectral_norms
 from .riccati import covariance_gap
 from .simulate import generate_observation_path
 
@@ -44,13 +48,13 @@ def epsilon_sweep(cfg: ExperimentConfig) -> EpsilonSweep:
     Epsilons are processed in descending order (the convention the per-seed
     monotonicity check relies on). The Riccati flows of eps = 0 and of every
     eps integrate in one batched sweep, and the observation paths of every
-    eps come from one streamed simulation pass. Each eps-gain filter runs its
-    path's seed columns in one scan; the zero-noise-gain filter runs the
-    paths of every eps in one scan, as seed columns side by side. Every cell
-    is bitwise the cell of one eps and one seed run alone: that eps's path
-    from generate_observation_path and the two filters from run_filter. The
-    scans keep only the means. The wall time of the three stages goes to
-    stage_times.
+    eps come from one streamed simulation pass, side by side as seed
+    columns. The zero-noise-gain filter runs once over the columns of every
+    eps, and the E eps-gain filters run as E members of one scan, each on the
+    columns of its eps. Every cell is bitwise the cell of one eps and one seed
+    run alone: that eps's path from generate_observation_path and the two
+    filters from run_filter. The scans keep only the means. The wall time of
+    the three stages goes to stage_times.
     """
     epsilons = tuple(sorted(cfg.epsilons, reverse=True))
     if not epsilons:
@@ -70,18 +74,24 @@ def epsilon_sweep(cfg: ExperimentConfig) -> EpsilonSweep:
         increments = np.concatenate([p.increments for p in paths], axis=2)
         del paths
     with timed(times, "filter"):
-        n_seeds = len(seeds)
-        mean0 = np.repeat(np.reshape(cfg.m0, (cfg.model.m, 1)), n_seeds, axis=1)
-        means_zero = _scan(pieces_zero, increments, np.tile(mean0, len(epsilons)))
-        sup_mean = np.empty((len(epsilons), n_seeds))
-        sup_cov = np.empty((len(epsilons), n_seeds))
+        n_eps, n_seeds, m = len(epsilons), len(seeds), cfg.model.m
+        mean0 = np.reshape(cfg.m0, (1, m, 1))
+        # the zero-noise-gain filter once over the seed columns of every eps,
+        # and the E eps-gain filters as E members of one scan, each on the
+        # seed columns of its eps
+        means_zero = _scan([pieces_zero], increments,
+                           np.broadcast_to(mean0, (1, m, n_eps * n_seeds)))[:, 0]
+        means_eps = _scan([pieces[eps] for eps in epsilons], increments,
+                          np.broadcast_to(mean0, (n_eps, m, n_seeds)))
+        sup_mean = np.empty((n_eps, n_seeds))
+        sup_cov = np.empty((n_eps, n_seeds))
         for i, eps in enumerate(epsilons):
-            cols = slice(i * n_seeds, (i + 1) * n_seeds)
-            # a contiguous (K, n, S) copy: the same matrix products as the
-            # path of this eps alone
-            means_eps = _scan(pieces[eps], np.ascontiguousarray(increments[:, :, cols]), mean0)
-            gap = np.linalg.norm(means_eps - means_zero[:, :, cols], axis=1)
-            sup_mean[i] = gap.max(axis=0)
+            # the gap and its square overwrite the eps-gain means; the sum
+            # over m and the root are np.linalg.norm's, without its temporaries
+            gap = means_eps[:, i]
+            np.subtract(gap, means_zero[:, :, i * n_seeds:(i + 1) * n_seeds], out=gap)
+            np.multiply(gap, gap, out=gap)
+            sup_mean[i] = np.sqrt(np.add.reduce(gap, axis=1)).max(axis=0)
             sup_cov[i] = covariance_gap(pieces[eps].riccati, pieces_zero.riccati)[2]
     return EpsilonSweep(epsilons=epsilons, seeds=seeds, sup_mean_gaps=sup_mean,
                         sup_cov_gaps=sup_cov, pieces_zero=pieces_zero, stage_times=times)
@@ -136,7 +146,7 @@ def exponential_stability_estimate(psi: MatrixPath) -> StabilityEstimate:
     plausible for the scenario; algebraic decay shows up as a large residual,
     growth as alpha <= 0.
     """
-    norms = np.linalg.norm(psi.values, ord=2, axis=(1, 2))
+    norms = spectral_norms(psi.values)
     half = len(psi.grid) // 2
     t = psi.grid[half:]
     y = np.log(norms[half:])

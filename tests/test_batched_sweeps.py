@@ -2,7 +2,8 @@
 
 Also guards that the experiments which integrate several flows on one grid
 (the eps sweep, the covariance factorization, the mismatched pairs) make one
-sweep for all of them, and that the eps sweep simulates every eps in one pass.
+sweep for all of them, that the eps sweep simulates every eps in one pass,
+and that the eps sweep and the mismatched pair run their filters in one scan.
 """
 
 import sys
@@ -12,12 +13,19 @@ import numpy as np
 import pytest
 
 from kblab._integrators import riccati_sweep
-from kblab.kalman import _scan, filter_pieces, filter_pieces_batch, mismatched_mc
+from kblab.kalman import (
+    _scan,
+    filter_pieces,
+    filter_pieces_batch,
+    mismatched_mc,
+    mismatched_pair,
+    run_filter,
+)
 from kblab.model import constant_model, make_grid, periodic_model
 from kblab.propagate import closed_loop_propagator
 from kblab.riccati import error_factorization_check, integrate_dre, integrate_dre_batch
 from kblab.scenarios import builtin_scenario
-from kblab.simulate import RngStream
+from kblab.simulate import RngStream, generate_observation_path
 from kblab.smallnoise import epsilon_sweep
 
 
@@ -168,30 +176,26 @@ def test_epsilon_sweep_makes_one_riccati_sweep(sweep_calls):
     assert len(sweep_calls) == 1
 
 
-def test_epsilon_sweep_simulates_once_and_scans_the_zero_gain_once(monkeypatch):
-    streams, scans = [], []
+def test_epsilon_sweep_simulates_once_and_scans_the_zero_gain_once(monkeypatch, scan_calls):
+    streams = []
     make_generator = RngStream.generator
 
     def counted_generator(self):
         streams.append((self.seed, self.label))
         return make_generator(self)
 
-    def counted_scan(*args, **kwargs):
-        scans.append(args[1].shape)
-        return _scan(*args, **kwargs)
-
     monkeypatch.setattr(RngStream, "generator", counted_generator)
-    for modname, mod in list(sys.modules.items()):
-        if (modname == "kblab" or modname.startswith("kblab.")) and \
-                getattr(mod, "_scan", None) is _scan:
-            monkeypatch.setattr(mod, "_scan", counted_scan)
     cfg = replace(builtin_scenario("rotation_partial"), horizon=2.0, mc_runs=3,
                   epsilons=(0.2, 0.1, 0.05, 0.025))
     sweep = epsilon_sweep(cfg)
     # one "x0", "V" and "W" stream per seed (3 S), not one per (eps, seed)
     assert sorted(streams) == sorted((s, label) for s in sweep.seeds for label in ("x0", "V", "W"))
-    # E eps-gain scans of S columns and one zero-gain scan of E S columns
-    assert sorted(shape[-1] for shape in scans) == [3, 3, 3, 3, 12]
+    # two scans on the E S = 12 observation columns: the zero-noise-gain
+    # filter once over all of them, and the E eps-gain filters as E members
+    # of one scan, S columns each
+    m = cfg.model.m
+    increments = (len(cfg.grid()) - 1, cfg.model.n, 12)
+    assert scan_calls == [(1, increments, (1, m, 12)), (4, increments, (4, m, 3))]
 
 
 def test_error_factorization_check_makes_one_riccati_sweep(sweep_calls):
@@ -205,3 +209,33 @@ def test_mismatched_mc_makes_one_riccati_sweep(sweep_calls, name):
     cfg = replace(builtin_scenario(name), horizon=2.0, mc_runs=2)
     mismatched_mc(cfg)
     assert len(sweep_calls) == 1
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Record (members, increments shape, x0 shape) of every _scan call in kblab."""
+    calls = []
+
+    def counted(pieces, increments, x0):
+        calls.append((len(pieces), increments.shape, x0.shape))
+        return _scan(pieces, increments, x0)
+
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "kblab" or modname.startswith("kblab.")) and \
+                getattr(mod, "_scan", None) is _scan:
+            monkeypatch.setattr(mod, "_scan", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["scalar_unstable", "rotation_partial"])
+def test_mismatched_pair_runs_both_filters_in_one_scan(scan_calls, name):
+    cfg = builtin_scenario(name)
+    cfg = replace(cfg, horizon=3.0, mbar=cfg.m0 + 2.0)
+    obs = generate_observation_path(cfg, seed=(1, 2, 3))
+    pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar))
+    assert scan_calls == [(2, obs.increments.shape, (2, cfg.model.m, 3))]
+    # each member is bitwise the filter run alone
+    for run, init in ((pair.run, (cfg.m0, cfg.P0)), (pair.runbar, (cfg.mbar, cfg.Pbar))):
+        one = run_filter(cfg.model, obs, init)
+        assert np.array_equal(run.means, one.means)
+        assert np.array_equal(run.innovations, one.innovations)

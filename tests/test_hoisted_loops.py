@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 from kblab import simulate
-from kblab._integrators import _forcing, coefficient_stages, riccati_sweep, transition_steps
-from kblab.kalman import _scan, filter_pieces, mismatched_mc, run_filter
+from kblab._integrators import (
+    _forcing,
+    accumulate_transitions,
+    coefficient_stages,
+    riccati_sweep,
+    transition_steps,
+)
+from kblab.kalman import _scan, filter_pieces, filter_pieces_batch, mismatched_mc, run_filter
 from kblab.model import constant_model, make_grid, periodic_model
 from kblab.propagate import (
     _half_step_transitions,
@@ -20,7 +26,7 @@ from kblab.propagate import (
     fundamental_matrix,
     uco_gramian,
 )
-from kblab.riccati import closed_form_dre, psd_sqrt
+from kblab.riccati import closed_form_dre, integrate_dre_batch, psd_sqrt
 from kblab.scenarios import SCENARIOS, builtin_scenario
 from kblab.simulate import (
     ObservationPath,
@@ -314,11 +320,27 @@ def test_scan_equals_per_step_loop(name):
     grid = make_grid(4.0, 0.02)
     pieces = filter_pieces(cfg.model, grid, cfg.P0)
     rng = np.random.default_rng(5)
-    n, m = cfg.model.n, cfg.model.m
-    cases = [(rng.standard_normal((len(grid) - 1, n, 4)), rng.standard_normal((m, 4))),  # seed columns
-             (rng.standard_normal((len(grid) - 1, n, 1)), rng.standard_normal((m, 3)))]  # shared path
+    n, m, n_steps = cfg.model.n, cfg.model.m, len(grid) - 1
+    cases = [(rng.standard_normal((n_steps, n, 4)), rng.standard_normal((m, 4))),  # seed columns
+             (rng.standard_normal((n_steps, n, 1)), rng.standard_normal((m, 3)))]  # shared path
     for increments, x0 in cases:
-        assert np.array_equal(_scan(pieces, increments, x0), _scan_loop(pieces, increments, x0)[0])
+        means = _scan([pieces], increments, x0[None])
+        assert means.shape == (n_steps + 1, 1) + x0.shape
+        assert np.array_equal(means[:, 0], _scan_loop(pieces, increments, x0)[0])
+    # stacked members: four flows in one scan, two on each of two blocks of
+    # three seed columns, then all four on one shared path; every member
+    # equals its own per-step loop
+    members = filter_pieces_batch(cfg.model, grid, np.stack([cfg.P0, 2.0 * cfg.P0, cfg.P0, cfg.P0]),
+                                  eps_gain=[0.0, 0.0, 0.2, 0.05])
+    x0 = rng.standard_normal((4, m, 3))
+    for increments in (rng.standard_normal((n_steps, n, 6)), rng.standard_normal((n_steps, n, 1))):
+        means = _scan(members, increments, x0)
+        assert means.shape == (n_steps + 1,) + x0.shape
+        for b, member in enumerate(members):
+            lo = b // 2 * 3
+            block = increments if increments.shape[2] == 1 else increments[:, :, lo:lo + 3]
+            ref = _scan_loop(member, np.ascontiguousarray(block), x0[b])[0]
+            assert np.array_equal(means[:, b], ref)
     # run_filter forms the innovations after the scan; a one-seed path runs
     # as one column and is compared with the (m,) state loop
     for increments in (rng.standard_normal((len(grid) - 1, n)),          # one path
@@ -332,6 +354,33 @@ def test_scan_equals_per_step_loop(name):
         assert run.means.shape == ref_means.shape and np.array_equal(run.means, ref_means)
         assert run.innovations.shape == ref_innov.shape
         assert np.array_equal(run.innovations, ref_innov)
+
+
+def _product_loop(steps):
+    """Running products of one (K, m, m) stack, one matmul per step."""
+    out = np.empty((len(steps) + 1,) + steps.shape[1:])
+    out[0] = cur = np.eye(steps.shape[-1])
+    for k in range(len(steps)):
+        cur = steps[k] @ cur
+        out[k + 1] = cur
+    return out
+
+
+@pytest.mark.parametrize("name", ["scalar_unstable", "rotation_partial", "periodic3"])
+def test_running_products_equal_per_step_loop(name):
+    # m = 1, 2, 3: the free flow alone, then the free flow and three closed
+    # loops as four members of one loop, each equal to its own product loop
+    cfg = builtin_scenario(name)
+    grid = make_grid(4.0, 0.02)
+    phi_steps = transition_steps(cfg.model, grid)
+    assert np.array_equal(accumulate_transitions(phi_steps), _product_loop(phi_steps))
+    sols = integrate_dre_batch(cfg.model, np.stack([cfg.P0, 2.0 * cfg.P0, cfg.P0]), grid,
+                               eps=[0.0, 0.0, 0.1])
+    steps = np.stack([phi_steps] + [sol.closed_loop_steps for sol in sols])
+    prods = accumulate_transitions(steps)
+    assert prods.shape == (4, len(grid), cfg.model.m, cfg.model.m)
+    for member, prod in zip(steps, prods):
+        assert prod.flags.c_contiguous and np.array_equal(prod, _product_loop(member))
 
 
 def _em_loop(model, x0, grid, eps, gens):

@@ -128,6 +128,19 @@ def test_filter_rejects_mismatched_grid_pieces():
         run_filter(cfg.model, obs, (cfg.m0, cfg.P0), pieces=other)
 
 
+def test_filter_rejects_pieces_of_another_initial_covariance():
+    cfg = replace(builtin_scenario("rotation"), horizon=2.0)
+    obs = generate_observation_path(cfg)
+    pieces = filter_pieces(cfg.model, obs.grid, cfg.P0)
+    with pytest.raises(ValueError, match="covariance"):
+        run_filter(cfg.model, obs, (cfg.m0, 5.0 * cfg.P0), pieces=pieces)
+    with pytest.raises(ValueError, match="covariance"):
+        mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
+                        pieces=pieces, piecesbar=pieces)
+    run = run_filter(cfg.model, obs, (cfg.m0, cfg.P0), pieces=pieces)
+    assert run.pieces is pieces
+
+
 def test_nan_observations_raise_with_step():
     cfg = replace(builtin_scenario("scalar_basic"), horizon=1.0)
     obs = generate_observation_path(cfg)

@@ -9,6 +9,7 @@ from kblab.propagate import (
     fundamental_matrix,
     make_grid,
     psi_decay_integral,
+    spectral_norms,
     uco_gramian,
 )
 from kblab.riccati import integrate_dre
@@ -184,3 +185,17 @@ def test_closed_loop_zero_observation_equals_phi():
     phi = fundamental_matrix(mdl, grid)
     assert np.abs(psi.values - phi.values).max() <= 1e-12
 
+
+
+def test_spectral_norms_of_1x1_stacks_are_the_svd_values_bitwise():
+    # |x| for m = 1 is bitwise the SVD's value over magnitudes 1e-30 to 1e30
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(200_000) * 10.0 ** rng.uniform(-30.0, 30.0, 200_000)
+    vals[:4] = [0.0, -0.0, 1.0, -1.0]
+    stack = vals.reshape(-1, 1, 1)
+    norms = spectral_norms(stack)
+    assert norms.shape == (200_000,)
+    assert np.array_equal(norms, np.linalg.norm(stack, ord=2, axis=(1, 2)))
+    # m >= 2 keeps the SVD
+    mats = rng.standard_normal((100, 2, 2))
+    assert np.array_equal(spectral_norms(mats), np.linalg.norm(mats, ord=2, axis=(1, 2)))

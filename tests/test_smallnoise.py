@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -206,3 +207,24 @@ def test_cov_gap_slope_is_quadratic():
     sweep = epsilon_sweep(cfg)
     fit = fit_scaling(sweep)
     assert 1.8 <= fit.cov_slope <= 2.2
+
+
+# traced heap peak, in bytes, of one epsilon_sweep on the small-noise
+# documents of the benchmark (T 25, dt 0.02, 10 substeps, four eps), as
+# measured before the sweep ran its eps-gain filters as members of one scan;
+# the sweep may not hold more than that at any point
+SWEEP_PEAK_BYTES = {"rotation_partial": 4_345_172, "rotation": 7_033_560}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PEAK_BYTES))
+def test_epsilon_sweep_heap_peak_is_bounded(name):
+    cfg = replace(builtin_scenario(name), horizon=25.0, dt=0.02, substeps=10,
+                  epsilons=(0.2, 0.1, 0.05, 0.025))
+    epsilon_sweep(replace(cfg, horizon=1.0))    # first-call allocations outside the count
+    tracemalloc.start()
+    try:
+        epsilon_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SWEEP_PEAK_BYTES[name]
