@@ -372,8 +372,8 @@ def _riccati_sweep_pair(hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q
         sa4[k], sb4[k], sc4[k] = a4, b4, c4
 
 
-def gain_steps(model: LtvModel, grid, msteps: np.ndarray, phi_steps: np.ndarray) -> np.ndarray:
-    """Per-step observation gain matrices D_k of the filter recursion.
+def gain_steps(model: LtvModel, grid, msteps: np.ndarray, phi_steps: np.ndarray):
+    """Per-step observation gain matrices D_k of the filter recursion, and C_k dt.
 
     D_k := (Phi_step_k - M_k) pinv(C_k dt), with phi_steps the transition
     steps of the grid: a consistent realization of P_k C_k^T R_k^-1. The
@@ -381,7 +381,8 @@ def gain_steps(model: LtvModel, grid, msteps: np.ndarray, phi_steps: np.ndarray)
     whenever C_k has full column rank (pinv(C) C = I; always for square
     invertible C); otherwise it is the part of Phi_step_k - M_k that C_k dt
     does not reach, and the mismatched-pair error decomposition carries it
-    as a third term (kalman.mean_decomposition_diagnostics).
+    as a third term (kalman.mean_decomposition_diagnostics). Returns the
+    (..., K, m, n) gains and the (K, n, m) products C_k dt they invert.
     """
-    h = (grid[1:] - grid[:-1])[:, None, None]
-    return (phi_steps - msteps) @ np.linalg.pinv(model.C_at(grid[:-1]) * h)
+    cdt = model.C_at(grid[:-1]) * (grid[1:] - grid[:-1])[:, None, None]
+    return (phi_steps - msteps) @ np.linalg.pinv(cdt), cdt

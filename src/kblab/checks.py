@@ -207,7 +207,7 @@ def _check_criterion6():
         for ds in range(5):
             obs = generate_observation_path(cfg, seed=cfg.seed + ds)
             ext = integrate_extended_system(cfg.model, obs, init, pieces=pieces)
-            mix = mixture_filter(cfg.model, obs, cfg.atoms, init, ext=ext)
+            mix = mixture_filter(ext, cfg.atoms)
             bank = bank_oracle(cfg.model, obs, cfg.atoms, init, pieces=pieces)
             wm = max(wm, float(np.abs(mix.mean - bank.mean).max()))
             ww = max(ww, float(np.abs(mix.log_weights - bank.log_weights).max()))
@@ -218,17 +218,17 @@ def _check_criterion6():
     cfg = builtin_scenario("two_atom")
     obs = generate_observation_path(cfg)
     exts["two_atom"] = integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0))
-    mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0), ext=exts["two_atom"])
+    mix = mixture_filter(exts["two_atom"], cfg.atoms)
     ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar))
     rep = merging_report(mix, ref, [[0.5], [1.0], [2.0]])
     ratios = [rep.ratios["mean"]] + [rep.ratios[f"cos_{i}"] for i in range(3)]
 
-    # G_t = Phi_t + S_t is the closed-loop propagator Psi_t = P_t Phi_t^{-T} P0^{-1}
-    # (eps = 0), with P_t from the closed-form solution rather than the sweep
+    # the coupling G_t, the running product of the sweep's closed-loop steps, is
+    # Psi_t = P_t Phi_t^{-T} P0^{-1} (eps = 0) with P_t from the closed-form solution
     gworst = 0.0
     for name, ext in exts.items():
         cfg = builtin_scenario(name)
-        phi = fundamental_matrix(cfg.model, ext.grid)
+        phi = fundamental_matrix(cfg.model, ext.cov.grid)
         p = closed_form_dre(cfg.model, cfg.P0, phi).values
         psi = p @ np.linalg.inv(phi.values).swapaxes(1, 2) @ np.linalg.inv(cfg.P0)
         gworst = max(gworst, float(np.abs(ext.propagator - psi).max()))

@@ -183,8 +183,8 @@ def cmd_nongaussian(args) -> int:
     with timed(times, "riccati"):
         pieces, refpieces = filter_pieces_batch(cfg.model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
     with timed(times, "filter"):
-        ext = integrate_extended_system(cfg.model, obs, init, pieces=pieces)
-        mix = mixture_filter(cfg.model, obs, cfg.atoms, init, ext=ext)
+        mix = mixture_filter(integrate_extended_system(cfg.model, obs, init, pieces=pieces),
+                             cfg.atoms)
         bank = bank_oracle(cfg.model, obs, cfg.atoms, init, pieces=pieces)
         ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar), pieces=refpieces)
     freqs = [[0.5] * cfg.model.m, [1.0] * cfg.model.m, [2.0] * cfg.model.m]

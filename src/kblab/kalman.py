@@ -70,9 +70,7 @@ def _assemble(model: LtvModel, rics) -> list[FilterPieces]:
     grid = rics[0].grid
     phi_steps = transition_steps(model, grid)
     msteps = np.stack([r.closed_loop_steps for r in rics])
-    gains = gain_steps(model, grid, msteps, phi_steps)
-    h = (grid[1:] - grid[:-1])[:, None, None]
-    cdt = model.C_at(grid[:-1]) * h
+    gains, cdt = gain_steps(model, grid, msteps, phi_steps)
     remainders = (phi_steps - msteps) - gains @ cdt
     return [FilterPieces(riccati=r, gains=g, cdt=cdt, remainder=e)
             for r, g, e in zip(rics, gains, remainders)]
@@ -122,6 +120,21 @@ def _scan(pieces, increments: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return means
 
 
+def _checked_pieces(model: LtvModel, grid, P0, pieces) -> FilterPieces:
+    """pieces, or the noise-free filter_pieces of P0 when None.
+
+    Pieces on another grid or built from another covariance than P0 raise
+    ValueError.
+    """
+    if pieces is None:
+        return filter_pieces(model, grid, P0)
+    if not np.array_equal(pieces.riccati.grid, grid):
+        raise ValueError("pieces grid does not match the observation grid")
+    if not np.array_equal(pieces.riccati.init, np.asarray(P0, dtype=float)):
+        raise ValueError("pieces start from another covariance than init")
+    return pieces
+
+
 def _run_filters(model: LtvModel, obs: ObservationPath, inits, pieces) -> list[FilterRun]:
     """Run the mean filters of several initial beliefs on obs as members of one scan.
 
@@ -132,13 +145,7 @@ def _run_filters(model: LtvModel, obs: ObservationPath, inits, pieces) -> list[F
     increments = obs.increments[..., None] if one_path else obs.increments
     members, x0 = [], []
     for (mean0, P0), p in zip(inits, pieces):
-        if p is None:
-            p = filter_pieces(model, obs.grid, P0)
-        elif not np.array_equal(p.riccati.grid, obs.grid):
-            raise ValueError("pieces grid does not match the observation grid")
-        elif not np.array_equal(p.riccati.init, np.asarray(P0, dtype=float)):
-            raise ValueError("pieces start from another covariance than init")
-        members.append(p)
+        members.append(_checked_pieces(model, obs.grid, P0, p))
         mean0 = np.asarray(mean0, dtype=float).reshape(model.m)
         x0.append(np.repeat(mean0[:, None], increments.shape[2], axis=1))
     means = _scan(members, increments, np.stack(x0))

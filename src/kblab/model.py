@@ -9,6 +9,9 @@ Three builtin schedule families are supported:
 * ``rotation_damped`` -- m = 2, A = [[-d, w], [-w, -d]] (skew rotation with
   diagonal damping d; d < 0 gives growing dynamics), C/R/F constant.
 
+Only ``periodic`` takes the modulations X1, and ``rotation_damped`` takes no
+A0; a model or document that gives them anyway is rejected.
+
 Configurations are plain UTF-8 ``key = value`` documents with sections
 [model], [init], [atoms], [noise], [run]; matrices are given row-major as
 ``name.shape = rows cols`` plus ``name.data = v1 v2 ...``, vectors as
@@ -98,17 +101,18 @@ class LtvModel:
         for nm, rows, cols in (("A1", m, m), ("C1", n, m), ("R1", n, n), ("F1", m, m)):
             v = getattr(self, nm)
             if v is not None:
+                if self.family != "periodic":
+                    raise ModelValidationError(f"family {self.family} takes no {nm}")
                 object.__setattr__(self, nm, _as_matrix(v, rows, cols, nm))
         if self.family == "rotation_damped":
             w, d = self.omega, self.damping
             object.__setattr__(self, "A0", np.array([[-d, w], [-w, -d]], dtype=float))
-            object.__setattr__(self, "A1", None)
 
     # -- schedule evaluation; t may be a scalar or an array of times ---------
 
     def _sched(self, base, mod, t):
         t = np.asarray(t, dtype=float)
-        if mod is None or self.family == "constant":
+        if mod is None:
             return np.broadcast_to(base, t.shape + base.shape).copy()
         s = np.sin(self.omega * t)
         return base + s[..., None, None] * mod
@@ -374,6 +378,12 @@ def parse_config(text: str) -> ExperimentConfig:
     n = int(_parse_float(nval, nl, nraw)) if nval is not None else m
     omega, ol, oraw = take("model", "omega", "1.0")
     damping, dl2, draw2 = take("model", "damping", "0.0")
+    for name in _MODEL_MATRICES:
+        if fam != "periodic" and name.endswith("1") or fam == "rotation_damped" and name == "A0":
+            for part in ("shape", "data"):
+                if ("model", f"{name}.{part}") in entries:
+                    _, ln, raw = entries[("model", f"{name}.{part}")]
+                    raise ConfigError(f"family {fam} takes no {name}", ln, raw)
     dims = {"m": m, "n": n}
     mats = {}
     for name, (rs, cs) in _MODEL_MATRICES.items():
@@ -463,7 +473,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
            f"omega = {_fmt(md.omega)}", f"damping = {_fmt(md.damping)}"]
     for name in _MODEL_MATRICES:
         v = getattr(md, name)
-        if v is not None and not (md.family == "rotation_damped" and name in ("A0", "A1")):
+        if v is not None and not (md.family == "rotation_damped" and name == "A0"):
             out += _mat_lines(name, v)
     out += ["", "[init]",
             "m0.data = " + " ".join(_fmt(v) for v in cfg.m0)]

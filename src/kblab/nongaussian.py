@@ -5,15 +5,16 @@ part (the mean/covariance filter started from the Gaussian component's
 moments), a propagator G_t coupling each atom location into the component
 means, and log-weights that are quadratic in the atom locations:
 
-    log w_i(t) ∝ log pi_i + 0.5 x_i^T (Q_t - M_t) x_i + x_i^T b_t,
+    log w_i(t) ∝ log pi_i + 0.5 x_i^T weight_quad_t x_i + x_i^T b_t,
 
-where M_t accumulates observed information along the free flow, Q_t the
-corresponding quantity along the closed loop, and b_t is driven by the
-innovations of the shared Gaussian filter. G_t satisfies the closed-loop flow
-dG = (A - P C^T R^-1 C) G dt with G_0 = I, so it is computed as the running
-product of the shared filter's one-step matrices; Q, M and b use the
-start-of-node rectangle rule, under which the mixture weights coincide with a
-bank-of-filters likelihood recursion exactly in the discrete algebra.
+with weight_quad_t = -∫ G^T C^T R^-1 C G ds the observed information along
+the closed loop, and b_t = ∫ G^T C^T R^-1 dnu driven by the innovations of the
+shared Gaussian filter. G_t satisfies the closed-loop flow
+dG = (A - P C^T R^-1 C) G dt with G_0 = I: it is the closed-loop propagator
+Psi_t of the shared filter (propagate.closed_loop_propagator). weight_quad and
+b use the start-of-node rectangle rule, under which the mixture weights
+coincide with a bank-of-filters likelihood recursion exactly in the discrete
+algebra.
 
 bank_oracle is the structurally independent cross-check: one mean filter per
 atom plus classical log-likelihood increments. It is used only in tests and
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import accumulate_transitions, transition_steps
-from .kalman import FilterPieces, FilterRun, _scan, filter_pieces, run_filter
+from .kalman import FilterPieces, FilterRun, _checked_pieces, _scan, run_filter
 from .model import LtvModel
+from .propagate import closed_loop_propagator
 from .riccati import RiccatiSolution
 from .simulate import ObservationPath
 
@@ -43,17 +44,11 @@ def logsumexp(a: np.ndarray, axis=None):
 class ExtendedSystemPaths:
     """Joint paths of the shared Gaussian filter and the atom-coupling terms."""
 
-    grid: np.ndarray
     mean: np.ndarray            # (K+1, m) shared Gaussian filter mean
-    cov: RiccatiSolution        # shared covariance path
+    cov: RiccatiSolution        # shared covariance path and its grid
     propagator: np.ndarray      # (K+1, m, m) G_t (atom-to-mean coupling)
-    quad_closed: np.ndarray     # (K+1, m, m) Q_t
-    quad_info: np.ndarray       # (K+1, m, m) M_t
+    weight_quad: np.ndarray     # (K+1, m, m) -int G^T C^T R^-1 C G ds
     linear: np.ndarray          # (K+1, m) b_t
-
-    @property
-    def weight_quad(self) -> np.ndarray:
-        return self.quad_closed - self.quad_info
 
 
 def integrate_extended_system(model: LtvModel, obs: ObservationPath, init,
@@ -63,43 +58,23 @@ def integrate_extended_system(model: LtvModel, obs: ObservationPath, init,
     init = (mean, cov) of the Gaussian component of x0; the covariance must be
     nonsingular for the weights to be meaningful.
     """
+    run = run_filter(model, obs, init, pieces=pieces)
+    prop = closed_loop_propagator(run.pieces.riccati).values
     grid = obs.grid
-    mprime, pprime = init
-    if pieces is None:
-        pieces = filter_pieces(model, grid, pprime)
-    run = run_filter(model, obs, (mprime, pprime), pieces=pieces)
-    # the free flow Phi and the closed loop G, two members of one running product
-    phi, prop = accumulate_transitions(
-        np.stack([transition_steps(model, grid), pieces.riccati.closed_loop_steps]))
-
     h = grid[1:] - grid[:-1]
     c = model.C_at(grid[:-1])
     rinv = np.linalg.inv(model.R_at(grid[:-1]))
-    g = np.swapaxes(c, 1, 2) @ rinv @ c              # (K, m, m)
-
-    phi_lo = phi[:-1]
-    s_lo = prop[:-1] - phi_lo                        # S_t = G_t - Phi_t
-    gp = g @ phi_lo
-    gs = g @ s_lo
-    m_inc = (np.swapaxes(phi_lo, 1, 2) @ gp) * h[:, None, None]
-    q_inc = -(np.swapaxes(phi_lo, 1, 2) @ gs
-              + np.swapaxes(s_lo, 1, 2) @ gp
-              + np.swapaxes(s_lo, 1, 2) @ gs) * h[:, None, None]
+    g_lo = prop[:-1]
+    # G_k^T C_k^T R_k^-1, the factor of both the quadratic and the linear increments
+    gcr = np.swapaxes(g_lo, 1, 2) @ np.swapaxes(c, 1, 2) @ rinv
     k1 = len(grid)
-    quad_info = np.zeros((k1, model.m, model.m))
-    quad_closed = np.zeros_like(quad_info)
-    np.cumsum(m_inc, axis=0, out=quad_info[1:])
-    np.cumsum(q_inc, axis=0, out=quad_closed[1:])
-
+    weight_quad = np.zeros((k1, model.m, model.m))
+    np.cumsum(-(gcr @ (c @ g_lo)) * h[:, None, None], axis=0, out=weight_quad[1:])
     # b increments: G_k^T C_k^T R_k^-1 dnu_k, dnu the shared filter's innovations
-    gcr = np.swapaxes(prop[:-1], 1, 2) @ np.swapaxes(c, 1, 2) @ rinv
-    b_inc = np.einsum("kij,kj->ki", gcr, run.innovations)
     linear = np.zeros((k1, model.m))
-    np.cumsum(b_inc, axis=0, out=linear[1:])
-
-    return ExtendedSystemPaths(grid=grid, mean=run.means, cov=pieces.riccati,
-                               propagator=prop, quad_closed=quad_closed, quad_info=quad_info,
-                               linear=linear)
+    np.cumsum(np.einsum("kij,kj->ki", gcr, run.innovations), axis=0, out=linear[1:])
+    return ExtendedSystemPaths(mean=run.means, cov=run.pieces.riccati, propagator=prop,
+                               weight_quad=weight_quad, linear=linear)
 
 
 @dataclass
@@ -107,7 +82,6 @@ class MixturePosterior:
     """Posterior path of a finite Gaussian mixture belief."""
 
     grid: np.ndarray
-    atoms: np.ndarray           # (n_atoms, m) locations of v0
     log_weights: np.ndarray     # (K+1, n_atoms), normalized per node
     component_means: np.ndarray  # (K+1, n_atoms, m)
     component_cov: np.ndarray   # (K+1, m, m) shared across components
@@ -119,40 +93,48 @@ class MixturePosterior:
         return np.exp(self.log_weights)
 
 
-def _posterior_moments(grid, atoms, logw, comp_means, shared_cov):
+def _atoms(atoms, m: int):
+    """(n_atoms, m) locations and log prior weights of a sequence of (x_i, pi_i)."""
+    atoms = list(atoms)
+    if not atoms:
+        raise ValueError("atoms must be nonempty")
+    locs = np.stack([np.asarray(x, dtype=float).reshape(m) for x, _ in atoms])
+    return locs, np.log(np.array([w for _, w in atoms], dtype=float))
+
+
+def _posterior_moments(grid, logw, comp_means, shared_cov):
     w = np.exp(logw)                                   # (K+1, k)
     mean = np.einsum("tk,tkm->tm", w, comp_means)
     dev = comp_means - mean[:, None, :]
     spread = np.einsum("tk,tkm,tkn->tmn", w, dev, dev)
-    return MixturePosterior(grid=grid, atoms=atoms, log_weights=logw,
-                            component_means=comp_means, component_cov=shared_cov,
-                            mean=mean, cov=shared_cov + spread)
+    return MixturePosterior(grid=grid, log_weights=logw, component_means=comp_means,
+                            component_cov=shared_cov, mean=mean, cov=shared_cov + spread)
 
 
-def mixture_filter(model: LtvModel, obs: ObservationPath, atoms, gaussian_init,
-                   ext: ExtendedSystemPaths | None = None) -> MixturePosterior:
-    """Exact mixture posterior for atomic v0 via the extended-system paths.
+def mixture_filter(ext: ExtendedSystemPaths | LtvModel, atoms, model_atoms=None,
+                   gaussian_init=None) -> MixturePosterior:
+    """Exact mixture posterior for atomic v0 from the extended-system paths ext.
 
     atoms: sequence of (x_i, pi_i); weights must sum to 1. Raises on NaN in
     the weight exponents; underflow is handled by log-domain normalization.
+
+    mixture_filter(model, obs, model_atoms, gaussian_init), the form
+    perfbench/limit.py calls, is mixture_filter(integrate_extended_system(model,
+    obs, gaussian_init), model_atoms); it goes once that script moves.
     """
-    atoms = list(atoms)
-    if not atoms:
-        raise ValueError("atoms must be nonempty")
-    locs = np.stack([np.asarray(x, dtype=float).reshape(model.m) for x, _ in atoms])
-    logpi = np.log(np.array([w for _, w in atoms], dtype=float))
-    if ext is None:
-        ext = integrate_extended_system(model, obs, gaussian_init)
-    wq = ext.weight_quad                               # (K+1, m, m)
-    quad = 0.5 * np.einsum("ki,tij,kj->tk", locs, wq, locs)
+    if isinstance(ext, LtvModel):
+        return mixture_filter(integrate_extended_system(ext, atoms, gaussian_init), model_atoms)
+    grid = ext.cov.grid
+    locs, logpi = _atoms(atoms, ext.mean.shape[1])
+    quad = 0.5 * np.einsum("ki,tij,kj->tk", locs, ext.weight_quad, locs)
     lin = np.einsum("tj,kj->tk", ext.linear, locs)
     raw = logpi[None, :] + quad + lin
     if np.isnan(raw).any():
-        t_bad = ext.grid[np.isnan(raw).any(axis=1).argmax()]
+        t_bad = grid[np.isnan(raw).any(axis=1).argmax()]
         raise FloatingPointError(f"mixture weight exponent NaN at t={t_bad:.6g}")
     logw = raw - logsumexp(raw, axis=1)[:, None]
     comp_means = ext.mean[:, None, :] + np.einsum("tij,kj->tki", ext.propagator, locs)
-    return _posterior_moments(ext.grid, locs, logw, comp_means, ext.cov.values)
+    return _posterior_moments(grid, logw, comp_means, ext.cov.values)
 
 
 def bank_oracle(model: LtvModel, obs: ObservationPath, atoms, gaussian_init,
@@ -162,18 +144,14 @@ def bank_oracle(model: LtvModel, obs: ObservationPath, atoms, gaussian_init,
     Component i runs the filter from (m' + x_i, P'); its log-likelihood
     accumulates (C x_i)^T R^-1 dy - 0.5 (C x_i)^T R^-1 (C x_i) dt with
     start-of-node values. Structurally independent of mixture_filter; used as
-    the test oracle.
+    the test oracle. Pieces built from another covariance than P' raise
+    ValueError, as in kalman.run_filter.
     """
-    atoms = list(atoms)
-    if not atoms:
-        raise ValueError("atoms must be nonempty")
+    locs, logpi = _atoms(atoms, model.m)
     mprime, pprime = gaussian_init
     mprime = np.asarray(mprime, dtype=float).reshape(model.m)
-    locs = np.stack([np.asarray(x, dtype=float).reshape(model.m) for x, _ in atoms])
-    logpi = np.log(np.array([w for _, w in atoms], dtype=float))
     grid = obs.grid
-    if pieces is None:
-        pieces = filter_pieces(model, grid, pprime)
+    pieces = _checked_pieces(model, grid, pprime, pieces)
     x0 = (mprime[:, None] + locs.T)                    # (m, k)
     means = _scan([pieces], obs.increments[:, :, None], x0[None])[:, 0]      # (K+1, m, k)
 
@@ -191,14 +169,13 @@ def bank_oracle(model: LtvModel, obs: ObservationPath, atoms, gaussian_init,
     raw = logpi[None, :] + loglik
     logw = raw - logsumexp(raw, axis=1)[:, None]
     comp_means = np.swapaxes(means, 1, 2)              # (K+1, k, m)
-    return _posterior_moments(grid, locs, logw, comp_means, pieces.riccati.values)
+    return _posterior_moments(grid, logw, comp_means, pieces.riccati.values)
 
 
 @dataclass
 class MergingReport:
     """Distributional proximity of the mixture posterior to a reference Gaussian."""
 
-    grid: np.ndarray
     mean_gap: np.ndarray        # (K+1,)
     cos_gaps: np.ndarray        # (K+1, n_freq)
     ratios: dict                # gap(T)/gap(1) per tracked quantity
@@ -239,7 +216,7 @@ def merging_report(posterior: MixturePosterior, reference: FilterRun,
     ratios = {"mean": ratio(mean_gap[-1], mean_gap[kref])}
     for i in range(freqs.shape[0]):
         ratios[f"cos_{i}"] = ratio(cos_gaps[-1, i], cos_gaps[kref, i])
-    return MergingReport(grid=grid, mean_gap=mean_gap, cos_gaps=cos_gaps, ratios=ratios)
+    return MergingReport(mean_gap=mean_gap, cos_gaps=cos_gaps, ratios=ratios)
 
 
 __all__ = [

@@ -86,7 +86,6 @@ class ObservationPath:
     grid: np.ndarray            # coarse grid, K+1 nodes
     increments: np.ndarray      # (K, n) observation increments dy_k; (K, n, S) for S seeds
     truth: np.ndarray           # (K+1, m) state at the coarse nodes; (K+1, m, S) for S seeds
-    substeps: int
     seed: int | tuple           # one seed, or one per column
     eps: float
 
@@ -272,8 +271,8 @@ def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0,
         x = block[-1]
     if not isinstance(seed, tuple):
         inc, truth = inc[..., 0], truth[..., 0]
-    paths = tuple(ObservationPath(grid=grid, increments=inc[e], truth=truth[e], substeps=sub,
-                                  seed=seed, eps=level) for e, level in enumerate(levels))
+    paths = tuple(ObservationPath(grid=grid, increments=inc[e], truth=truth[e], seed=seed,
+                                  eps=level) for e, level in enumerate(levels))
     return paths if isinstance(eps, tuple) else paths[0]
 
 

@@ -233,6 +233,13 @@ def test_config_error_exit_code(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+def test_matrix_the_family_ignores_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[model]\nfamily = constant\nm = 1\nA1.data = 2\n")
+    assert cli.main(["riccati", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "takes no A1" in capsys.readouterr().err
+
+
 def test_invalid_config_values_exit_code(tmp_path):
     cfg = builtin_scenario("scalar_basic")
     text = serialize_config(cfg).replace("P0.data = 1", "P0.data = 0")

@@ -346,7 +346,7 @@ def test_scan_equals_per_step_loop(name):
     for increments in (rng.standard_normal((len(grid) - 1, n)),          # one path
                        rng.standard_normal((len(grid) - 1, n, 4))):      # seed columns
         obs = ObservationPath(grid=grid, increments=increments,
-                              truth=np.zeros((len(grid), m) + increments.shape[2:]), substeps=1,
+                              truth=np.zeros((len(grid), m) + increments.shape[2:]),
                               seed=0, eps=0.0)
         run = run_filter(cfg.model, obs, (cfg.m0, cfg.P0), pieces=pieces)
         x0 = cfg.m0 if increments.ndim == 2 else np.repeat(cfg.m0[:, None], 4, axis=1)

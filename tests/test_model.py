@@ -8,6 +8,7 @@ from kblab._integrators import coefficient_stages
 from kblab.model import (
     ConfigError,
     ExperimentConfig,
+    LtvModel,
     ModelValidationError,
     constant_model,
     parse_config,
@@ -63,6 +64,28 @@ def test_rotation_family_generator():
 def test_rotation_family_rejects_wrong_dimension():
     with pytest.raises(ModelValidationError):
         rotation_damped_model(1.0, 0.0, C=np.eye(3), R=np.eye(3))
+
+
+@pytest.mark.parametrize("family, key, line", [
+    ("constant", "A1", "A1.data = 2"),
+    ("constant", "C1", "C1.data = 0.5"),
+    ("rotation_damped", "A0", "A0.data = 1 0 0 1"),
+    ("rotation_damped", "A1", "A1.data = 1 0 0 1"),
+    ("rotation_damped", "C1", "C1.data = 0.5 0 0 0.5"),
+    ("rotation_damped", "F1", "F1.shape = 2 2"),
+])
+def test_document_matrix_the_family_ignores_is_rejected(family, key, line):
+    # only periodic modulates (X1), and rotation_damped builds its own A0
+    m = 1 if family == "constant" else 2
+    with pytest.raises(ConfigError, match=rf"line 4: family {family} takes no {key}"):
+        parse_config(f"[model]\nfamily = {family}\nm = {m}\n{line}\n")
+
+
+@pytest.mark.parametrize("family", ["constant", "rotation_damped"])
+def test_model_modulation_on_a_non_periodic_family_is_rejected(family):
+    with pytest.raises(ModelValidationError, match=f"family {family} takes no C1"):
+        LtvModel(m=2, n=2, family=family, A0=np.zeros((2, 2)), C0=np.eye(2), R0=np.eye(2),
+                 F0=np.eye(2), C1=np.eye(2))
 
 
 def test_rinv_product_identity():

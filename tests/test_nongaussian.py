@@ -31,10 +31,9 @@ def test_unobserved_system_has_trivial_coupling():
                            m0=[0.0], P0=[[1.0]])
     obs = generate_observation_path(cfg)
     ext = integrate_extended_system(mdl, obs, (cfg.m0, cfg.P0))
-    # S_t = G_t - Phi_t
+    # with C = 0 the closed loop is the free flow and no information accrues
     assert np.abs(ext.propagator - fundamental_matrix(mdl, obs.grid).values).max() == 0.0
-    assert np.abs(ext.quad_closed).max() == 0.0
-    assert np.abs(ext.quad_info).max() == 0.0
+    assert np.abs(ext.weight_quad).max() == 0.0
     assert np.abs(ext.linear).max() == 0.0
 
 
@@ -45,9 +44,35 @@ def test_extended_scalar_coupling_and_info():
     k1 = np.argmin(np.abs(obs.grid - 1.0))
     coupling = ext.propagator - fundamental_matrix(cfg.model, obs.grid).values
     assert coupling[k1, 0, 0] == pytest.approx(-0.5, abs=1e-8)
-    assert np.abs(ext.quad_info[:, 0, 0] - obs.grid).max() <= 1e-9
     # weight quadratic is negative semidefinite along the whole path
     assert ext.weight_quad.max() <= 1e-12
+
+
+def _closed_loop_information(cfg, grid):
+    """Rectangle sum of -Psi^2 C^2 / R dt in longdouble, for a constant scalar model.
+
+    Psi_t = e^{at} / (1 + p0 C^2 / R (e^{2at} - 1) / 2a) is the closed form of
+    the closed-loop propagator (1 / (1 + p0 C^2 t / R) for a = 0).
+    """
+    a, c, r, p0 = (np.longdouble(x[0, 0]) for x in (cfg.model.A0, cfg.model.C0, cfg.model.R0, cfg.P0))
+    t = grid[:-1].astype(np.longdouble)
+    growth = t if a == 0 else np.expm1(2 * a * t) / (2 * a)
+    psi = np.exp(a * t) / (1 + p0 * c * c / r * growth)
+    out = np.zeros(len(grid), dtype=np.longdouble)
+    out[1:] = np.cumsum(-psi * psi * c * c / r * np.diff(grid).astype(np.longdouble))
+    return out
+
+
+@pytest.mark.parametrize("name", ["two_atom", "two_atom_neutral", "scalar_basic"])
+def test_weight_quad_matches_closed_form_reference(name):
+    # one running sum along the closed loop: on two_atom (A = 0.3) the
+    # difference of the free-flow and closed-loop sums it replaces lost 1.5e-8;
+    # scalar_basic takes the a = 0 branch, Psi_t = 1 / (1 + p0 C^2 t / R)
+    cfg = builtin_scenario(name)
+    obs = generate_observation_path(cfg)
+    ext = integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0))
+    ref = _closed_loop_information(cfg, obs.grid)
+    assert float(np.abs(ext.weight_quad[:, 0, 0] - ref).max()) <= 1e-12
 
 
 def test_propagator_identity_matches_closed_loop():
@@ -66,7 +91,7 @@ def test_single_atom_at_origin_equals_plain_filter():
     cfg = replace(builtin_scenario("two_atom_neutral"), horizon=5.0)
     obs = generate_observation_path(cfg)
     init = (cfg.m0, cfg.P0)
-    mix = mixture_filter(cfg.model, obs, [(np.zeros(1), 1.0)], init)
+    mix = mixture_filter(integrate_extended_system(cfg.model, obs, init), [(np.zeros(1), 1.0)])
     run = run_filter(cfg.model, obs, init)
     assert np.abs(mix.mean - run.means).max() <= 1e-9
     assert np.abs(mix.cov[:, 0, 0] - run.pieces.riccati.values[:, 0, 0]).max() <= 1e-12
@@ -76,7 +101,8 @@ def test_single_atom_at_origin_equals_plain_filter():
 def test_single_atom_shift_property():
     cfg = replace(builtin_scenario("two_atom_neutral"), horizon=5.0)
     obs = generate_observation_path(cfg)
-    mix = mixture_filter(cfg.model, obs, [(np.array([2.0]), 1.0)], (cfg.m0, cfg.P0))
+    ext = integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0))
+    mix = mixture_filter(ext, [(np.array([2.0]), 1.0)])
     shifted = run_filter(cfg.model, obs, (cfg.m0 + 2.0, cfg.P0))
     assert np.abs(mix.mean - shifted.means).max() <= 1e-6
 
@@ -84,7 +110,7 @@ def test_single_atom_shift_property():
 def test_mixture_equals_bank_two_atoms():
     cfg = replace(builtin_scenario("two_atom_neutral"), horizon=10.0)
     obs = generate_observation_path(cfg)
-    mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0))
+    mix = mixture_filter(integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0)), cfg.atoms)
     bank = bank_oracle(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0))
     assert np.abs(mix.mean - bank.mean).max() <= 1e-6
     assert np.abs(mix.log_weights - bank.log_weights).max() <= 1e-8
@@ -96,7 +122,7 @@ def test_mixture_equals_bank_multivariate():
     obs = generate_observation_path(cfg)
     pieces = filter_pieces(cfg.model, obs.grid, cfg.P0)
     ext = integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0), pieces=pieces)
-    mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0), ext=ext)
+    mix = mixture_filter(ext, cfg.atoms)
     bank = bank_oracle(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0), pieces=pieces)
     assert np.abs(mix.mean - bank.mean).max() <= 1e-6
     assert np.abs(mix.log_weights - bank.log_weights).max() <= 1e-8
@@ -105,7 +131,7 @@ def test_mixture_equals_bank_multivariate():
 def test_weights_normalized_every_node():
     cfg = replace(builtin_scenario("two_atom_neutral"), horizon=5.0)
     obs = generate_observation_path(cfg)
-    mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0))
+    mix = mixture_filter(integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0)), cfg.atoms)
     sums = mix.weights.sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-12
 
@@ -124,9 +150,9 @@ def test_decomposition_split_invariance():
     cfg = replace(builtin_scenario("two_atom_neutral"), horizon=5.0)
     obs = generate_observation_path(cfg)
     c = 0.7
-    mix_a = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0))
+    mix_a = mixture_filter(integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0)), cfg.atoms)
     shifted = tuple((x + c, w) for x, w in cfg.atoms)
-    mix_b = mixture_filter(cfg.model, obs, shifted, (cfg.m0 - c, cfg.P0))
+    mix_b = mixture_filter(integrate_extended_system(cfg.model, obs, (cfg.m0 - c, cfg.P0)), shifted)
     assert np.abs(mix_a.mean - mix_b.mean).max() <= 1e-8
     assert np.abs(mix_a.log_weights - mix_b.log_weights).max() <= 1e-8
     assert np.abs(mix_a.cov - mix_b.cov).max() <= 1e-8
@@ -136,7 +162,7 @@ def test_empty_atoms_rejected():
     cfg = replace(builtin_scenario("two_atom_neutral"), horizon=1.0)
     obs = generate_observation_path(cfg)
     with pytest.raises(ValueError):
-        mixture_filter(cfg.model, obs, [], (cfg.m0, cfg.P0))
+        mixture_filter(integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0)), [])
     with pytest.raises(ValueError):
         bank_oracle(cfg.model, obs, [], (cfg.m0, cfg.P0))
 
@@ -146,12 +172,13 @@ def test_merging_constant_function_gap_zero():
     obs = generate_observation_path(cfg)
     init = (cfg.m0, cfg.P0)
     # single atom: the normalized weight is exactly 1 and the gap exactly 0
-    mix1 = mixture_filter(cfg.model, obs, [(np.zeros(1), 1.0)], init)
+    ext = integrate_extended_system(cfg.model, obs, init)
+    mix1 = mixture_filter(ext, [(np.zeros(1), 1.0)])
     ref = run_filter(cfg.model, obs, init)
     rep1 = merging_report(mix1, ref, [[0.0]])
     assert rep1.cos_gaps.max() == 0.0
     # several atoms: limited only by the float representation of the simplex
-    mix2 = mixture_filter(cfg.model, obs, cfg.atoms, init)
+    mix2 = mixture_filter(ext, cfg.atoms)
     rep2 = merging_report(mix2, ref, [[0.0]])
     assert rep2.cos_gaps.max() <= 4e-16
 
@@ -160,7 +187,7 @@ def test_merging_same_distribution_gap_negligible():
     cfg = replace(builtin_scenario("two_atom_neutral"), horizon=3.0)
     obs = generate_observation_path(cfg)
     init = (cfg.m0, cfg.P0)
-    mix = mixture_filter(cfg.model, obs, [(np.zeros(1), 1.0)], init)
+    mix = mixture_filter(integrate_extended_system(cfg.model, obs, init), [(np.zeros(1), 1.0)])
     ref = run_filter(cfg.model, obs, init)
     rep = merging_report(mix, ref, [[1.0]])
     assert rep.cos_gaps.max() <= 1e-8
@@ -169,7 +196,7 @@ def test_merging_same_distribution_gap_negligible():
 def test_merging_ratios_decay_with_mismatched_reference():
     cfg = builtin_scenario("two_atom")
     obs = generate_observation_path(cfg)
-    mix = mixture_filter(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0))
+    mix = mixture_filter(integrate_extended_system(cfg.model, obs, (cfg.m0, cfg.P0)), cfg.atoms)
     ref = run_filter(cfg.model, obs, (cfg.mbar, cfg.Pbar))
     rep = merging_report(mix, ref, [[0.5], [1.0], [2.0]])
     assert rep.ratios["mean"] <= 0.1
@@ -177,3 +204,25 @@ def test_merging_ratios_decay_with_mismatched_reference():
         assert rep.ratios[f"cos_{i}"] <= 0.1
     # mean proximity is far stronger on this exponentially-contracting scenario
     assert rep.ratios["mean"] <= 0.01
+
+
+def test_bank_rejects_pieces_of_another_covariance():
+    # as kalman.run_filter does: pieces from 5 P' would pair m' with another flow's gains
+    cfg = replace(builtin_scenario("rotation_atoms"), horizon=1.0)
+    obs = generate_observation_path(cfg)
+    pieces = filter_pieces(cfg.model, obs.grid, 5 * cfg.P0)
+    with pytest.raises(ValueError, match="another covariance"):
+        bank_oracle(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0), pieces=pieces)
+
+
+def test_four_argument_mixture_call_integrates_its_own_inputs():
+    # with a model first, mixture_filter(model, obs, atoms, init) is
+    # mixture_filter(ext, atoms) on the extended system of those inputs
+    # (perfbench/limit.py calls it so)
+    cfg = replace(builtin_scenario("two_atom_neutral"), horizon=1.0)
+    obs = generate_observation_path(cfg)
+    init = (cfg.m0, cfg.P0)
+    old = mixture_filter(cfg.model, obs, cfg.atoms, init)
+    new = mixture_filter(integrate_extended_system(cfg.model, obs, init), cfg.atoms)
+    assert np.array_equal(old.log_weights, new.log_weights)
+    assert np.array_equal(old.mean, new.mean)
