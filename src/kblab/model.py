@@ -337,6 +337,8 @@ def parse_config(text: str) -> ExperimentConfig:
         shape, sl, sraw = take(section, f"{name}.shape")
         data, dl, draw = take(section, f"{name}.data")
         if data is None:
+            if shape is not None:
+                raise ConfigError(f"{name}.shape has no {name}.data", sl, sraw)
             if required:
                 raise ConfigError(f"missing matrix {name!r} in [{section}]")
             return None

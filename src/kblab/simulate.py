@@ -23,12 +23,15 @@ levels eps gives one path per level from the same pass: each seed's "x0",
 "V" and "W" streams, F xi and R^{1/2} sqrt(h) xi_W are formed once and
 shared by every level, and each level's path is bitwise the path that level
 alone gives. That holds because every level keeps the products and the
-reduction order of a single level: A x stays one (m, m) @ (m, S) product per
-level, the drift C x an einsum, and the substep sums run on a (level,
-seed)-major copy, so each column is summed over its own contiguous
-(substeps, n) blocks. numpy sums a contiguous length-substeps axis pairwise
-(n = 1; 8-way unrolled from 8 terms) and a strided one sequentially, so a
-time-major sum over every column would change bits.
+reduction order of a single level. For m >= 2, A x stays one
+(m, m) @ (m, S) product per level; for m = 1 it is a multiply by the float
+a_k, which differs from the (1, 1) matmul (0 + a x) only in the sign of a
+zero, a sign that never reaches the output (see _euler_maruyama). The drift
+C x is an einsum. numpy sums a strided axis sequentially and a contiguous
+length-substeps axis pairwise (8-way unrolled from 8 terms), so the substep
+sums take the order of a single column: for n >= 2 the substep slices are
+added in order on the time-major block, and for n = 1 each column is summed
+pairwise over its own contiguous substeps on a (level, seed)-major copy.
 """
 
 from __future__ import annotations
@@ -135,8 +138,9 @@ def simulate_truth(model: LtvModel, x0: np.ndarray, fine: np.ndarray, eps: tuple
     """Integrate the signal process over one block of fine steps, E levels by S seeds.
 
     x0 is the (E, m, S) state of every level and seed column at fine[0], eps
-    a tuple of the E levels and rng a sequence of S generators, one per seed
-    column (None when every level is 0). Returns the (F+1, E, m, S) truth.
+    a tuple of the E levels (each >= 0) and rng a sequence of S generators,
+    one per seed column (None when every level is 0). Returns the
+    (F+1, E, m, S) truth.
     Zero levels take one RK4 transition per step and draw nothing, in the
     shared linear-recursion loop (_integrators.linear_recursion). The other
     levels take Euler-Maruyama steps,
@@ -145,10 +149,12 @@ def simulate_truth(model: LtvModel, x0: np.ndarray, fine: np.ndarray, eps: tuple
     (eps_e sqrt(h)) (F xi). Each step is written straight into its row of
     the output by in-place operations in the order of that expression, with
     no temporary per step. Each level's product A x stays one
-    (m, m) @ (m, S) product, so every level is bitwise the truth that level
-    alone gives.
+    (m, m) @ (m, S) product (a multiply by a float for m = 1), so every
+    level is bitwise the truth that level alone gives.
     """
     levels = np.asarray(eps, dtype=float)
+    if (levels < 0.0).any():
+        raise ValueError("noise levels must be >= 0")
     noisy = levels != 0.0
     if noisy.any() and rng is None:
         raise ValueError("eps > 0 requires one RNG per seed column for the system noise")
@@ -168,7 +174,14 @@ def _rk4_truth(model: LtvModel, x, grid) -> np.ndarray:
 
 
 def _euler_maruyama(model: LtvModel, x, grid, levels, gens) -> np.ndarray:
-    """Euler-Maruyama truth of the states x (E, m, S), noise levels (E,), one generator per column."""
+    """Euler-Maruyama truth of the states x (E, m, S), noise levels (E,), one generator per column.
+
+    Each step is x_{k+1} = (x_k + h_k (A_k x_k)) + noise_k in that order of
+    operations, four in-place ufunc calls with positional out arguments. For
+    m >= 2, A_k x_k is one (m, m) @ (m, S) matmul per level: a single
+    product over all levels would round differently when S = 1. For m = 1,
+    it is a multiply by the float a_k (see the comment at the loop).
+    """
     n_steps = len(grid) - 1
     h = grid[1:] - grid[:-1]
     a = model.A_at(grid[:-1])
@@ -181,13 +194,23 @@ def _euler_maruyama(model: LtvModel, x, grid, levels, gens) -> np.ndarray:
     noise = scale[:, :, None, None] * (model.F_at(grid[:-1]) @ xi)[:, None]
     out = np.empty((n_steps + 1,) + x.shape)
     out[0] = x
-    # x_{k+1} = (x_k + h_k (A_k x_k)) + noise_k, in that order of operations
+    # For m = 1, A_k x_k is a multiply by the float a_k. The (1, 1) matmul
+    # computes 0 + a x, so the two differ only in the sign of a zero
+    # product, and x + h (a x) then only in the sign of a zero sum. That
+    # sign cannot reach the output: noise_k is never -0.0 (F xi is a
+    # matmul, 0 + f xi, and eps sqrt(h) >= 0), and +-0.0 + noise_k rounds
+    # the same for either sign.
+    product, mul, add = np.matmul, np.multiply, np.add
+    if model.m == 1:
+        product, a = mul, a[:, 0, 0].tolist()
     ax = np.empty(x.shape)
-    for a_k, h_k, noise_k, x, nxt in zip(a, h.tolist(), noise, out[:-1], out[1:]):
-        np.matmul(a_k, x, out=ax)
-        ax *= h_k
-        np.add(x, ax, out=nxt)
-        nxt += noise_k
+    x = out[0]
+    for a_k, h_k, noise_k, nxt in zip(a, h.tolist(), noise, out[1:]):
+        product(a_k, x, ax)
+        mul(ax, h_k, ax)
+        add(x, ax, nxt)
+        add(nxt, noise_k, nxt)
+        x = nxt
     return out
 
 
@@ -201,7 +224,10 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
     increments, K = F / substeps. Per coarse step: dy_k = trapezoid of
     C_s x_s over the substeps plus sum_j R_j^{1/2} sqrt(h) xi_j. The
     coefficient paths C and R^{1/2} are built once, and each column's noise
-    is drawn and formed once and added to the drift of every level.
+    is drawn and formed once and added to the drift of every level. For
+    n >= 2 the substep terms are added in order, slice by slice, on the
+    time-major block; for n = 1 each column is summed pairwise over its own
+    contiguous substeps on a (level, seed)-major copy, as a single column is.
     """
     n_fine = len(fine) - 1
     if n_fine % substeps:
@@ -210,7 +236,8 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
     c = model.C_at(fine)
     h = fine[1:] - fine[:-1]
     cx = np.einsum("tij,tejs->teis", c, truth_fine)
-    total = 0.5 * h[:, None, None, None] * (cx[:-1] + cx[1:])
+    total = np.add(cx[:-1], cx[1:])
+    total *= 0.5 * h[:, None, None, None]
     if any(g is not None for g in rngs):
         xi = np.zeros((n_fine, model.n, len(rngs)))
         for j, g in enumerate(rngs):
@@ -220,12 +247,19 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
         total += (np.sqrt(h)[:, None, None] * np.einsum("tij,tjs->tis", rhalf, xi))[:, None]
     else:
         total += 0.0    # the sum with zero noise, which turns -0.0 into 0.0
-    # the substep sums run on a (level, seed)-major copy, so that each
-    # column is summed over its own contiguous (substeps, n) blocks as a
-    # single column is: numpy sums a contiguous length-substeps axis pairwise
-    # (n = 1) and a strided one sequentially
+    if model.n >= 2:
+        # numpy sums a strided substep axis sequentially, so in-order slice
+        # adds give a single column's bits with no transposed copy
+        steps = total.reshape((n_coarse, substeps) + total.shape[1:])
+        inc = steps[:, 0].copy()
+        for j in range(1, substeps):
+            inc += steps[:, j]
+        return inc
+    # n = 1: numpy sums the contiguous substep axis of a column pairwise
+    # (8-way unrolled from 8 terms), so sum each column over its own
+    # contiguous substeps on a (level, seed)-major copy
     cols = np.ascontiguousarray(total.transpose(1, 3, 0, 2))
-    inc = cols.reshape(cols.shape[:2] + (n_coarse, substeps, model.n)).sum(axis=3)
+    inc = cols.reshape(cols.shape[:2] + (n_coarse, substeps, 1)).sum(axis=3)
     return np.ascontiguousarray(inc.transpose(2, 0, 3, 1))
 
 

@@ -412,6 +412,23 @@ def test_em_truth_equals_per_step_loop(name):
     assert np.array_equal(truth, ref[:, None])
 
 
+@pytest.mark.parametrize("levels", [(0.1, 0.3), (0.2, 1.0)])
+def test_em_scalar_step_keeps_the_sign_of_zero(levels):
+    # A = 0 and F = 0 keep every state at +-0.0: the m = 1 step multiplies
+    # by a_k where the reference takes a matmul (0 + a x), and only the
+    # matmul form of F xi (never -0.0) makes the two agree in every sign bit
+    mdl = constant_model([[0.0]], [[1.0]], [[1.0]], F=[[0.0]])
+    fine = make_grid(1.0, 0.05)
+    x0 = np.array([[-0.0, 0.0, -0.0, -0.0, 0.0, -0.0]])
+    seeds = (3, 4, 5, 6, 7, 8)
+    truth = simulate_truth(mdl, np.stack([x0, x0]), fine, levels,
+                           [RngStream(s, "V").generator() for s in seeds])
+    for e, eps in enumerate(levels):
+        ref = _em_loop(mdl, x0, fine, eps, [RngStream(s, "V").generator() for s in seeds])
+        assert np.array_equal(truth[:, e], ref)
+        assert np.array_equal(np.signbit(truth[:, e]), np.signbit(ref))
+
+
 def _whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
     """Observation path of one eps level, generated over the whole horizon at once.
 

@@ -167,6 +167,16 @@ def test_dimension_mismatch_reports_line():
         parse_config(text)
 
 
+@pytest.mark.parametrize("text, name", [
+    ("[model]\nm = 1\nC0.shape = 3 3\n", "C0"),
+    ("[model]\nm = 1\n[init]\nP0.shape = 2 2\n", "P0"),
+])
+def test_matrix_shape_without_data_reports_line(text, name):
+    # a shape alone would otherwise leave the default matrix in place
+    with pytest.raises(ConfigError, match=rf"line \d+: {name}\.shape has no {name}\.data"):
+        parse_config(text)
+
+
 def test_unknown_key_reports_line():
     with pytest.raises(ConfigError, match=r"line 3.*unknown key"):
         parse_config("[model]\nm = 1\nwhatever = 3\n")

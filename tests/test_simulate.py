@@ -7,6 +7,7 @@ from kblab.model import constant_model, periodic_model
 from kblab.propagate import make_grid
 from kblab.simulate import (
     RngStream,
+    _psd_sqrt_path,
     draw_initial_state,
     fine_grid,
     generate_observation_path,
@@ -63,6 +64,13 @@ def test_truth_scalar_exponential():
     mdl = constant_model([[1.0]], [[1.0]], [[1.0]])
     tr = simulate_truth(mdl, np.ones((1, 1, 1)), make_grid(1.0, 1e-3), (0.0,), None)
     assert abs(tr[-1, 0, 0, 0] - np.e) <= 1e-9
+
+
+def test_truth_rejects_negative_noise_level():
+    mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
+    with pytest.raises(ValueError, match="noise levels must be >= 0"):
+        simulate_truth(mdl, np.zeros((2, 1, 1)), make_grid(1.0, 0.1), (0.1, -0.1),
+                       [RngStream(0, "V").generator()])
 
 
 def test_truth_noise_requires_rng():
@@ -183,6 +191,36 @@ def test_observation_columns_equal_per_column_aggregation():
         rng = None if s is None else RngStream(s, "W").generator()
         one = simulate_observations(mdl, truth[..., j:j + 1], fg, 4, [rng])
         assert np.array_equal(one[..., 0], batch[..., j])
+
+
+@pytest.mark.parametrize("substeps", [1, 3, 10])
+def test_observation_columns_equal_per_column_aggregation_n2(substeps):
+    # n = 2, time-varying C and R, two noise levels: every (level, seed)
+    # column is the in-order substep sum of its own drift and noise
+    mdl = periodic_model([[0.0, 1.0], [-1.0, -0.1]], [[0.0, 0.2], [0.0, 0.0]],
+                         [[1.0, 0.5], [0.0, 1.0]], [[0.5, 0.1], [0.1, 0.4]], omega=3.0,
+                         C1=[[0.3, 0.0], [0.0, -0.2]], R1=[[0.2, 0.05], [0.05, 0.1]])
+    fg = fine_grid(make_grid(1.0, 0.02), substeps)
+    n_fine, n_coarse = len(fg) - 1, (len(fg) - 1) // substeps
+    x0s = np.array([[1.0, -2.0, 0.0], [0.5, 0.0, 1.0]])
+    truth = simulate_truth(mdl, np.stack([x0s, -x0s]), fg, (0.1, 0.3),
+                           [RngStream(s, "V").generator() for s in (1, 2, 3)])
+    gens = [RngStream(s, "W").generator() for s in (1, 2)] + [None]
+    batch = simulate_observations(mdl, truth, fg, substeps, gens)
+    assert batch.shape == (n_coarse, 2, 2, 3)
+    c, h = mdl.C_at(fg), np.diff(fg)[:, None]
+    rhalf = _psd_sqrt_path(mdl.R_at(fg[:-1]))
+    for j, s in enumerate((1, 2, None)):
+        if s is None:
+            noise = np.zeros((n_fine, 2))
+        else:
+            xi = RngStream(s, "W").generator().standard_normal((n_fine, 2))
+            noise = np.sqrt(h) * np.einsum("tij,tj->ti", rhalf, xi)
+        for e in range(2):
+            cx = np.einsum("tij,tj->ti", c, truth[:, e, :, j])
+            drift = 0.5 * h * (cx[:-1] + cx[1:])
+            ref = (drift + noise).reshape(n_coarse, substeps, 2).sum(axis=1)
+            assert np.array_equal(batch[:, e, :, j], ref)
 
 
 def test_em_truth_matches_stepwise_reference():
