@@ -10,8 +10,9 @@ are built from bitwise-identical arithmetic.
 
 Every linear recursion over the steps of a grid, z_{k+1} = S_k z_k plus an
 optional offset (running products, the noise-free truth, the filter means),
-runs in one loop, linear_recursion, with its independent recursions as
-members of a batched product per step.
+runs in linear_recursion, a two-level scan over chunks of CHUNK steps:
+about 2 CHUNK + K / CHUNK batched products in Python instead of K. Its
+independent recursions run as members of each batched product.
 
 The Riccati sweep runs one of three loops, chosen by the state dimension m
 alone. m = 1 runs each member through a plain-float scalar recursion. m = 2
@@ -30,6 +31,10 @@ from .model import LtvModel
 
 # ||P|| above which the Riccati sweep stops and reports a blow-up
 BLOWUP = 1e12
+
+# steps per chunk of the two-level scan in linear_recursion; a streamed
+# recursion resumed at a multiple of it is bitwise the whole one
+CHUNK = 32
 
 
 def _stage_times(grid):
@@ -87,19 +92,58 @@ def linear_recursion(steps: np.ndarray, out: np.ndarray, offset: bool = False) -
 
     steps is (K, ..., m, m) and out is (K+1, ..., m, S) with out[0] the start
     (and out[1:] the offsets); the axes between time and matrix are members,
-    which broadcast as in matmul. One step is one batched matmul into out[k+1]
-    (or into a buffer that is then added to the offset), so each member takes
-    the (m, m) @ (m, S) product it takes alone. This is the one time loop of
-    every linear recursion: running products, noise-free truth, filter means.
+    which broadcast as in matmul. out may be any strided view. This is the
+    one time loop of every linear recursion: running products, noise-free
+    truth, filter means.
+
+    The steps are cut into chunks of CHUNK, anchored at step 0, and scanned
+    in three passes, about 2 CHUNK + K / CHUNK batched products in all:
+    - every whole chunk j runs side by side with the others from the
+      identity and from zero, giving its product Pi_j and its offset sum y_j;
+    - the chunk starts are chained: out[(j+1) CHUNK] = Pi_j out[j CHUNK] + y_j;
+    - every chunk steps its inner rows from its start, all chunks side by
+      side, with the per-step arithmetic of the sequential loop.
+    So rows that are not a positive multiple of CHUNK are exactly the
+    sequential step from the row before (a recursion of fewer than CHUNK
+    steps keeps every bit of the sequential loop), a recursion resumed from
+    out[j CHUNK] is bitwise the rest of the whole one, and each member takes
+    the (m, m) @ (m, S) products it takes alone.
     """
-    if not offset:
-        for step, x, nxt in zip(steps, out[:-1], out[1:]):
+    n_steps = len(steps)
+    # member axes that steps broadcast over become explicit, so that the
+    # chunk axis of every pass lines up with time
+    steps = steps.reshape(steps.shape[:1] + (1,) * (out.ndim - steps.ndim) + steps.shape[1:])
+    whole = n_steps // CHUNK
+    span = whole * CHUNK
+    if whole:
+        # Pi_j and y_j of every whole chunk, side by side
+        prod = steps[:span:CHUNK].copy()
+        pbuf = np.empty_like(prod)
+        if offset:
+            ysum = out[1:span + 1:CHUNK].copy()
+            ybuf = np.empty_like(ysum)
+        for i in range(1, CHUNK):
+            step = steps[i:span:CHUNK]
+            np.matmul(step, prod, out=pbuf)
+            prod, pbuf = pbuf, prod
+            if offset:
+                np.matmul(step, ysum, out=ybuf)
+                np.add(out[i + 1:span + 1:CHUNK], ybuf, out=ysum)
+        # the chunk starts, one product per chunk
+        for j in range(whole):
+            lo, hi = j * CHUNK, (j + 1) * CHUNK
+            np.matmul(prod[j], out[lo], out=out[hi])
+            if offset:
+                np.add(out[hi], ysum[j], out=out[hi])
+    # the inner rows of every chunk, stepped from the chunk starts
+    buf = np.empty((-(-n_steps // CHUNK),) + out.shape[1:]) if offset else None
+    for i in range(min(CHUNK - 1, n_steps)):
+        step = steps[i::CHUNK]
+        x, nxt = out[i:i + CHUNK * len(step):CHUNK], out[i + 1::CHUNK]
+        if offset:
+            np.add(nxt, np.matmul(step, x, out=buf[:len(step)]), out=nxt)
+        else:
             np.matmul(step, x, out=nxt)
-        return out
-    buf = np.empty(out.shape[1:])
-    for step, x, nxt in zip(steps, out[:-1], out[1:]):
-        np.matmul(step, x, out=buf)
-        np.add(nxt, buf, out=nxt)
     return out
 
 
@@ -117,11 +161,12 @@ def accumulate_transitions(steps: np.ndarray) -> np.ndarray:
         out[..., 0, :, :] = 1.0
         np.cumprod(steps, axis=-3, out=out[..., 1:, :, :])
         return out
-    steps = np.moveaxis(steps, -3, 0)
-    out = np.empty((len(steps) + 1,) + steps.shape[1:])
-    out[0] = np.eye(m)
-    linear_recursion(steps, out)
-    return np.ascontiguousarray(np.moveaxis(out, 0, -3))
+    # member-major result, written through its time-major view
+    out = np.empty(steps.shape[:-3] + (steps.shape[-3] + 1, m, m))
+    path = np.moveaxis(out, -3, 0)
+    path[0] = np.eye(m)
+    linear_recursion(np.moveaxis(steps, -3, 0), path)
+    return out
 
 
 def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):

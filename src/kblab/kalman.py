@@ -23,7 +23,8 @@ Observation paths may carry one seed per column; filters, pairs and the
 decomposition then run on every column at once. Filters on one grid run as
 members of one scan (_scan): the gain products D_k dy_k of every member are
 formed before the time loop, in the rows of the means they offset, and the
-loop is _integrators.linear_recursion, one batched product per step. Each
+loop is _integrators.linear_recursion, a scan over chunks of steps whose
+chunk ends differ from the per-step recursion at rounding level. Each
 member takes the (m, m) @ (m, S) products it takes when run alone, so its
 means are bitwise the same; the mismatched pair and the small-noise sweep
 run their filters this way.
@@ -31,11 +32,12 @@ run their filters this way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._integrators import gain_steps, linear_recursion, transition_steps
+from .csvio import timed
 from .model import LtvModel, ModelValidationError
 from .propagate import MatrixPath, closed_loop_propagator, same_grid, spectral_norms
 from .riccati import RiccatiSolution, integrate_dre, integrate_dre_batch
@@ -87,15 +89,15 @@ class FilterRun:
 
 
 def _scan(pieces, increments: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Run the affine mean recursions of B filters on one grid in one loop.
+    """Run the affine mean recursions of B filters on one grid in one scan.
 
     pieces holds the B members' FilterPieces and x0 their (B, m, S) start
     states, one per seed column. increments are (K, n, G S): G blocks of S
     columns, one path per column, with member b on block b // (B / G) (so
     with G = 1 every member runs on the same paths); or (K, n, 1), one path
     shared by every column. Returns the (K+1, B, m, S) means. The gain
-    products D_k dy_k are formed before the loop, in the rows of the means
-    they offset, and the loop (_integrators.linear_recursion) carries only
+    products D_k dy_k are formed before the scan, in the rows of the means
+    they offset, and the scan (_integrators.linear_recursion) carries only
     x_{k+1} = M_k x_k + D_k dy_k. Each member takes the products it takes
     when run alone.
     """
@@ -299,6 +301,7 @@ class MismatchedSweep:
     initial_gap: float
     pair: PairRun                   # seed columns; column 0 is seed cfg.seed
     diag: DecompositionDiagnostics
+    stage_times: dict = field(default_factory=dict)   # stage name -> wall seconds
 
     @property
     def terminal_gaps(self) -> np.ndarray:
@@ -321,20 +324,27 @@ def mismatched_mc(cfg, noise_off=False) -> MismatchedSweep:
     The observations of seed s are generate_observation_path(cfg, seed=s), one
     seed column each; both filters of a pair consume the identical
     increments, and their Riccati flows integrate in one batched sweep.
-    Reconstruction residuals are tracked pathwise per seed.
-    Raises ModelValidationError when mbar == m0: a zero initial gap has no
-    terminal/initial ratio.
+    Reconstruction residuals are tracked pathwise per seed. The wall time of
+    the stages simulate, riccati, filter and decomposition goes to
+    stage_times. Raises ModelValidationError when mbar == m0: a zero initial
+    gap has no terminal/initial ratio.
     """
     if np.array_equal(cfg.m0, cfg.mbar):
         raise ModelValidationError("mismatched pairs require mbar != m0 in [init] "
                                    "(a zero initial mean gap has no terminal/initial ratio)")
     seeds = tuple(cfg.seed + i for i in range(cfg.mc_runs))
-    obs = generate_observation_path(cfg, seed=seeds, noise_off=noise_off)
-    pieces, piecesbar = filter_pieces_batch(cfg.model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
-    pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
-                           pieces=pieces, piecesbar=piecesbar)
+    times = {}
+    with timed(times, "simulate"):
+        obs = generate_observation_path(cfg, seed=seeds, noise_off=noise_off)
+    with timed(times, "riccati"):
+        pieces, piecesbar = filter_pieces_batch(cfg.model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
+    with timed(times, "filter"):
+        pair = mismatched_pair(cfg.model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar),
+                               pieces=pieces, piecesbar=piecesbar)
+    with timed(times, "decomposition"):
+        diag = mean_decomposition_diagnostics(pair)
     return MismatchedSweep(seeds=seeds, initial_gap=float(np.linalg.norm(cfg.m0 - cfg.mbar)),
-                           pair=pair, diag=mean_decomposition_diagnostics(pair))
+                           pair=pair, diag=diag, stage_times=times)
 
 
 __all__ = [

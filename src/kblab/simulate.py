@@ -14,9 +14,12 @@ R^{1/2} sqrt(h) xi over substeps.
 generate_observation_path streams: it runs blocks of whole coarse steps
 through the block kernels simulate_truth and simulate_observations, and each
 block draws the next stretch of every stream, which reproduces the one-shot
-draws exactly. A block holds as many whole coarse steps as fit in
-NOISE_BLOCK values, counted as fine steps x levels x seeds x m, and at least
-one. Only the coarse truth and the increments outlive a block. The kernels
+draws exactly. A block holds as many fine steps as fit in NOISE_BLOCK
+values, counted as fine steps x levels x seeds x m, in whole multiples of
+both the substep count and _integrators.CHUNK, and at least one multiple:
+every block then starts the noise-free recursion at a chunk boundary of the
+whole path, which makes its truth bitwise the whole path's. Only the coarse
+truth and the increments outlive a block. The kernels
 have one shape: a block carries E noise levels and S seed columns, states
 (E, m, S), and a single level or seed is E = 1 or S = 1. A tuple of noise
 levels eps gives one path per level from the same pass: each seed's "x0",
@@ -37,11 +40,12 @@ pairwise over its own contiguous substeps on a (level, seed)-major copy.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrators import linear_recursion, transition_steps
+from ._integrators import CHUNK, linear_recursion, transition_steps
 from .model import ExperimentConfig, LtvModel
 from .riccati import psd_sqrt
 
@@ -49,7 +53,7 @@ from .riccati import psd_sqrt
 # values per block of the streamed truth and observation pass, counted as
 # fine steps x levels x seeds x m: the block's noise, truth and drift arrays
 # are all that is held at fine resolution (a block is a whole number of
-# coarse steps, at least one)
+# coarse steps and of chunks of the noise-free recursion, at least one)
 NOISE_BLOCK = 2 ** 16
 
 
@@ -142,7 +146,9 @@ def simulate_truth(model: LtvModel, x0: np.ndarray, fine: np.ndarray, eps: tuple
     one per seed column (None when every level is 0). Returns the
     (F+1, E, m, S) truth.
     Zero levels take one RK4 transition per step and draw nothing, in the
-    shared linear-recursion loop (_integrators.linear_recursion). The other
+    shared linear recursion (_integrators.linear_recursion, chunks anchored
+    at fine[0]). When every level is zero, or none is, the kernel's array is
+    returned as it is. The other
     levels take Euler-Maruyama steps,
     x_{j+1} = x_j + A x_j h + eps F sqrt(h) xi_j: each generator is drawn
     once for every level and F xi is formed once, and level e adds
@@ -158,11 +164,13 @@ def simulate_truth(model: LtvModel, x0: np.ndarray, fine: np.ndarray, eps: tuple
     noisy = levels != 0.0
     if noisy.any() and rng is None:
         raise ValueError("eps > 0 requires one RNG per seed column for the system noise")
+    if not noisy.any():
+        return _rk4_truth(model, x0, fine)
+    if noisy.all():
+        return _euler_maruyama(model, x0, fine, levels, rng)
     out = np.empty((len(fine),) + x0.shape)
-    if not noisy.all():
-        out[:, ~noisy] = _rk4_truth(model, x0[~noisy], fine)
-    if noisy.any():
-        out[:, noisy] = _euler_maruyama(model, x0[noisy], fine, levels[noisy], rng)
+    out[:, ~noisy] = _rk4_truth(model, x0[~noisy], fine)
+    out[:, noisy] = _euler_maruyama(model, x0[noisy], fine, levels[noisy], rng)
     return out
 
 
@@ -274,8 +282,8 @@ def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0,
     may round differently). `eps` is one noise level, or a tuple of levels
     that gives a tuple of paths, one per level, each bitwise the path of that
     level alone: the levels share each seed's streams and are simulated in
-    one pass. The pass runs in blocks of whole coarse steps sized by
-    NOISE_BLOCK (see the module docstring); each block draws the next
+    one pass. The pass runs in blocks of whole coarse steps and whole chunks
+    sized by NOISE_BLOCK (see the module docstring); each block draws the next
     stretch of every stream, so only the coarse truth and the increments are
     kept. `noise_off` zeroes the observation noise (test hook) while keeping
     everything else identical.
@@ -295,7 +303,10 @@ def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0,
     inc = np.empty((n_levels, n_steps, model.n, n_seeds))
     truth = np.empty((n_levels, n_steps + 1, model.m, n_seeds))
     truth[:, 0] = x
-    block_steps = max(1, NOISE_BLOCK // (sub * n_levels * n_seeds * model.m))
+    # whole chunks of fine steps per block, so that every block starts the
+    # noise-free recursion at a chunk boundary of the whole path
+    unit = math.lcm(sub, CHUNK) // sub
+    block_steps = unit * max(1, NOISE_BLOCK // (unit * sub * n_levels * n_seeds * model.m))
     for lo in range(0, n_steps, block_steps):
         hi = min(lo + block_steps, n_steps)
         fine = fine_grid(grid[lo:hi + 1], sub)

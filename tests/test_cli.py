@@ -52,7 +52,8 @@ def test_riccati_manifests_record_stage_times_and_min_eig(tmp_path, command, sta
 # the riccati and stability-cov manifests are checked by the test above
 @pytest.mark.parametrize("command, name, stages", [
     ("gramian", "rotation_partial", ("transition", "gramian", "write")),
-    ("stability-mean", "scalar_unstable", ("monte_carlo", "lyapunov", "write")),
+    ("stability-mean", "scalar_unstable",
+     ("simulate", "riccati", "filter", "decomposition", "lyapunov", "write")),
     ("nongaussian", "two_atom", ("simulate", "riccati", "filter", "merging", "write")),
     ("smallnoise", "smallnoise_stable", ("riccati", "simulate", "filter", "write")),
 ])

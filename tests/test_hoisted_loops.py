@@ -2,6 +2,9 @@
 
 Each reference below is the per-step loop or kernel the current code
 replaced, kept here verbatim in its arithmetic; every comparison is exact.
+Linear recursions run in chunks (_integrators.linear_recursion): they equal
+a plain chunked loop exactly, the per-step loop exactly in their first
+CHUNK rows, and the per-step loop within a float bound everywhere.
 """
 
 import re
@@ -12,9 +15,11 @@ import pytest
 
 from kblab import simulate
 from kblab._integrators import (
+    CHUNK,
     _forcing,
     accumulate_transitions,
     coefficient_stages,
+    linear_recursion,
     riccati_sweep,
     transition_steps,
 )
@@ -299,18 +304,55 @@ def test_free_flow_steps_equal_reference_kernel(name):
                               _free_flow_steps(mdl, lo, lo + 0.5 * hh, lo + hh, hh))
 
 
-def _scan_loop(pieces, increments, x0):
-    """Per-step filter scan computing innovation, gain product and mean together."""
+def _sequential_loop(steps, x0, offsets=None):
+    """Per-step loop x_{k+1} = steps[k] @ x_k, plus offsets[k] when given."""
+    out = np.empty((len(steps) + 1,) + np.shape(x0))
+    out[0] = x = x0
+    for k in range(len(steps)):
+        x = steps[k] @ x if offsets is None else offsets[k] + steps[k] @ x
+        out[k + 1] = x
+    return out
+
+
+def _chunked_loop(steps, x0, offsets=None):
+    """The chunked order of linear_recursion, one chunk at a time.
+
+    Each chunk of CHUNK steps is stepped from its start as in the per-step
+    loop. The end of a whole chunk is then replaced by its product of steps
+    applied to its start plus its offsets summed from zero, and starts the
+    next chunk.
+    """
+    out = np.empty((len(steps) + 1,) + np.shape(x0))
+    out[0] = x0
+    if offsets is not None:
+        offsets = np.broadcast_to(offsets, (len(steps),) + out.shape[1:])
+    for lo in range(0, len(steps), CHUNK):
+        hi = min(lo + CHUNK, len(steps))
+        out[lo:hi + 1] = _sequential_loop(steps[lo:hi], out[lo],
+                                          None if offsets is None else offsets[lo:hi])
+        if hi - lo < CHUNK:
+            break
+        prod, total = steps[lo], None if offsets is None else offsets[lo]
+        for k in range(lo + 1, hi):
+            prod = steps[k] @ prod
+            if offsets is not None:
+                total = offsets[k] + steps[k] @ total
+        out[hi] = prod @ out[lo] if offsets is None else prod @ out[lo] + total
+    return out
+
+
+def _assert_near(out, ref, bound=2e-14):
+    """out agrees with ref to bound relative to ref's largest entry."""
+    assert np.abs(out - ref).max() <= bound * np.abs(ref).max()
+
+
+def _scan_loop(pieces, increments, x0, loop=_chunked_loop):
+    """Filter scan by the given recursion loop; innovations from its means."""
     msteps, gains, cdt = pieces.riccati.closed_loop_steps, pieces.gains, pieces.cdt
-    x = np.asarray(x0, dtype=float)
-    means = np.empty((len(msteps) + 1,) + x.shape)
-    innov = np.empty((len(msteps), cdt.shape[1]) + x.shape[1:])
-    means[0] = x
-    for k in range(len(msteps)):
-        dy = increments[k]
-        innov[k] = dy - cdt[k] @ x
-        x = msteps[k] @ x + gains[k] @ dy
-        means[k + 1] = x
+    steps = range(len(msteps))
+    means = loop(msteps, np.asarray(x0, dtype=float),
+                 np.stack([gains[k] @ increments[k] for k in steps]))
+    innov = np.stack([increments[k] - cdt[k] @ means[k] for k in steps])
     return means, innov
 
 
@@ -327,6 +369,7 @@ def test_scan_equals_per_step_loop(name):
         means = _scan([pieces], increments, x0[None])
         assert means.shape == (n_steps + 1, 1) + x0.shape
         assert np.array_equal(means[:, 0], _scan_loop(pieces, increments, x0)[0])
+        _assert_near(means[:, 0], _scan_loop(pieces, increments, x0, _sequential_loop)[0])
     # stacked members: four flows in one scan, two on each of two blocks of
     # three seed columns, then all four on one shared path; every member
     # equals its own per-step loop
@@ -341,6 +384,7 @@ def test_scan_equals_per_step_loop(name):
             block = increments if increments.shape[2] == 1 else increments[:, :, lo:lo + 3]
             ref = _scan_loop(member, np.ascontiguousarray(block), x0[b])[0]
             assert np.array_equal(means[:, b], ref)
+            _assert_near(means[:, b], _scan_loop(member, block, x0[b], _sequential_loop)[0])
     # run_filter forms the innovations after the scan; a one-seed path runs
     # as one column and is compared with the (m,) state loop
     for increments in (rng.standard_normal((len(grid) - 1, n)),          # one path
@@ -354,33 +398,93 @@ def test_scan_equals_per_step_loop(name):
         assert run.means.shape == ref_means.shape and np.array_equal(run.means, ref_means)
         assert run.innovations.shape == ref_innov.shape
         assert np.array_equal(run.innovations, ref_innov)
+        seq_means, seq_innov = _scan_loop(pieces, increments, x0, _sequential_loop)
+        _assert_near(run.means, seq_means)
+        _assert_near(run.innovations, seq_innov)
 
 
-def _product_loop(steps):
-    """Running products of one (K, m, m) stack, one matmul per step."""
-    out = np.empty((len(steps) + 1,) + steps.shape[1:])
-    out[0] = cur = np.eye(steps.shape[-1])
-    for k in range(len(steps)):
-        cur = steps[k] @ cur
-        out[k + 1] = cur
-    return out
+def _product_loop(steps, loop=_sequential_loop):
+    """Running products of one (K, m, m) stack by the given recursion loop."""
+    return loop(steps, np.eye(steps.shape[-1]))
 
 
 @pytest.mark.parametrize("name", ["scalar_unstable", "rotation_partial", "periodic3"])
 def test_running_products_equal_per_step_loop(name):
     # m = 1, 2, 3: the free flow alone, then the free flow and three closed
-    # loops as four members of one loop, each equal to its own product loop
+    # loops as four members of one loop, each equal to its own product loop;
+    # m = 1 takes a cumulative product, the order of the per-step loop
     cfg = builtin_scenario(name)
     grid = make_grid(4.0, 0.02)
+    loop = _sequential_loop if cfg.model.m == 1 else _chunked_loop
     phi_steps = transition_steps(cfg.model, grid)
-    assert np.array_equal(accumulate_transitions(phi_steps), _product_loop(phi_steps))
+    assert np.array_equal(accumulate_transitions(phi_steps), _product_loop(phi_steps, loop))
+    _assert_near(accumulate_transitions(phi_steps), _product_loop(phi_steps))
     sols = integrate_dre_batch(cfg.model, np.stack([cfg.P0, 2.0 * cfg.P0, cfg.P0]), grid,
                                eps=[0.0, 0.0, 0.1])
     steps = np.stack([phi_steps] + [sol.closed_loop_steps for sol in sols])
     prods = accumulate_transitions(steps)
     assert prods.shape == (4, len(grid), cfg.model.m, cfg.model.m)
     for member, prod in zip(steps, prods):
-        assert prod.flags.c_contiguous and np.array_equal(prod, _product_loop(member))
+        assert prod.flags.c_contiguous and np.array_equal(prod, _product_loop(member, loop))
+        _assert_near(prod, _product_loop(member))
+
+
+def _recursion_cases(name, n_steps):
+    """Closed-loop steps of three members, a start with four columns, offsets."""
+    cfg = builtin_scenario(name)
+    grid = make_grid(n_steps * 0.02, 0.02)
+    sols = integrate_dre_batch(cfg.model, np.stack([cfg.P0, 2.0 * cfg.P0, cfg.P0]), grid,
+                               eps=[0.0, 0.0, 0.1])
+    steps = np.stack([sol.closed_loop_steps for sol in sols], axis=1)
+    rng = np.random.default_rng(11)
+    x0 = rng.standard_normal((3, cfg.model.m, 4))
+    return steps, x0, 0.1 * rng.standard_normal((len(steps),) + x0.shape)
+
+
+def _recursion(steps, x0, offsets=None):
+    out = np.empty((len(steps) + 1,) + x0.shape)
+    out[0] = x0
+    if offsets is not None:
+        out[1:] = offsets
+    return linear_recursion(steps, out, offset=offsets is not None)
+
+
+@pytest.mark.parametrize("name", ["scalar_unstable", "rotation_partial", "periodic3"])
+def test_first_chunk_rows_equal_per_step_loop(name):
+    # the rows before the first chunk end are the per-step loop's, so a
+    # recursion of fewer than CHUNK steps keeps every bit
+    steps, x0, offsets = _recursion_cases(name, 5 * CHUNK)
+    for offs in (None, offsets):
+        out = _recursion(steps, x0, offs)
+        assert np.array_equal(out[:CHUNK], _sequential_loop(steps, x0, offs)[:CHUNK])
+        short = (steps[:CHUNK - 1], x0, None if offs is None else offs[:CHUNK - 1])
+        assert np.array_equal(_recursion(*short), _sequential_loop(*short))
+
+
+@pytest.mark.parametrize("name", ["scalar_unstable", "rotation_partial", "periodic3"])
+def test_recursion_resumed_at_chunk_boundary_equals_whole(name):
+    # 5 chunks and 7 steps: a resumed recursion, whole chunks or a partial
+    # last one, is bitwise the rest of the whole recursion
+    steps, x0, offsets = _recursion_cases(name, 5 * CHUNK + 7)
+    for offs in (None, offsets):
+        whole = _recursion(steps, x0, offs)
+        assert np.array_equal(whole, _chunked_loop(steps, x0, offs))
+        for lo in (CHUNK, 3 * CHUNK, 5 * CHUNK):
+            for hi in (lo + CHUNK, len(steps)):
+                rest = _recursion(steps[lo:hi], whole[lo], None if offs is None else offs[lo:hi])
+                assert np.array_equal(rest, whole[lo:hi + 1])
+
+
+@pytest.mark.parametrize("name", ["scalar_unstable", "periodic3", "rotation_partial"])
+def test_chunked_recursion_near_sequential_loop(name):
+    # 1,500 steps: the filter means (offsets) and running products of three
+    # closed loops and the free-flow truth from four states
+    steps, x0, offsets = _recursion_cases(name, 1500)
+    _assert_near(_recursion(steps, x0, offsets), _sequential_loop(steps, x0, offsets))
+    eye = np.broadcast_to(np.eye(x0.shape[1]), (3,) + 2 * x0.shape[1:2])
+    _assert_near(_recursion(steps, eye), _sequential_loop(steps, eye))
+    phi_steps = transition_steps(builtin_scenario(name).model, make_grid(30.0, 0.02))
+    _assert_near(_recursion(phi_steps, x0), _sequential_loop(phi_steps, x0))
 
 
 def _em_loop(model, x0, grid, eps, gens):
@@ -434,7 +538,8 @@ def _whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
 
     The fine truth of every column and each stream's draws for the whole
     horizon are held together; one seed gives (m,) states and
-    matrix-vector products. Returns (increments, coarse truth).
+    matrix-vector products. The noise-free truth is the chunked loop over
+    the whole fine grid. Returns (increments, coarse truth).
     """
     model, sub = cfg.model, cfg.substeps
     batch = isinstance(seed, tuple)
@@ -445,14 +550,11 @@ def _whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
         x0 = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator()) for s in seeds],
                       axis=-1)
     x0 = x0 if batch else np.reshape(x0, model.m)
-    truth = np.empty((n_fine + 1,) + x0.shape)
-    truth[0] = x = x0
     if eps == 0.0:
-        steps = transition_steps(model, fine)
-        for k in range(n_fine):
-            x = steps[k] @ x
-            truth[k + 1] = x
+        truth = _chunked_loop(transition_steps(model, fine), x0)
     else:
+        truth = np.empty((n_fine + 1,) + x0.shape)
+        truth[0] = x = x0
         h = fine[1:] - fine[:-1]
         a, f = model.A_at(fine[:-1]), model.F_at(fine[:-1])
         xi = np.stack([RngStream(s, "V").generator().standard_normal((n_fine, model.m))
@@ -483,12 +585,18 @@ def _whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
 BLOCK_FINE_STEPS = 512
 
 
+def _block_coarse_steps(substeps):
+    """Coarse steps per block: the whole chunks of fine steps that fit in BLOCK_FINE_STEPS."""
+    unit = np.lcm(substeps, CHUNK) // substeps
+    return unit * max(1, BLOCK_FINE_STEPS // (unit * substeps))
+
+
 def _assert_streamed_equals_whole_path(cfg, seed, levels, monkeypatch=None, **kwargs):
     """The streamed paths equal the whole-path generator's, level by level.
 
-    With monkeypatch, every generator call runs blocks of BLOCK_FINE_STEPS
-    fine steps (BLOCK_FINE_STEPS // substeps coarse steps) whatever its
-    number of levels and seeds; without it, blocks take the package budget.
+    With monkeypatch, every generator call runs blocks of
+    _block_coarse_steps(substeps) coarse steps whatever its number of levels
+    and seeds; without it, blocks take the package budget.
     """
     def generate(eps):
         if monkeypatch is not None:
@@ -525,11 +633,10 @@ def test_streamed_generator_equals_whole_path_generator(name, monkeypatch):
 @pytest.mark.parametrize("name", ["scalar_basic", "rotation_partial", "periodic3"])
 @pytest.mark.parametrize("substeps", [1, 9, 10])
 def test_streamed_generator_block_boundaries(name, substeps, monkeypatch):
-    # K = 1025 coarse steps: blocks of 512, 56 and 51 coarse steps leave a
-    # last block of 1, 17 and 5; n = 1 with >= 8 substeps sums them pairwise
+    # K = 1025 coarse steps: blocks of 512, 32 and 48 coarse steps leave a
+    # last block of 1, 1 and 17; n = 1 with >= 8 substeps sums them pairwise
     cfg = replace(builtin_scenario(name), dt=0.01, horizon=10.25, substeps=substeps)
-    per_block = max(1, BLOCK_FINE_STEPS // substeps)
-    assert (len(cfg.grid()) - 1) % per_block
+    assert (len(cfg.grid()) - 1) % _block_coarse_steps(substeps)
     _assert_streamed_equals_whole_path(cfg, (3, 4), (0.1, 0.0), monkeypatch)
     _assert_streamed_equals_whole_path(cfg, 5, (0.0, 0.2), monkeypatch)
 
