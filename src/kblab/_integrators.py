@@ -14,13 +14,14 @@ runs in linear_recursion, a two-level scan over chunks of CHUNK steps:
 about 2 CHUNK + K / CHUNK batched products in Python instead of K. Its
 independent recursions run as members of each batched product.
 
-The Riccati sweep runs one of three loops, chosen by the state dimension m
-alone. m = 1 runs each member through a plain-float scalar recursion. m = 2
-runs each member through a plain-float recursion on the symmetric triple
-(p00, p01, p11), so its stage values p2, p3, p4 are exactly symmetric.
-m >= 3 runs all members together through a numpy matrix loop. The loops
-share the stage formulas; the float loops round each two-term product sum
-as a plain sum, where numpy's matmul may fuse it.
+The Riccati sweep runs one of two loops, chosen by the state dimension m
+alone. For m <= 2 each member runs through a plain-float loop that reads and
+writes the arrays in place through zero-copy memoryviews of their entries:
+the scalar recursion for m = 1, and for m = 2 a recursion on the symmetric
+triple (p00, p01, p11), so its stage values p2, p3, p4 are exactly
+symmetric. m >= 3 runs all members together through a numpy matrix loop.
+The loops share the stage formulas; the float loops round each two-term
+product sum as a plain sum, where numpy's matmul may fuse it.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     (propagate.closed_loop_propagator). ||P|| > BLOWUP or a non-finite entry
     raises naming the time.
 
-    m = 1 and m = 2 run one member at a time in plain floats (the m = 2
-    loop on the triple (p00, p01, p11), so its stage values are exactly
-    symmetric); m >= 3 runs the members together in a numpy matrix loop.
+    m <= 2 runs one member at a time in plain floats (the m = 2 loop on the
+    triple (p00, p01, p11), so its stage values are exactly symmetric);
+    m >= 3 runs the members together in a numpy matrix loop.
 
     Several flows on one grid run as members of one sweep: P0 of shape
     (B, m, m) and/or eps of shape (B,), the other broadcast. Each member is
@@ -218,29 +219,21 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     p2s, p3s, p4s = p234
     stops = []  # per member of a float loop: the node of its blow-up, or None
 
-    if m == 1:
-        coefs = [c[:, 0, 0].tolist() for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
-        hs = h.tolist()
-        prows = paths.reshape(-1, n_steps + 1)
-        srows = p234.reshape(3, n_steps, -1)
-        qcols = [q.reshape(n_steps, -1) for q in (q_lo, q_mid, q_hi)]
-        stops = [_riccati_sweep_scalar(hs, *coefs, *(q[:, b].tolist() for q in qcols),
-                                       memoryview(prows[b]),
-                                       [memoryview(s) for s in srows[:, :, b]])
-                 for b in range(len(prows))]
-    elif m == 2:
-        coefs = [_entry_views(c, _ENTRIES) for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
+    if m <= 2:
+        loop, entries, triple = ((_riccati_sweep_scalar, _ONE, _ONE) if m == 1 else
+                                 (_riccati_sweep_pair, _ENTRIES, _TRIPLE))
+        coefs = [_entry_views(c, entries) for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
         qmembers = [q.reshape(n_steps, -1, m, m) for q in (q_lo, q_mid, q_hi)]
         pmembers = paths.reshape(-1, n_steps + 1, m, m)
         smembers = p234.reshape(3, n_steps, -1, m, m)
-        stops = [_riccati_sweep_pair(memoryview(h), *coefs,
-                                     *(_entry_views(q[:, b], _TRIPLE) for q in qmembers),
-                                     _entry_views(pmembers[b], _TRIPLE),
-                                     [_entry_views(s[:, b], _TRIPLE) for s in smembers])
+        stops = [loop(memoryview(h), *coefs, *(_entry_views(q[:, b], triple) for q in qmembers),
+                      _entry_views(pmembers[b], triple),
+                      [_entry_views(s[:, b], triple) for s in smembers])
                  for b in range(len(pmembers))]
-        # the float loop writes the upper triangle
-        paths[..., 1, 0] = paths[..., 0, 1]
-        p234[..., 1, 0] = p234[..., 0, 1]
+        if m == 2:
+            # the float loop writes the upper triangle
+            paths[..., 1, 0] = paths[..., 0, 1]
+            p234[..., 1, 0] = p234[..., 0, 1]
     else:
         for k in range(n_steps):
             hk = h[k]
@@ -302,15 +295,20 @@ def _blowup_error(member, t: float) -> FloatingPointError:
     return FloatingPointError(f"Riccati blow-up{where}: ||P|| > {BLOWUP:g} at t={t:.6g}")
 
 
-def _riccati_sweep_scalar(hs, a1, a2, a3, g1, g2, g3, q1, q2, q3, pout, sout):
-    """Scalar (m = n = 1) P recursion of one member in plain float arithmetic; same stage formulas.
+def _riccati_sweep_scalar(hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q_hi,
+                          pout, sout):
+    """m = 1 P recursion of one member in plain float arithmetic; same stage formulas.
 
-    Coefficients and steps come as lists; pout is a memoryview of the
-    member's (K+1,) row of P and sout memoryviews of its rows of the stage
-    values p2, p3, p4. Returns the node of a blow-up, None if there is none.
+    Arguments are laid out as for _riccati_sweep_pair, with one entry per
+    matrix: a_*, g_* and q_* hold the rows of A, G and eps^2 F F^T, pout the
+    member's row of P, starting from P0, and sout[s] its rows of the stage
+    values p2, p3, p4. Every row is a memoryview of floats. Returns the node
+    of a blow-up, None if there is none.
     """
-    p = pout[0]
-    s2, s3, s4 = sout
+    (a1,), (a2,), (a3,), (g1,), (g2,), (g3,) = a_lo, a_mid, a_hi, g_lo, g_mid, g_hi
+    (q1,), (q2,), (q3,) = q_lo, q_mid, q_hi
+    (prow,), ((s2,), (s3,), (s4,)) = pout, sout
+    p = prow[0]
     for k in range(len(hs)):
         hk = hs[k]
         half, sixth = 0.5 * hk, hk / 6.0
@@ -327,19 +325,21 @@ def _riccati_sweep_scalar(hs, a1, a2, a3, g1, g2, g3, q1, q2, q3, pout, sout):
         # a chained compare is False for nan, so nan counts as a blow-up
         if not -BLOWUP <= p <= BLOWUP:
             return k + 1
-        pout[k + 1] = p
+        prow[k + 1] = p
         s2[k] = p2
         s3[k] = p3
         s4[k] = p4
 
 
-# entries of a 2x2 matrix: all four, and the upper triangle of a symmetric one
+# the entry of a 1x1 matrix; the entries of a 2x2 matrix: all four, and the
+# upper triangle of a symmetric one
+_ONE = ((0, 0),)
 _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 _TRIPLE = ((0, 0), (0, 1), (1, 1))
 
 
 def _entry_views(stack, entries):
-    """Zero-copy memoryviews of the given (i, j) entries of a (K, 2, 2) stack.
+    """Zero-copy memoryviews of the given (i, j) entries of a (K, m, m) stack.
 
     Each view reads and writes the stack in place, one float per step.
     """

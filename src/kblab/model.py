@@ -298,14 +298,22 @@ _MODEL_MATRICES = {
     "F0": ("m", "m"), "F1": ("m", "m"),
 }
 
-_RUN_KEYS = {"horizon", "dt", "substeps", "seed", "mc_runs", "uco_window"}
-
-
 def _parse_float(tok, line_no, line):
     try:
         return float(tok)
     except ValueError:
         raise ConfigError(f"malformed number {tok!r}", line_no, line) from None
+
+
+def _parse_int(tok, line_no, line):
+    """An integer; a number with a fractional part is an error, not truncated."""
+    try:
+        return int(tok)
+    except ValueError:
+        val = _parse_float(tok, line_no, line)
+    if not val.is_integer():
+        raise ConfigError(f"expected an integer, got {tok!r}", line_no, line)
+    return int(val)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -347,7 +355,7 @@ def parse_config(text: str) -> ExperimentConfig:
             dims = shape.split()
             if len(dims) != 2:
                 raise ConfigError(f"{name}.shape needs two integers", sl, sraw)
-            r, c = (int(_parse_float(d, sl, sraw)) for d in dims)
+            r, c = (_parse_int(d, sl, sraw) for d in dims)
             if (r, c) != (rows, cols):
                 raise ConfigError(
                     f"dimension mismatch for {name}: shape {r} {c}, expected {rows} {cols}", sl, sraw)
@@ -376,8 +384,8 @@ def parse_config(text: str) -> ExperimentConfig:
     nval, nl, nraw = take("model", "n")
     if mval is None:
         raise ConfigError("missing key 'm' in [model]")
-    m = int(_parse_float(mval, ml, mraw))
-    n = int(_parse_float(nval, nl, nraw)) if nval is not None else m
+    m = _parse_int(mval, ml, mraw)
+    n = _parse_int(nval, nl, nraw) if nval is not None else m
     omega, ol, oraw = take("model", "omega", "1.0")
     damping, dl2, draw2 = take("model", "damping", "0.0")
     for name in _MODEL_MATRICES:
@@ -445,12 +453,12 @@ def parse_config(text: str) -> ExperimentConfig:
         model=model,
         horizon=_parse_float(hz, hl, hraw),
         dt=_parse_float(dt, tl, traw),
-        substeps=int(_parse_float(sub, sl2, sraw2)),
-        seed=int(_parse_float(seed, el2, eraw2)),
+        substeps=_parse_int(sub, sl2, sraw2),
+        seed=_parse_int(seed, el2, eraw2),
         m0=m0, P0=P0, mbar=mbar, Pbar=Pbar,
         atoms=tuple(atoms),
         epsilons=epsilons,
-        mc_runs=int(_parse_float(mc, cl, craw)),
+        mc_runs=_parse_int(mc, cl, craw),
         uco_window=_parse_float(uco, ul, uraw),
         thresholds=thresholds,
     )

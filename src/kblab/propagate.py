@@ -111,6 +111,10 @@ def accumulated_information(model: LtvModel, phi: MatrixPath,
 # window ends kept by uco_gramian
 _MAX_WINDOWS = 200
 
+# condition number above which a matrix to invert counts as singular: a
+# Phi anchor of uco_gramian, the core of riccati.closed_form_dre
+COND_LIMIT = 1e12
+
 
 @dataclass
 class UcoEstimate:
@@ -131,8 +135,7 @@ class UcoEstimate:
         return self.rho1 > 0.0
 
 
-def uco_gramian(model: LtvModel, phi: MatrixPath, window: float,
-                cond_limit: float = 1e12, normalize: str = "end",
+def uco_gramian(model: LtvModel, phi: MatrixPath, window: float, normalize: str = "end",
                 free_flow: bool = True) -> UcoEstimate:
     """Windowed observability Gramians of the pair driving the supplied propagator.
 
@@ -142,8 +145,9 @@ def uco_gramian(model: LtvModel, phi: MatrixPath, window: float,
     the quadratic form of the Lyapunov-function drop over the window and the
     constant entering the windowed-decrease inequality. Pass free_flow=False
     when phi is not a free-flow fundamental path (see accumulated_information).
-    Window ends are decimated to at most 200 nodes. The verdict is a
-    finite-horizon estimate ("plausible"), never a proof.
+    Window ends are decimated to at most 200 nodes; an anchor Phi whose
+    condition number exceeds COND_LIMIT raises naming its time. The verdict
+    is a finite-horizon estimate ("plausible"), never a proof.
     """
     if normalize not in ("end", "start"):
         raise ValueError("normalize must be 'end' or 'start'")
@@ -162,7 +166,7 @@ def uco_gramian(model: LtvModel, phi: MatrixPath, window: float,
             ends = np.append(ends, len(grid) - 1)
     anchors = ends if normalize == "end" else ends - wsteps
     ft = phi.values[anchors]
-    bad = np.nonzero(np.linalg.cond(ft) > cond_limit)[0]
+    bad = np.nonzero(np.linalg.cond(ft) > COND_LIMIT)[0]
     if bad.size:
         raise FloatingPointError(
             f"fundamental matrix numerically singular at t={grid[anchors[bad[0]]]:.6g}")

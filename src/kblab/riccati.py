@@ -15,14 +15,19 @@ import numpy as np
 
 from ._integrators import accumulate_transitions, riccati_sweep
 from .model import LtvModel
-from .propagate import MatrixPath, accumulated_information, same_grid, spectral_norms
+from .propagate import (COND_LIMIT, MatrixPath, accumulated_information, same_grid,
+                        spectral_norms)
 
 
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root; eigenvalues below zero are clamped to zero."""
-    P = 0.5 * (np.asarray(P, dtype=float) + np.asarray(P, dtype=float).T)
-    w, v = np.linalg.eigh(P)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    """Symmetric PSD square root of a matrix or of a stack (last two axes).
+
+    Eigenvalues below zero are clamped to zero; a stack takes one batched
+    eigh call.
+    """
+    P = np.asarray(P, dtype=float)
+    w, v = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 @dataclass
@@ -91,19 +96,19 @@ def integrate_dre_batch(model: LtvModel, P0, grid, eps=0.0) -> list[RiccatiSolut
             for b in range(len(paths))]
 
 
-def closed_form_dre(model: LtvModel, P0, phi: MatrixPath,
-                    cond_limit: float = 1e12) -> MatrixPath:
+def closed_form_dre(model: LtvModel, P0, phi: MatrixPath) -> MatrixPath:
     """Exact noise-free Riccati solution evaluated on the grid of phi.
 
     P_t = Phi_t sqrt(P0) (I + sqrt(P0) I_t sqrt(P0))^-1 sqrt(P0) Phi_t^T,
     with phi the free-flow fundamental path and I_t its accumulated
     information path (accumulated_information(model, phi)). Serves as the
-    independent oracle for integrate_dre with eps = 0.
+    independent oracle for integrate_dre with eps = 0. Raises naming the
+    first node whose core matrix has a condition number above COND_LIMIT.
     """
     info = accumulated_information(model, phi)
     root = psd_sqrt(P0)
     core = np.eye(model.m) + root @ info.values @ root
-    bad = np.nonzero(np.linalg.cond(core) > cond_limit)[0]
+    bad = np.nonzero(np.linalg.cond(core) > COND_LIMIT)[0]
     if bad.size:
         raise FloatingPointError(f"closed form ill-conditioned at t={phi.grid[bad[0]]:.6g}")
     pk = phi.values @ root @ np.linalg.solve(core, root @ phi.values.swapaxes(1, 2))

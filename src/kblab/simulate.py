@@ -30,11 +30,8 @@ reduction order of a single level. For m >= 2, A x stays one
 (m, m) @ (m, S) product per level; for m = 1 it is a multiply by the float
 a_k, which differs from the (1, 1) matmul (0 + a x) only in the sign of a
 zero, a sign that never reaches the output (see _euler_maruyama). The drift
-C x is an einsum. numpy sums a strided axis sequentially and a contiguous
-length-substeps axis pairwise (8-way unrolled from 8 terms), so the substep
-sums take the order of a single column: for n >= 2 the substep slices are
-added in order on the time-major block, and for n = 1 each column is summed
-pairwise over its own contiguous substeps on a (level, seed)-major copy.
+C x is an einsum. The substep sums add the substep slices in order on the
+time-major block, so every column is summed in the order it is summed alone.
 """
 
 from __future__ import annotations
@@ -62,16 +59,14 @@ def _label_key(label: str) -> int:
 
 
 def _psd_sqrt_path(mats: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square roots along a path (one batched eigh call).
+    """Symmetric PSD square roots along a path; a constant path takes one root.
 
-    The constant-path branch is bitwise the batched formula at mats[0], so a
+    The constant-path branch is bitwise the batched root at mats[0], so a
     streamed block may take either branch.
     """
     if np.ptp(mats, axis=0).max() == 0.0:
         return np.broadcast_to(psd_sqrt(mats[0]), mats.shape)
-    sym = 0.5 * (mats + np.swapaxes(mats, 1, 2))
-    w, v = np.linalg.eigh(sym)
-    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(v, 1, 2)
+    return psd_sqrt(mats)
 
 
 @dataclass
@@ -232,10 +227,9 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
     increments, K = F / substeps. Per coarse step: dy_k = trapezoid of
     C_s x_s over the substeps plus sum_j R_j^{1/2} sqrt(h) xi_j. The
     coefficient paths C and R^{1/2} are built once, and each column's noise
-    is drawn and formed once and added to the drift of every level. For
-    n >= 2 the substep terms are added in order, slice by slice, on the
-    time-major block; for n = 1 each column is summed pairwise over its own
-    contiguous substeps on a (level, seed)-major copy, as a single column is.
+    is drawn and formed once and added to the drift of every level. The
+    substep terms are added in order, slice by slice, on the time-major
+    block, so each column's sum does not depend on E, S or the block size.
     """
     n_fine = len(fine) - 1
     if n_fine % substeps:
@@ -255,20 +249,11 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
         total += (np.sqrt(h)[:, None, None] * np.einsum("tij,tjs->tis", rhalf, xi))[:, None]
     else:
         total += 0.0    # the sum with zero noise, which turns -0.0 into 0.0
-    if model.n >= 2:
-        # numpy sums a strided substep axis sequentially, so in-order slice
-        # adds give a single column's bits with no transposed copy
-        steps = total.reshape((n_coarse, substeps) + total.shape[1:])
-        inc = steps[:, 0].copy()
-        for j in range(1, substeps):
-            inc += steps[:, j]
-        return inc
-    # n = 1: numpy sums the contiguous substep axis of a column pairwise
-    # (8-way unrolled from 8 terms), so sum each column over its own
-    # contiguous substeps on a (level, seed)-major copy
-    cols = np.ascontiguousarray(total.transpose(1, 3, 0, 2))
-    inc = cols.reshape(cols.shape[:2] + (n_coarse, substeps, 1)).sum(axis=3)
-    return np.ascontiguousarray(inc.transpose(2, 0, 3, 1))
+    steps = total.reshape((n_coarse, substeps) + total.shape[1:])
+    inc = steps[:, 0].copy()
+    for j in range(1, substeps):
+        inc += steps[:, j]
+    return inc
 
 
 def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0,

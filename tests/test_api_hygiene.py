@@ -1,9 +1,10 @@
 """API hygiene of the kblab package, checked on its source with ast.
 
-Every function parameter is read in its function's body, and every dataclass
-field or property is read as an attribute somewhere in the package. A
-parameter the body never reads, or a field nothing reads, is either a copy of
-a value that has a home elsewhere or a value with no use.
+Every function parameter is read in its function's body, every dataclass
+field or property is read as an attribute somewhere in the package, and every
+module-level name a module assigns is read somewhere in the package. A
+parameter the body never reads, or a field or constant nothing reads, is
+either a copy of a value that has a home elsewhere or a value with no use.
 
 Reads are matched by attribute name, not by owner: ast does not know the type
 of the object an attribute is read from, so a field counts as read when any
@@ -16,6 +17,9 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kblab"
+
+# module-level names that describe the package rather than feed its code
+MODULE_METADATA = {"__all__", "__version__"}
 
 # (record, field) pairs that the package writes but does not read itself:
 # tests compare a simulated path against its truth, its noise level and its seeds
@@ -95,3 +99,28 @@ def test_allowed_unread_fields_are_still_unread():
     assert UNREAD_FIELDS <= set(members)
     shared = {n for cls, n in members if (cls, n) not in UNREAD_FIELDS}
     assert not ({name for _, name in UNREAD_FIELDS} - shared) & _attributes_read(trees)
+
+
+def _names_read(trees):
+    """Every name the package loads, reads as an attribute or imports from a module."""
+    read = _attributes_read(trees)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_module_constant_is_read():
+    trees = _trees()
+    read = _names_read(trees)
+    unread = []
+    for fname, tree in trees.items():
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            unread += [f"{fname}: {node.id}" for target in targets for node in ast.walk(target)
+                       if isinstance(node, ast.Name) and node.id not in read | MODULE_METADATA]
+    assert not unread, "module-level names never read: " + ", ".join(unread)

@@ -187,6 +187,23 @@ def test_malformed_number_reports_line():
         parse_config("[model]\nm = 1\n[run]\ndt = fast\n")
 
 
+@pytest.mark.parametrize("line", ["substeps = 2.7", "mc_runs = 3.9", "m = 1.9", "n = 1.5",
+                                  "seed = 42.5", "P0.shape = 1.5 1"])
+def test_fractional_integer_reports_line(line):
+    # an integer key with a fractional part is an error, not its integer part
+    text = (Path(__file__).resolve().parent.parent / "configs" / "scalar_basic.cfg").read_text()
+    lines = text.splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.split("=")[0] == line.split("=")[0])
+    lines[i] = line
+    with pytest.raises(ConfigError, match=rf"^line {i + 1}: expected an integer"):
+        parse_config("\n".join(lines))
+
+
+def test_integer_keys_accept_integral_numbers():
+    cfg = parse_config("[model]\nm = 1.0\n[run]\nsubsteps = 4e0\nseed = 12345678901234567\n")
+    assert (cfg.model.m, cfg.substeps, cfg.seed) == (1, 4, 12345678901234567)
+
+
 def test_atoms_parse_in_order():
     cfg = builtin_scenario("rotation_atoms")
     text = serialize_config(cfg)

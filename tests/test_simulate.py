@@ -193,13 +193,16 @@ def test_observation_columns_equal_per_column_aggregation():
         assert np.array_equal(one[..., 0], batch[..., j])
 
 
+@pytest.mark.parametrize("n", [1, 2], ids=["n1", "n2"])
 @pytest.mark.parametrize("substeps", [1, 3, 10])
-def test_observation_columns_equal_per_column_aggregation_n2(substeps):
-    # n = 2, time-varying C and R, two noise levels: every (level, seed)
-    # column is the in-order substep sum of its own drift and noise
+def test_observation_columns_equal_in_order_substep_sums(substeps, n):
+    # time-varying C and R, two noise levels: every (level, seed) column is
+    # the in-order substep sum of its own drift and noise, for every n
     mdl = periodic_model([[0.0, 1.0], [-1.0, -0.1]], [[0.0, 0.2], [0.0, 0.0]],
-                         [[1.0, 0.5], [0.0, 1.0]], [[0.5, 0.1], [0.1, 0.4]], omega=3.0,
-                         C1=[[0.3, 0.0], [0.0, -0.2]], R1=[[0.2, 0.05], [0.05, 0.1]])
+                         np.array([[1.0, 0.5], [0.0, 1.0]])[:n],
+                         np.array([[0.5, 0.1], [0.1, 0.4]])[:n, :n], omega=3.0,
+                         C1=np.array([[0.3, 0.0], [0.0, -0.2]])[:n],
+                         R1=np.array([[0.2, 0.05], [0.05, 0.1]])[:n, :n])
     fg = fine_grid(make_grid(1.0, 0.02), substeps)
     n_fine, n_coarse = len(fg) - 1, (len(fg) - 1) // substeps
     x0s = np.array([[1.0, -2.0, 0.0], [0.5, 0.0, 1.0]])
@@ -207,19 +210,20 @@ def test_observation_columns_equal_per_column_aggregation_n2(substeps):
                            [RngStream(s, "V").generator() for s in (1, 2, 3)])
     gens = [RngStream(s, "W").generator() for s in (1, 2)] + [None]
     batch = simulate_observations(mdl, truth, fg, substeps, gens)
-    assert batch.shape == (n_coarse, 2, 2, 3)
+    assert batch.shape == (n_coarse, 2, n, 3)
     c, h = mdl.C_at(fg), np.diff(fg)[:, None]
     rhalf = _psd_sqrt_path(mdl.R_at(fg[:-1]))
     for j, s in enumerate((1, 2, None)):
         if s is None:
-            noise = np.zeros((n_fine, 2))
+            noise = np.zeros((n_fine, n))
         else:
-            xi = RngStream(s, "W").generator().standard_normal((n_fine, 2))
+            xi = RngStream(s, "W").generator().standard_normal((n_fine, n))
             noise = np.sqrt(h) * np.einsum("tij,tj->ti", rhalf, xi)
         for e in range(2):
             cx = np.einsum("tij,tj->ti", c, truth[:, e, :, j])
             drift = 0.5 * h * (cx[:-1] + cx[1:])
-            ref = (drift + noise).reshape(n_coarse, substeps, 2).sum(axis=1)
+            # cumsum adds in order along its axis, whatever the layout
+            ref = (drift + noise).reshape(n_coarse, substeps, n).cumsum(axis=1)[:, -1]
             assert np.array_equal(batch[:, e, :, j], ref)
 
 
