@@ -53,7 +53,7 @@ def timed(times: dict, stage: str):
         times[stage] = times.get(stage, 0.0) + time.perf_counter() - start
 
 
-def write_manifest(out_dir, cfg, extra=None, seeds=None, wall_time=None, times=None):
+def write_manifest(out_dir, cfg, extra, times, wall_time, seeds=None):
     """Plain-text manifest, stage times as time.<stage>; present only once a run has completed."""
     import kblab
 
@@ -70,10 +70,10 @@ def write_manifest(out_dir, cfg, extra=None, seeds=None, wall_time=None, times=N
     ]
     if seeds is not None:
         lines.append("seeds = " + " ".join(str(s) for s in seeds))
-    for key, val in (extra or {}).items():
+    for key, val in extra.items():
         lines.append(f"{key} = {val}")
-    lines += [f"time.{stage} = {sec:.6f}" for stage, sec in (times or {}).items()]
-    lines.append(f"wall_time_s = {0.0 if wall_time is None else wall_time:.3f}")
+    lines += [f"time.{stage} = {sec:.6f}" for stage, sec in times.items()]
+    lines.append(f"wall_time_s = {wall_time:.3f}")
     path = out_dir / "manifest.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -39,7 +39,7 @@ import numpy as np
 from ._integrators import gain_steps, linear_recursion, transition_steps
 from .csvio import timed
 from .model import LtvModel, ModelValidationError
-from .propagate import MatrixPath, closed_loop_propagator, same_grid, spectral_norms
+from .propagate import MatrixPath, closed_loop_propagator, spectral_norms
 from .riccati import RiccatiSolution, integrate_dre, integrate_dre_batch
 from .simulate import ObservationPath, generate_observation_path
 
@@ -257,7 +257,7 @@ def lyapunov_path(psi: MatrixPath, ric: RiccatiSolution, z0s: np.ndarray) -> np.
     Returns (K+1, n_z). Along the closed loop V is nonincreasing
     (dV/dt = -z^T C^T R^-1 C z <= 0).
     """
-    if not same_grid(psi, ric.path):
+    if not np.array_equal(psi.grid, ric.grid):
         raise ValueError("propagator and Riccati solution are on different grids")
     z = psi.values @ z0s                      # (K+1, m, n_z)
     pinv_z = np.linalg.solve(ric.values, z)
@@ -318,7 +318,7 @@ class MismatchedSweep:
         return float(self.terminal_gaps.max() / self.initial_gap)
 
 
-def mismatched_mc(cfg, noise_off=False) -> MismatchedSweep:
+def mismatched_mc(cfg) -> MismatchedSweep:
     """Run correct/mismatched filter pairs over seeds cfg.seed + i, i < cfg.mc_runs, batched.
 
     The observations of seed s are generate_observation_path(cfg, seed=s), one
@@ -335,7 +335,7 @@ def mismatched_mc(cfg, noise_off=False) -> MismatchedSweep:
     seeds = tuple(cfg.seed + i for i in range(cfg.mc_runs))
     times = {}
     with timed(times, "simulate"):
-        obs = generate_observation_path(cfg, seed=seeds, noise_off=noise_off)
+        obs = generate_observation_path(cfg, seed=seeds)
     with timed(times, "riccati"):
         pieces, piecesbar = filter_pieces_batch(cfg.model, obs.grid, np.stack([cfg.P0, cfg.Pbar]))
     with timed(times, "filter"):

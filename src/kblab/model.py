@@ -245,6 +245,10 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
         rep.add(f"substeps must be >= 1, got {cfg.substeps}")
     if cfg.mc_runs < 1:
         rep.add(f"mc_runs must be >= 1, got {cfg.mc_runs}")
+    if cfg.seed < 0:
+        rep.add(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.uco_window <= 0:
+        rep.add(f"uco_window must be positive, got {cfg.uco_window}")
     if cfg.atoms:
         wsum = sum(w for _, w in cfg.atoms)
         if abs(wsum - 1.0) > 1e-12:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._integrators import accumulate_transitions, rk4_linear_steps, transition_steps
-from .model import LtvModel, make_grid
+from .model import LtvModel, ModelValidationError, make_grid
 
 
 @dataclass
@@ -41,12 +41,6 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     if mats.shape[-2:] == (1, 1):
         return np.abs(mats[..., 0, 0])
     return np.linalg.norm(mats, ord=2, axis=(-2, -1))
-
-
-def same_grid(a, b) -> bool:
-    ga = a.grid if isinstance(a, MatrixPath) else np.asarray(a)
-    gb = b.grid if isinstance(b, MatrixPath) else np.asarray(b)
-    return ga.shape == gb.shape and np.array_equal(ga, gb)
 
 
 def fundamental_matrix(model: LtvModel, grid) -> MatrixPath:
@@ -146,8 +140,10 @@ def uco_gramian(model: LtvModel, phi: MatrixPath, window: float, normalize: str 
     constant entering the windowed-decrease inequality. Pass free_flow=False
     when phi is not a free-flow fundamental path (see accumulated_information).
     Window ends are decimated to at most 200 nodes; an anchor Phi whose
-    condition number exceeds COND_LIMIT raises naming its time. The verdict
-    is a finite-horizon estimate ("plausible"), never a proof.
+    condition number exceeds COND_LIMIT raises naming its time, and a window
+    shorter than one step or longer than the grid raises ModelValidationError,
+    a configuration error. The verdict is a finite-horizon estimate
+    ("plausible"), never a proof.
     """
     if normalize not in ("end", "start"):
         raise ValueError("normalize must be 'end' or 'start'")
@@ -155,9 +151,9 @@ def uco_gramian(model: LtvModel, phi: MatrixPath, window: float, normalize: str 
     dt = grid[1] - grid[0]
     wsteps = int(round(window / dt))
     if wsteps < 1:
-        raise ValueError(f"window {window} is shorter than one grid step {dt}")
+        raise ModelValidationError(f"window {window} is shorter than one grid step {dt}")
     if wsteps > len(grid) - 1:
-        raise ValueError(f"window {window} exceeds the horizon {grid[-1]}")
+        raise ModelValidationError(f"window {window} exceeds the horizon {grid[-1]}")
     info = accumulated_information(model, phi, free_flow=free_flow)
     ends = np.arange(wsteps, len(grid))
     if ends.size > _MAX_WINDOWS:
@@ -205,7 +201,6 @@ __all__ = [
     "fundamental_matrix",
     "make_grid",
     "psi_decay_integral",
-    "same_grid",
     "spectral_norms",
     "transition_steps",
     "uco_gramian",

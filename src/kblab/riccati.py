@@ -15,8 +15,7 @@ import numpy as np
 
 from ._integrators import accumulate_transitions, riccati_sweep
 from .model import LtvModel
-from .propagate import (COND_LIMIT, MatrixPath, accumulated_information, same_grid,
-                        spectral_norms)
+from .propagate import COND_LIMIT, MatrixPath, accumulated_information, spectral_norms
 
 
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
@@ -144,7 +143,7 @@ def covariance_gap(qeps: RiccatiSolution, p: RiccatiSolution):
     the gap should be PSD within -1e-10 (the perturbation only adds
     uncertainty).
     """
-    if not same_grid(qeps.path, p.path):
+    if not np.array_equal(qeps.grid, p.grid):
         raise ValueError("Riccati solutions are on different grids")
     if not np.array_equal(qeps.init, p.init):
         raise ValueError("Riccati solutions have different initial conditions")

@@ -18,15 +18,15 @@ draws exactly. A block holds as many fine steps as fit in NOISE_BLOCK
 values, counted as fine steps x levels x seeds x m, in whole multiples of
 both the substep count and _integrators.CHUNK, and at least one multiple:
 every block then starts the noise-free recursion at a chunk boundary of the
-whole path, which makes its truth bitwise the whole path's. Only the coarse
-truth and the increments outlive a block. The kernels
-have one shape: a block carries E noise levels and S seed columns, states
-(E, m, S), and a single level or seed is E = 1 or S = 1. A tuple of noise
-levels eps gives one path per level from the same pass: each seed's "x0",
-"V" and "W" streams, F xi and R^{1/2} sqrt(h) xi_W are formed once and
-shared by every level, and each level's path is bitwise the path that level
-alone gives. That holds because every level keeps the products and the
-reduction order of a single level. For m >= 2, A x stays one
+whole path, which makes its truth bitwise the whole path's. Only the
+increments outlive a block: a path is its grid and its increments. The
+kernels have one shape: a block carries E noise levels and S seed columns,
+states (E, m, S), and a single level or seed is E = 1 or S = 1. A tuple
+of noise levels eps gives one path per level from the same pass: each
+seed's "x0", "V" and "W" streams, F xi and R^{1/2} sqrt(h) xi_W are formed
+once and shared by every level, and each level's path is bitwise the path
+that level alone gives. That holds because every level keeps the products
+and the reduction order of a single level. For m >= 2, A x stays one
 (m, m) @ (m, S) product per level; for m = 1 it is a multiply by the float
 a_k, which differs from the (1, 1) matmul (0 + a x) only in the sign of a
 zero, a sign that never reaches the output (see _euler_maruyama). The drift
@@ -83,13 +83,10 @@ class RngStream:
 
 @dataclass
 class ObservationPath:
-    """Coarse-grid observation increments plus the generating truth trajectory."""
+    """Observation increments on a coarse grid."""
 
     grid: np.ndarray            # coarse grid, K+1 nodes
     increments: np.ndarray      # (K, n) observation increments dy_k; (K, n, S) for S seeds
-    truth: np.ndarray           # (K+1, m) state at the coarse nodes; (K+1, m, S) for S seeds
-    seed: int | tuple           # one seed, or one per column
-    eps: float
 
     def __post_init__(self):
         if self.increments.shape[0] != self.grid.shape[0] - 1:
@@ -100,8 +97,6 @@ def fine_grid(grid: np.ndarray, substeps: int) -> np.ndarray:
     """Subdivide each coarse step into `substeps` equal pieces."""
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    if substeps == 1:
-        return np.asarray(grid, dtype=float)
     lo = grid[:-1]
     h = (grid[1:] - grid[:-1]) / substeps
     offs = np.arange(substeps) * h[:, None]
@@ -222,14 +217,13 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
     """Aggregate one block's fine-grid observation increments to its coarse steps.
 
     truth_fine is the (F+1, E, m, S) block of simulate_truth and rngs holds
-    S generators, one per seed column; a None entry zeroes that column's
-    observation noise (the noise_off test hook). Returns the (K, E, n, S)
-    increments, K = F / substeps. Per coarse step: dy_k = trapezoid of
-    C_s x_s over the substeps plus sum_j R_j^{1/2} sqrt(h) xi_j. The
-    coefficient paths C and R^{1/2} are built once, and each column's noise
-    is drawn and formed once and added to the drift of every level. The
-    substep terms are added in order, slice by slice, on the time-major
-    block, so each column's sum does not depend on E, S or the block size.
+    S generators, one per seed column. Returns the (K, E, n, S) increments,
+    K = F / substeps. Per coarse step: dy_k = trapezoid of C_s x_s over the
+    substeps plus sum_j R_j^{1/2} sqrt(h) xi_j. The coefficient paths C and
+    R^{1/2} are built once, and each column's noise is drawn and formed once
+    and added to the drift of every level. The substep terms are added in
+    order, slice by slice, on the time-major block, so each column's sum does
+    not depend on E, S or the block size.
     """
     n_fine = len(fine) - 1
     if n_fine % substeps:
@@ -240,15 +234,11 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
     cx = np.einsum("tij,tejs->teis", c, truth_fine)
     total = np.add(cx[:-1], cx[1:])
     total *= 0.5 * h[:, None, None, None]
-    if any(g is not None for g in rngs):
-        xi = np.zeros((n_fine, model.n, len(rngs)))
-        for j, g in enumerate(rngs):
-            if g is not None:
-                xi[:, :, j] = g.standard_normal((n_fine, model.n))
-        rhalf = _psd_sqrt_path(model.R_at(fine[:-1]))
-        total += (np.sqrt(h)[:, None, None] * np.einsum("tij,tjs->tis", rhalf, xi))[:, None]
-    else:
-        total += 0.0    # the sum with zero noise, which turns -0.0 into 0.0
+    xi = np.empty((n_fine, model.n, len(rngs)))
+    for j, g in enumerate(rngs):
+        xi[:, :, j] = g.standard_normal((n_fine, model.n))
+    rhalf = _psd_sqrt_path(model.R_at(fine[:-1]))
+    total += (np.sqrt(h)[:, None, None] * np.einsum("tij,tjs->tis", rhalf, xi))[:, None]
     steps = total.reshape((n_coarse, substeps) + total.shape[1:])
     inc = steps[:, 0].copy()
     for j in range(1, substeps):
@@ -256,38 +246,32 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
     return inc
 
 
-def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0,
-                              x0: np.ndarray | None = None, noise_off: bool = False):
+def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0):
     """Full pipeline: draw x0, integrate the truth, emit observation increments.
 
     `seed` is one seed (default cfg.seed) or a tuple of seeds; a tuple gives
-    one column per seed: increments (K, n, S) and truth (K+1, m, S). Every
-    seed draws its own "x0", "V" and "W" streams, so a column is the path of
-    that seed alone (bitwise for m = 1; for m > 1 the batched matrix products
-    may round differently). `eps` is one noise level, or a tuple of levels
-    that gives a tuple of paths, one per level, each bitwise the path of that
-    level alone: the levels share each seed's streams and are simulated in
-    one pass. The pass runs in blocks of whole coarse steps and whole chunks
-    sized by NOISE_BLOCK (see the module docstring); each block draws the next
-    stretch of every stream, so only the coarse truth and the increments are
-    kept. `noise_off` zeroes the observation noise (test hook) while keeping
-    everything else identical.
+    one column per seed, increments (K, n, S). Every seed draws its own
+    "x0", "V" and "W" streams, so a column is the path of that seed alone
+    (bitwise for m = 1; for m > 1 the batched matrix products may round
+    differently). `eps` is one noise level, or a tuple of levels that gives
+    a tuple of paths, one per level, each bitwise the path of that level
+    alone: the levels share each seed's streams and are simulated in one
+    pass. The pass runs in blocks of whole coarse steps and whole chunks
+    sized by NOISE_BLOCK (see the module docstring); each block draws the
+    next stretch of every stream, so only the increments are kept.
     """
     seed = cfg.seed if seed is None else seed
     seeds = seed if isinstance(seed, tuple) else (seed,)
     levels = eps if isinstance(eps, tuple) else (eps,)
     model, grid, sub = cfg.model, cfg.grid(), cfg.substeps
-    if x0 is None:
-        x0 = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator())
-                       for s in seeds], axis=-1)
+    x0 = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator()) for s in seeds],
+                  axis=-1)
     n_levels, n_seeds = len(levels), len(seeds)
-    x = np.broadcast_to(np.reshape(x0, (model.m, n_seeds)), (n_levels, model.m, n_seeds))
+    x = np.broadcast_to(x0, (n_levels, model.m, n_seeds))
     vrngs = [RngStream(s, "V").generator() for s in seeds] if any(lv > 0 for lv in levels) else None
-    wrngs = [None if noise_off else RngStream(s, "W").generator() for s in seeds]
+    wrngs = [RngStream(s, "W").generator() for s in seeds]
     n_steps = len(grid) - 1
     inc = np.empty((n_levels, n_steps, model.n, n_seeds))
-    truth = np.empty((n_levels, n_steps + 1, model.m, n_seeds))
-    truth[:, 0] = x
     # whole chunks of fine steps per block, so that every block starts the
     # noise-free recursion at a chunk boundary of the whole path
     unit = math.lcm(sub, CHUNK) // sub
@@ -297,12 +281,10 @@ def generate_observation_path(cfg: ExperimentConfig, seed=None, eps=0.0,
         fine = fine_grid(grid[lo:hi + 1], sub)
         block = simulate_truth(model, x, fine, levels, vrngs)
         inc[:, lo:hi] = simulate_observations(model, block, fine, sub, wrngs).swapaxes(0, 1)
-        truth[:, lo + 1:hi + 1] = block[sub::sub].swapaxes(0, 1)
         x = block[-1]
     if not isinstance(seed, tuple):
-        inc, truth = inc[..., 0], truth[..., 0]
-    paths = tuple(ObservationPath(grid=grid, increments=inc[e], truth=truth[e], seed=seed,
-                                  eps=level) for e, level in enumerate(levels))
+        inc = inc[..., 0]
+    paths = tuple(ObservationPath(grid=grid, increments=inc_e) for inc_e in inc)
     return paths if isinstance(eps, tuple) else paths[0]
 
 

@@ -68,8 +68,8 @@ def epsilon_sweep(cfg: ExperimentConfig) -> EpsilonSweep:
         pieces = dict(zip(members, filter_pieces_batch(cfg.model, grid, cfg.P0, eps_gain=members)))
     pieces_zero = pieces[0.0]
     with timed(times, "simulate"):
-        # the paths of every eps side by side as seed columns; their truth is
-        # not used here and is released
+        # the paths of every eps side by side as seed columns; the buffer
+        # the paths are views of is released before the filters run
         paths = generate_observation_path(cfg, seed=seeds, eps=epsilons)
         increments = np.concatenate([p.increments for p in paths], axis=2)
         del paths

@@ -1,0 +1,116 @@
+"""Reference loops and the whole-path observation generator shared by the tests.
+
+The loops are the plain per-step and chunked forms of the package's linear
+recursions. The whole-path generator is the one-shot form of the streamed
+generate_observation_path; it also returns the coarse truth, takes an initial
+state in place of the "x0" draw, and can leave out the observation noise,
+which the package itself never does.
+"""
+
+import numpy as np
+
+from kblab._integrators import CHUNK, transition_steps
+from kblab.simulate import (
+    ObservationPath,
+    RngStream,
+    _psd_sqrt_path,
+    draw_initial_state,
+    fine_grid,
+)
+
+
+def sequential_loop(steps, x0, offsets=None):
+    """Per-step loop x_{k+1} = steps[k] @ x_k, plus offsets[k] when given."""
+    out = np.empty((len(steps) + 1,) + np.shape(x0))
+    out[0] = x = x0
+    for k in range(len(steps)):
+        x = steps[k] @ x if offsets is None else offsets[k] + steps[k] @ x
+        out[k + 1] = x
+    return out
+
+
+def chunked_loop(steps, x0, offsets=None):
+    """The chunked order of linear_recursion, one chunk at a time.
+
+    Each chunk of CHUNK steps is stepped from its start as in the per-step
+    loop. The end of a whole chunk is then replaced by its product of steps
+    applied to its start plus its offsets summed from zero, and starts the
+    next chunk.
+    """
+    out = np.empty((len(steps) + 1,) + np.shape(x0))
+    out[0] = x0
+    if offsets is not None:
+        offsets = np.broadcast_to(offsets, (len(steps),) + out.shape[1:])
+    for lo in range(0, len(steps), CHUNK):
+        hi = min(lo + CHUNK, len(steps))
+        out[lo:hi + 1] = sequential_loop(steps[lo:hi], out[lo],
+                                         None if offsets is None else offsets[lo:hi])
+        if hi - lo < CHUNK:
+            break
+        prod, total = steps[lo], None if offsets is None else offsets[lo]
+        for k in range(lo + 1, hi):
+            prod = steps[k] @ prod
+            if offsets is not None:
+                total = offsets[k] + steps[k] @ total
+        out[hi] = prod @ out[lo] if offsets is None else prod @ out[lo] + total
+    return out
+
+
+class ZeroGenerator:
+    """Stands in for a numpy Generator and draws zeros: a column with no noise."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
+    """Observation path of one eps level, generated over the whole horizon at once.
+
+    The fine truth of every column and each stream's draws for the whole
+    horizon are held together; one seed gives (m,) states and
+    matrix-vector products. The noise-free truth is the chunked loop over
+    the whole fine grid. x0 replaces the "x0" draws, and noise_off leaves
+    out the observation noise. Returns (increments, coarse truth).
+    """
+    model, sub = cfg.model, cfg.substeps
+    batch = isinstance(seed, tuple)
+    seeds = seed if batch else (seed,)
+    fine = fine_grid(cfg.grid(), sub)
+    n_fine = len(fine) - 1
+    if x0 is None:
+        x0 = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator()) for s in seeds],
+                      axis=-1)
+    x0 = x0 if batch else np.reshape(x0, model.m)
+    if eps == 0.0:
+        truth = chunked_loop(transition_steps(model, fine), x0)
+    else:
+        truth = np.empty((n_fine + 1,) + x0.shape)
+        truth[0] = x = x0
+        h = fine[1:] - fine[:-1]
+        a, f = model.A_at(fine[:-1]), model.F_at(fine[:-1])
+        xi = np.stack([RngStream(s, "V").generator().standard_normal((n_fine, model.m))
+                       for s in seeds], axis=-1)
+        noise = (eps * np.sqrt(h))[:, None, None] * (f @ xi)
+        noise = noise if batch else noise[..., 0]
+        for k in range(n_fine):
+            x = x + h[k] * (a[k] @ x) + noise[k]
+            truth[k + 1] = x
+    c = model.C_at(fine)
+    hh = (fine[1:] - fine[:-1])[:, None]
+    rhalf = _psd_sqrt_path(model.R_at(fine[:-1]))
+    columns = truth if batch else truth[:, :, None]
+    inc = np.empty((n_fine // sub, model.n, len(seeds)))
+    for j, s in enumerate(seeds):
+        cx = np.einsum("tij,tj->ti", c, columns[:, :, j])
+        drift = 0.5 * hh * (cx[:-1] + cx[1:])
+        rng = ZeroGenerator() if noise_off else RngStream(s, "W").generator()
+        noise = np.sqrt(hh) * np.einsum("tij,tj->ti", rhalf, rng.standard_normal((n_fine, model.n)))
+        # in-order substep sums (cumsum adds in order along its axis)
+        inc[:, :, j] = (drift + noise).reshape(n_fine // sub, sub, model.n).cumsum(axis=1)[:, -1]
+    return (inc if batch else inc[:, :, 0]), truth[::sub]
+
+
+def noise_free_path(cfg, x0=None):
+    """The path of cfg.seed at eps = 0 without observation noise, and its coarse truth."""
+    inc, truth = whole_path_generator(cfg, cfg.seed, 0.0, x0=x0, noise_off=True)
+    return ObservationPath(grid=cfg.grid(), increments=inc), truth

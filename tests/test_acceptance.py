@@ -21,7 +21,7 @@ def _params():
         if c.known_fail:
             marks.append(pytest.mark.xfail(
                 reason="mean-gap slope is quadratic in eps (measured ~2.0); "
-                       "the [0.7, 1.3] band is not attainable", strict=False))
+                       "the [0.7, 1.3] band is not attainable", strict=True))
         out.append(pytest.param(c.name, id=c.name, marks=marks))
     return out
 

@@ -21,11 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "kblab"
 # module-level names that describe the package rather than feed its code
 MODULE_METADATA = {"__all__", "__version__"}
 
-# (record, field) pairs that the package writes but does not read itself:
-# tests compare a simulated path against its truth, its noise level and its seeds
-UNREAD_FIELDS = {("ObservationPath", "truth"), ("ObservationPath", "eps"),
-                 ("ObservationPath", "seed")}
-
 
 def _trees():
     return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
@@ -85,20 +80,8 @@ def _record_members(trees):
 def test_every_record_field_and_property_is_read():
     trees = _trees()
     read = _attributes_read(trees)
-    unread = [(cls, n) for cls, n in _record_members(trees)
-              if n not in read and (cls, n) not in UNREAD_FIELDS]
+    unread = [(cls, n) for cls, n in _record_members(trees) if n not in read]
     assert not unread, f"fields or properties never read in kblab: {sorted(unread)}"
-
-
-def test_allowed_unread_fields_are_still_unread():
-    # an allowed field that the package starts to read leaves the list; a name
-    # that another record also has (ObservationPath.seed beside cfg.seed) is
-    # read under that name anyway, so only its existence is checked
-    trees = _trees()
-    members = _record_members(trees)
-    assert UNREAD_FIELDS <= set(members)
-    shared = {n for cls, n in members if (cls, n) not in UNREAD_FIELDS}
-    assert not ({name for _, name in UNREAD_FIELDS} - shared) & _attributes_read(trees)
 
 
 def _names_read(trees):

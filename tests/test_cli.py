@@ -249,6 +249,27 @@ def test_invalid_config_values_exit_code(tmp_path):
     assert cli.main(["riccati", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command, fields, args, message", [
+    ("stability-mean", {}, ["--seed", "-3"], "seed must be >= 0"),
+    ("gramian", {"uco_window": -1.0}, [], "uco_window must be positive"),
+    ("gramian", {"uco_window": 0.0004}, [], "shorter than one grid step"),
+    ("gramian", {}, ["--horizon", "0.5"], "exceeds the horizon"),
+], ids=["negative-seed", "negative-window", "window-under-one-step", "window-over-horizon"])
+def test_bad_run_inputs_exit_with_an_error_line(tmp_path, capsys, command, fields, args, message):
+    # scalar_unstable: dt = 0.001, uco_window = 1
+    cfg = replace(builtin_scenario("scalar_unstable"), horizon=2.0, mc_runs=2, **fields)
+    argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]
+    assert cli.main(argv + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_short_horizon_passes_where_the_window_is_not_read(tmp_path):
+    cfg = builtin_scenario("scalar_unstable")
+    argv = ["riccati", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]
+    assert cli.main(argv + ["--horizon", "0.5"]) == 0
+
+
 def test_verify_filter_runs_subset(capsys):
     code = cli.main(["verify", "--filter", "criterion-9"])
     out = capsys.readouterr().out

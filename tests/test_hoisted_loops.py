@@ -4,7 +4,8 @@ Each reference below is the per-step loop or kernel the current code
 replaced, kept here verbatim in its arithmetic; every comparison is exact.
 Linear recursions run in chunks (_integrators.linear_recursion): they equal
 a plain chunked loop exactly, the per-step loop exactly in their first
-CHUNK rows, and the per-step loop within a float bound everywhere.
+CHUNK rows, and the per-step loop within a float bound everywhere. Those two
+loops and the whole-path observation generator are in references.py.
 """
 
 import re
@@ -37,12 +38,11 @@ from kblab.scenarios import SCENARIOS, builtin_scenario
 from kblab.simulate import (
     ObservationPath,
     RngStream,
-    _psd_sqrt_path,
-    draw_initial_state,
     fine_grid,
     generate_observation_path,
     simulate_truth,
 )
+from references import chunked_loop, sequential_loop, whole_path_generator
 
 
 def _dense_pair_model():
@@ -305,49 +305,12 @@ def test_free_flow_steps_equal_reference_kernel(name):
                               _free_flow_steps(mdl, lo, lo + 0.5 * hh, lo + hh, hh))
 
 
-def _sequential_loop(steps, x0, offsets=None):
-    """Per-step loop x_{k+1} = steps[k] @ x_k, plus offsets[k] when given."""
-    out = np.empty((len(steps) + 1,) + np.shape(x0))
-    out[0] = x = x0
-    for k in range(len(steps)):
-        x = steps[k] @ x if offsets is None else offsets[k] + steps[k] @ x
-        out[k + 1] = x
-    return out
-
-
-def _chunked_loop(steps, x0, offsets=None):
-    """The chunked order of linear_recursion, one chunk at a time.
-
-    Each chunk of CHUNK steps is stepped from its start as in the per-step
-    loop. The end of a whole chunk is then replaced by its product of steps
-    applied to its start plus its offsets summed from zero, and starts the
-    next chunk.
-    """
-    out = np.empty((len(steps) + 1,) + np.shape(x0))
-    out[0] = x0
-    if offsets is not None:
-        offsets = np.broadcast_to(offsets, (len(steps),) + out.shape[1:])
-    for lo in range(0, len(steps), CHUNK):
-        hi = min(lo + CHUNK, len(steps))
-        out[lo:hi + 1] = _sequential_loop(steps[lo:hi], out[lo],
-                                          None if offsets is None else offsets[lo:hi])
-        if hi - lo < CHUNK:
-            break
-        prod, total = steps[lo], None if offsets is None else offsets[lo]
-        for k in range(lo + 1, hi):
-            prod = steps[k] @ prod
-            if offsets is not None:
-                total = offsets[k] + steps[k] @ total
-        out[hi] = prod @ out[lo] if offsets is None else prod @ out[lo] + total
-    return out
-
-
 def _assert_near(out, ref, bound=2e-14):
     """out agrees with ref to bound relative to ref's largest entry."""
     assert np.abs(out - ref).max() <= bound * np.abs(ref).max()
 
 
-def _scan_loop(pieces, increments, x0, loop=_chunked_loop):
+def _scan_loop(pieces, increments, x0, loop=chunked_loop):
     """Filter scan by the given recursion loop; innovations from its means."""
     msteps, gains, cdt = pieces.riccati.closed_loop_steps, pieces.gains, pieces.cdt
     steps = range(len(msteps))
@@ -370,7 +333,7 @@ def test_scan_equals_per_step_loop(name):
         means = _scan([pieces], increments, x0[None])
         assert means.shape == (n_steps + 1, 1) + x0.shape
         assert np.array_equal(means[:, 0], _scan_loop(pieces, increments, x0)[0])
-        _assert_near(means[:, 0], _scan_loop(pieces, increments, x0, _sequential_loop)[0])
+        _assert_near(means[:, 0], _scan_loop(pieces, increments, x0, sequential_loop)[0])
     # stacked members: four flows in one scan, two on each of two blocks of
     # three seed columns, then all four on one shared path; every member
     # equals its own per-step loop
@@ -385,26 +348,24 @@ def test_scan_equals_per_step_loop(name):
             block = increments if increments.shape[2] == 1 else increments[:, :, lo:lo + 3]
             ref = _scan_loop(member, np.ascontiguousarray(block), x0[b])[0]
             assert np.array_equal(means[:, b], ref)
-            _assert_near(means[:, b], _scan_loop(member, block, x0[b], _sequential_loop)[0])
+            _assert_near(means[:, b], _scan_loop(member, block, x0[b], sequential_loop)[0])
     # run_filter forms the innovations after the scan; a one-seed path runs
     # as one column and is compared with the (m,) state loop
     for increments in (rng.standard_normal((len(grid) - 1, n)),          # one path
                        rng.standard_normal((len(grid) - 1, n, 4))):      # seed columns
-        obs = ObservationPath(grid=grid, increments=increments,
-                              truth=np.zeros((len(grid), m) + increments.shape[2:]),
-                              seed=0, eps=0.0)
+        obs = ObservationPath(grid=grid, increments=increments)
         run = run_filter(cfg.model, obs, (cfg.m0, cfg.P0), pieces=pieces)
         x0 = cfg.m0 if increments.ndim == 2 else np.repeat(cfg.m0[:, None], 4, axis=1)
         ref_means, ref_innov = _scan_loop(pieces, increments, x0)
         assert run.means.shape == ref_means.shape and np.array_equal(run.means, ref_means)
         assert run.innovations.shape == ref_innov.shape
         assert np.array_equal(run.innovations, ref_innov)
-        seq_means, seq_innov = _scan_loop(pieces, increments, x0, _sequential_loop)
+        seq_means, seq_innov = _scan_loop(pieces, increments, x0, sequential_loop)
         _assert_near(run.means, seq_means)
         _assert_near(run.innovations, seq_innov)
 
 
-def _product_loop(steps, loop=_sequential_loop):
+def _product_loop(steps, loop=sequential_loop):
     """Running products of one (K, m, m) stack by the given recursion loop."""
     return loop(steps, np.eye(steps.shape[-1]))
 
@@ -416,7 +377,7 @@ def test_running_products_equal_per_step_loop(name):
     # m = 1 takes a cumulative product, the order of the per-step loop
     cfg = builtin_scenario(name)
     grid = make_grid(4.0, 0.02)
-    loop = _sequential_loop if cfg.model.m == 1 else _chunked_loop
+    loop = sequential_loop if cfg.model.m == 1 else chunked_loop
     phi_steps = transition_steps(cfg.model, grid)
     assert np.array_equal(accumulate_transitions(phi_steps), _product_loop(phi_steps, loop))
     _assert_near(accumulate_transitions(phi_steps), _product_loop(phi_steps))
@@ -457,9 +418,9 @@ def test_first_chunk_rows_equal_per_step_loop(name):
     steps, x0, offsets = _recursion_cases(name, 5 * CHUNK)
     for offs in (None, offsets):
         out = _recursion(steps, x0, offs)
-        assert np.array_equal(out[:CHUNK], _sequential_loop(steps, x0, offs)[:CHUNK])
+        assert np.array_equal(out[:CHUNK], sequential_loop(steps, x0, offs)[:CHUNK])
         short = (steps[:CHUNK - 1], x0, None if offs is None else offs[:CHUNK - 1])
-        assert np.array_equal(_recursion(*short), _sequential_loop(*short))
+        assert np.array_equal(_recursion(*short), sequential_loop(*short))
 
 
 @pytest.mark.parametrize("name", ["scalar_unstable", "rotation_partial", "periodic3"])
@@ -469,7 +430,7 @@ def test_recursion_resumed_at_chunk_boundary_equals_whole(name):
     steps, x0, offsets = _recursion_cases(name, 5 * CHUNK + 7)
     for offs in (None, offsets):
         whole = _recursion(steps, x0, offs)
-        assert np.array_equal(whole, _chunked_loop(steps, x0, offs))
+        assert np.array_equal(whole, chunked_loop(steps, x0, offs))
         for lo in (CHUNK, 3 * CHUNK, 5 * CHUNK):
             for hi in (lo + CHUNK, len(steps)):
                 rest = _recursion(steps[lo:hi], whole[lo], None if offs is None else offs[lo:hi])
@@ -481,11 +442,11 @@ def test_chunked_recursion_near_sequential_loop(name):
     # 1,500 steps: the filter means (offsets) and running products of three
     # closed loops and the free-flow truth from four states
     steps, x0, offsets = _recursion_cases(name, 1500)
-    _assert_near(_recursion(steps, x0, offsets), _sequential_loop(steps, x0, offsets))
+    _assert_near(_recursion(steps, x0, offsets), sequential_loop(steps, x0, offsets))
     eye = np.broadcast_to(np.eye(x0.shape[1]), (3,) + 2 * x0.shape[1:2])
-    _assert_near(_recursion(steps, eye), _sequential_loop(steps, eye))
+    _assert_near(_recursion(steps, eye), sequential_loop(steps, eye))
     phi_steps = transition_steps(builtin_scenario(name).model, make_grid(30.0, 0.02))
-    _assert_near(_recursion(phi_steps, x0), _sequential_loop(phi_steps, x0))
+    _assert_near(_recursion(phi_steps, x0), sequential_loop(phi_steps, x0))
 
 
 def _em_loop(model, x0, grid, eps, gens):
@@ -534,55 +495,6 @@ def test_em_scalar_step_keeps_the_sign_of_zero(levels):
         assert np.array_equal(np.signbit(truth[:, e]), np.signbit(ref))
 
 
-def _whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
-    """Observation path of one eps level, generated over the whole horizon at once.
-
-    The fine truth of every column and each stream's draws for the whole
-    horizon are held together; one seed gives (m,) states and
-    matrix-vector products. The noise-free truth is the chunked loop over
-    the whole fine grid. Returns (increments, coarse truth).
-    """
-    model, sub = cfg.model, cfg.substeps
-    batch = isinstance(seed, tuple)
-    seeds = seed if batch else (seed,)
-    fine = fine_grid(cfg.grid(), sub)
-    n_fine = len(fine) - 1
-    if x0 is None:
-        x0 = np.stack([draw_initial_state(cfg, RngStream(s, "x0").generator()) for s in seeds],
-                      axis=-1)
-    x0 = x0 if batch else np.reshape(x0, model.m)
-    if eps == 0.0:
-        truth = _chunked_loop(transition_steps(model, fine), x0)
-    else:
-        truth = np.empty((n_fine + 1,) + x0.shape)
-        truth[0] = x = x0
-        h = fine[1:] - fine[:-1]
-        a, f = model.A_at(fine[:-1]), model.F_at(fine[:-1])
-        xi = np.stack([RngStream(s, "V").generator().standard_normal((n_fine, model.m))
-                       for s in seeds], axis=-1)
-        noise = (eps * np.sqrt(h))[:, None, None] * (f @ xi)
-        noise = noise if batch else noise[..., 0]
-        for k in range(n_fine):
-            x = x + h[k] * (a[k] @ x) + noise[k]
-            truth[k + 1] = x
-    c = model.C_at(fine)
-    hh = (fine[1:] - fine[:-1])[:, None]
-    rhalf = _psd_sqrt_path(model.R_at(fine[:-1]))
-    columns = truth if batch else truth[:, :, None]
-    inc = np.empty((n_fine // sub, model.n, len(seeds)))
-    for j, s in enumerate(seeds):
-        cx = np.einsum("tij,tj->ti", c, columns[:, :, j])
-        drift = 0.5 * hh * (cx[:-1] + cx[1:])
-        if noise_off:
-            noise = np.zeros_like(drift)
-        else:
-            xi = RngStream(s, "W").generator().standard_normal((n_fine, model.n))
-            noise = np.sqrt(hh) * np.einsum("tij,tj->ti", rhalf, xi)
-        # in-order substep sums (cumsum adds in order along its axis)
-        inc[:, :, j] = (drift + noise).reshape(n_fine // sub, sub, model.n).cumsum(axis=1)[:, -1]
-    return (inc if batch else inc[:, :, 0]), truth[::sub]
-
-
 # fine steps per block in the block boundary tests below
 BLOCK_FINE_STEPS = 512
 
@@ -593,7 +505,7 @@ def _block_coarse_steps(substeps):
     return unit * max(1, BLOCK_FINE_STEPS // (unit * substeps))
 
 
-def _assert_streamed_equals_whole_path(cfg, seed, levels, monkeypatch=None, **kwargs):
+def _assert_streamed_equals_whole_path(cfg, seed, levels, monkeypatch=None):
     """The streamed paths equal the whole-path generator's, level by level.
 
     With monkeypatch, every generator call runs blocks of
@@ -606,19 +518,15 @@ def _assert_streamed_equals_whole_path(cfg, seed, levels, monkeypatch=None, **kw
             n_levels = len(eps) if isinstance(eps, tuple) else 1
             monkeypatch.setattr(simulate, "NOISE_BLOCK",
                                 BLOCK_FINE_STEPS * n_levels * n_seeds * cfg.model.m)
-        return generate_observation_path(cfg, seed=seed, eps=eps, **kwargs)
+        return generate_observation_path(cfg, seed=seed, eps=eps)
 
     paths = generate(levels)
     assert len(paths) == len(levels)
     for path, eps in zip(paths, levels):
-        inc, truth = _whole_path_generator(cfg, seed, eps, **kwargs)
-        assert path.eps == eps and path.seed == seed
+        inc, _ = whole_path_generator(cfg, seed, eps)
         assert np.array_equal(path.grid, cfg.grid())
         assert path.increments.shape == inc.shape and np.array_equal(path.increments, inc)
-        assert path.truth.shape == truth.shape and np.array_equal(path.truth, truth)
-    one = generate(levels[0])
-    assert np.array_equal(one.increments, paths[0].increments)
-    assert np.array_equal(one.truth, paths[0].truth)
+    assert np.array_equal(generate(levels[0]).increments, paths[0].increments)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -649,15 +557,6 @@ def test_streamed_generator_time_varying_noise_roots(monkeypatch):
     cfg = replace(builtin_scenario("periodic3"), model=_models()[3], dt=0.01, horizon=10.25)
     assert (len(cfg.grid()) - 1) % BLOCK_FINE_STEPS == 1
     _assert_streamed_equals_whole_path(cfg, (3, 4), (0.1, 0.0), monkeypatch)
-
-
-@pytest.mark.parametrize("name", ["rotation_atoms", "two_atom", "smallnoise_stable"])
-def test_streamed_generator_hooks(name):
-    cfg = replace(builtin_scenario(name), dt=0.01, horizon=6.0)
-    _assert_streamed_equals_whole_path(cfg, (1, 2), (0.1, 0.0), noise_off=True)
-    x0 = np.linspace(-1.0, 1.0, cfg.model.m)
-    _assert_streamed_equals_whole_path(cfg, 9, (0.0, 0.05), x0=x0)
-    _assert_streamed_equals_whole_path(cfg, (9, 10), (0.2,), x0=np.stack([x0, 2.0 * x0], axis=-1))
 
 
 def test_stream_blocks_are_sized_by_the_values_they_hold(monkeypatch):

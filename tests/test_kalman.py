@@ -18,6 +18,7 @@ from kblab.propagate import closed_loop_propagator, fundamental_matrix, make_gri
 from kblab.riccati import integrate_dre
 from kblab.simulate import generate_observation_path
 from kblab.scenarios import builtin_scenario
+from references import noise_free_path
 
 
 def test_no_observation_filter_follows_free_flow():
@@ -32,16 +33,16 @@ def test_no_observation_filter_follows_free_flow():
 
 def test_exact_init_tracks_constant_truth():
     cfg = builtin_scenario("scalar_basic")
-    obs = generate_observation_path(cfg, noise_off=True)
-    run = run_filter(cfg.model, obs, (obs.truth[0], cfg.P0))
-    assert np.abs(run.means - obs.truth).max() <= 1e-12
+    obs, truth = noise_free_path(cfg)
+    run = run_filter(cfg.model, obs, (truth[0], cfg.P0))
+    assert np.abs(run.means - truth).max() <= 1e-12
     assert np.abs(run.innovations).max() <= 1e-15
 
 
 def test_scalar_worked_case_decay():
     cfg = builtin_scenario("scalar_basic")
-    obs = generate_observation_path(cfg, noise_off=True)
-    x0 = obs.truth[0, 0]
+    obs, truth = noise_free_path(cfg)
+    x0 = truth[0, 0]
     run = run_filter(cfg.model, obs, (np.zeros(1), np.eye(1)))
     analytic = x0 + (0.0 - x0) / (1.0 + obs.grid)
     assert np.abs(run.means[:, 0] - analytic).max() <= 1e-9
@@ -165,10 +166,10 @@ def test_mismatched_mc_rejects_zero_initial_gap():
         mismatched_mc(cfg)
 
 
-def test_mismatched_mc_noise_off_reproducible():
+def test_mismatched_mc_reproducible():
     cfg = replace(builtin_scenario("scalar_basic"), horizon=2.0, mc_runs=2)
-    a = mismatched_mc(cfg, noise_off=True)
-    b = mismatched_mc(cfg, noise_off=True)
+    a = mismatched_mc(cfg)
+    b = mismatched_mc(cfg)
     assert np.array_equal(a.terminal_gaps, b.terminal_gaps)
 
 

@@ -16,6 +16,7 @@ from kblab.propagate import fundamental_matrix
 from kblab.riccati import closed_form_dre
 from kblab.simulate import generate_observation_path
 from kblab.scenarios import builtin_scenario
+from references import noise_free_path
 
 
 def test_logsumexp_handles_extreme_exponents():
@@ -138,7 +139,7 @@ def test_weights_normalized_every_node():
 
 def test_bank_weight_collapse_under_clean_signal():
     cfg = builtin_scenario("two_atom_sharp")
-    obs = generate_observation_path(cfg, x0=np.array([1.0]), noise_off=True)
+    obs, _ = noise_free_path(cfg, x0=np.array([1.0]))
     bank = bank_oracle(cfg.model, obs, cfg.atoms, (cfg.m0, cfg.P0))
     w = bank.weights[:, 0]
     k10 = np.argmin(np.abs(obs.grid - 10.0))

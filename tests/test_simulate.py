@@ -15,6 +15,7 @@ from kblab.simulate import (
     simulate_truth,
 )
 from kblab.scenarios import builtin_scenario
+from references import ZeroGenerator, whole_path_generator
 
 
 def test_rng_streams_are_independent_and_stable():
@@ -32,7 +33,6 @@ def test_observation_path_regenerates_bitwise():
     a = generate_observation_path(cfg, seed=42)
     b = generate_observation_path(cfg, seed=42)
     assert np.array_equal(a.increments, b.increments)
-    assert np.array_equal(a.truth, b.truth)
     x1 = draw_initial_state(cfg, RngStream(42, "x0").generator())
     x2 = draw_initial_state(cfg, RngStream(42, "x0").generator())
     assert np.array_equal(x1, x2)
@@ -106,15 +106,15 @@ def test_noiseless_hook_exact_quadrature():
     grid = make_grid(1.0, 0.01)
     fg = fine_grid(grid, 10)
     tr = simulate_truth(mdl, np.ones((1, 1, 1)), fg, (0.0,), None)
-    inc = simulate_observations(mdl, tr, fg, 10, [None])
+    inc = simulate_observations(mdl, tr, fg, 10, [ZeroGenerator()])
     assert np.abs(inc - 0.01).max() <= 1e-15
 
 
 def test_substep_refinement_changes_noiseless_increments_little():
     cfg = replace(builtin_scenario("scalar_unstable"), horizon=2.0)
-    one = generate_observation_path(cfg, noise_off=True)
-    ten = generate_observation_path(replace(cfg, substeps=10), noise_off=True)
-    assert np.abs(one.increments - ten.increments).max() <= 1e-7
+    one, _ = whole_path_generator(cfg, cfg.seed, 0.0, noise_off=True)
+    ten, _ = whole_path_generator(replace(cfg, substeps=10), cfg.seed, 0.0, noise_off=True)
+    assert np.abs(one - ten).max() <= 1e-7
 
 
 def test_fine_grid_structure():
@@ -129,7 +129,6 @@ def test_observation_path_shape_contract():
     cfg = builtin_scenario("rotation_atoms")
     obs = generate_observation_path(cfg, seed=1)
     assert obs.increments.shape == (len(obs.grid) - 1, 2)
-    assert obs.truth.shape == (len(obs.grid), 2)
 
 
 def test_eps_zero_consumes_no_system_noise():
@@ -138,7 +137,6 @@ def test_eps_zero_consumes_no_system_noise():
     a = generate_observation_path(cfg, seed=7, eps=0.0)
     b = generate_observation_path(cfg, seed=7, eps=0.0)
     assert np.array_equal(a.increments, b.increments)
-    assert np.array_equal(a.truth, b.truth)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
@@ -147,13 +145,10 @@ def test_seed_columns_equal_single_seed_paths_scalar(eps):
     seeds = (3, 4, 5)
     batch = generate_observation_path(cfg, seed=seeds, eps=eps)
     assert batch.increments.shape == (len(batch.grid) - 1, 1, 3)
-    assert batch.truth.shape == (len(batch.grid), 1, 3)
-    assert batch.seed == seeds
     for j, s in enumerate(seeds):
         one = generate_observation_path(cfg, seed=s, eps=eps)
         assert np.array_equal(one.grid, batch.grid)
         assert np.array_equal(one.increments, batch.increments[:, :, j])
-        assert np.array_equal(one.truth, batch.truth[:, :, j])
 
 
 def test_seed_columns_match_single_seed_paths_matrix():
@@ -161,7 +156,6 @@ def test_seed_columns_match_single_seed_paths_matrix():
     batch = generate_observation_path(cfg, seed=(7, 8), eps=0.0)
     for j, s in enumerate((7, 8)):
         one = generate_observation_path(cfg, seed=s)
-        assert np.abs(one.truth - batch.truth[:, :, j]).max() <= 1e-12
         assert np.abs(one.increments - batch.increments[:, :, j]).max() <= 1e-12
 
 
@@ -184,11 +178,11 @@ def test_observation_columns_equal_per_column_aggregation():
     fg = fine_grid(make_grid(2.0, 0.02), 4)
     x0s = np.array([[1.0, -2.0, 0.0], [0.5, 0.0, 1.0]])
     truth = simulate_truth(mdl, x0s[None], fg, (0.0,), None)
-    gens = [RngStream(s, "W").generator() for s in (1, 2)] + [None]
+    gens = [RngStream(s, "W").generator() for s in (1, 2)] + [ZeroGenerator()]
     batch = simulate_observations(mdl, truth, fg, 4, gens)
     assert batch.shape == ((len(fg) - 1) // 4, 1, 1, 3)
     for j, s in enumerate((1, 2, None)):
-        rng = None if s is None else RngStream(s, "W").generator()
+        rng = ZeroGenerator() if s is None else RngStream(s, "W").generator()
         one = simulate_observations(mdl, truth[..., j:j + 1], fg, 4, [rng])
         assert np.array_equal(one[..., 0], batch[..., j])
 
@@ -208,7 +202,7 @@ def test_observation_columns_equal_in_order_substep_sums(substeps, n):
     x0s = np.array([[1.0, -2.0, 0.0], [0.5, 0.0, 1.0]])
     truth = simulate_truth(mdl, np.stack([x0s, -x0s]), fg, (0.1, 0.3),
                            [RngStream(s, "V").generator() for s in (1, 2, 3)])
-    gens = [RngStream(s, "W").generator() for s in (1, 2)] + [None]
+    gens = [RngStream(s, "W").generator() for s in (1, 2)] + [ZeroGenerator()]
     batch = simulate_observations(mdl, truth, fg, substeps, gens)
     assert batch.shape == (n_coarse, 2, n, 3)
     c, h = mdl.C_at(fg), np.diff(fg)[:, None]
