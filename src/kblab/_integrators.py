@@ -9,10 +9,10 @@ algebra (filter one-step matrices, propagator products, Riccati stage values)
 are built from bitwise-identical arithmetic.
 
 Every linear recursion over the steps of a grid, z_{k+1} = S_k z_k plus an
-optional offset (running products, the noise-free truth, the filter means),
-runs in linear_recursion, a two-level scan over chunks of CHUNK steps:
-about 2 CHUNK + K / CHUNK batched products in Python instead of K. Its
-independent recursions run as members of each batched product.
+optional offset (running products, the truth at every noise level, the
+filter means), runs in linear_recursion, a two-level scan over chunks of
+CHUNK steps: about 2 CHUNK + K / CHUNK batched products in Python instead
+of K. Its independent recursions run as members of each batched product.
 
 The Riccati sweep runs one of two loops, chosen by the state dimension m
 alone. For m <= 2 each member runs through a plain-float loop that reads and
@@ -94,8 +94,9 @@ def linear_recursion(steps: np.ndarray, out: np.ndarray, offset: bool = False) -
     steps is (K, ..., m, m) and out is (K+1, ..., m, S) with out[0] the start
     (and out[1:] the offsets); the axes between time and matrix are members,
     which broadcast as in matmul. out may be any strided view. This is the
-    one time loop of every linear recursion: running products, noise-free
-    truth, filter means.
+    one time loop of every linear recursion: running products, the truth
+    (RK4 transition steps, or Euler-Maruyama steps I + h A with the noise
+    terms as offsets), filter means.
 
     The steps are cut into chunks of CHUNK, anchored at step 0, and scanned
     in three passes, about 2 CHUNK + K / CHUNK batched products in all:
@@ -205,7 +206,7 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     stages = coefficient_stages(model, grid)
     a_lo, a_mid, a_hi = stages["A"]
     g_lo, g_mid, g_hi = stages["G"]
-    q_lo, q_mid, q_hi = _forcing(stages["FFt"], eps, n_steps, m)
+    q_lo, q_mid, q_hi = _forcing(stages["FFt"], eps)
     h = grid[1:] - grid[:-1]
 
     # member-major results, written step by step through time-major views
@@ -276,15 +277,12 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     return paths, mpaths
 
 
-def _forcing(ffts, eps: np.ndarray, n_steps: int, m: int):
+def _forcing(ffts, eps: np.ndarray):
     """eps^2 F F^T at the three stage times, per member.
 
     Members with eps = 0 get +0.0 (0 * F would give -0.0 where F F^T < 0),
     so they add exactly what a noise-free single sweep adds.
     """
-    if not eps.any():
-        z = np.zeros((n_steps,) + eps.shape + (m, m))
-        return z, z, z
     e2 = (eps * eps)[..., None, None]
     members = tuple(range(1, 1 + eps.ndim))
     return tuple(np.where(e2 != 0.0, e2 * np.expand_dims(f, members), 0.0) for f in ffts)

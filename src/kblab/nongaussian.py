@@ -141,10 +141,14 @@ def bank_oracle(model: LtvModel, obs: ObservationPath, atoms, gaussian_init,
                 pieces: FilterPieces | None = None) -> MixturePosterior:
     """Static multiple-model bank: one mean filter per atom plus log-likelihoods.
 
-    Component i runs the filter from (m' + x_i, P'); its log-likelihood
-    accumulates (C x_i)^T R^-1 dy - 0.5 (C x_i)^T R^-1 (C x_i) dt with
-    start-of-node values. Structurally independent of mixture_filter; used as
-    the test oracle. Pieces built from another covariance than P' raise
+    Component i runs the filter from (m' + x_i, P'). Its log-likelihood is
+    accumulated relative to component 1's with start-of-node values:
+    (C (m_i - m_1))^T R^-1 (dy - C (m_i + m_1) dt / 2), the difference of
+    the classical increments (C m)^T R^-1 dy - 0.5 (C m)^T R^-1 (C m) dt.
+    Each likelihood alone grows with the signal's energy on unstable
+    dynamics; their differences do not, so no digits cancel when the weights
+    are normalized. Structurally independent of mixture_filter; used as the
+    test oracle. Pieces built from another covariance than P' raise
     ValueError, as in kalman.run_filter.
     """
     locs, logpi = _atoms(atoms, model.m)
@@ -161,11 +165,11 @@ def bank_oracle(model: LtvModel, obs: ObservationPath, atoms, gaussian_init,
     n_steps = len(grid) - 1
     k = locs.shape[0]
     loglik = np.zeros((n_steps + 1, k))
-    cx = np.einsum("tij,tjk->tik", c, means[:-1])      # (K, n, k)
-    rcx = np.einsum("tij,tjk->tik", rinv, cx)
-    inc = (np.einsum("tik,ti->tk", rcx, obs.increments)
-           - 0.5 * np.einsum("tik,tik->tk", cx, rcx) * h[:, None])
-    np.cumsum(inc, axis=0, out=loglik[1:])
+    first = means[:-1, :, :1]
+    cdiff = np.einsum("tij,tjk->tik", c, means[:-1] - first)              # (K, n, k)
+    csum = np.einsum("tij,tjk->tik", c, means[:-1] + first)
+    resid = obs.increments[:, :, None] - 0.5 * h[:, None, None] * csum
+    np.cumsum(np.einsum("tik,tij,tjk->tk", cdiff, rinv, resid), axis=0, out=loglik[1:])
     raw = logpi[None, :] + loglik
     logw = raw - logsumexp(raw, axis=1)[:, None]
     comp_means = np.swapaxes(means, 1, 2)              # (K+1, k, m)

@@ -119,7 +119,10 @@ def error_factorization_check(model: LtvModel, P0, Pbar0, grid):
 
     The difference of two Riccati solutions factorizes through the two
     closed-loop propagators: P_t - Pbar_t = Psi_t (P0 - Pbar0) Psibar_t^T.
-    Both flows integrate in one batched sweep, and the propagators are the
+    That holds for the exact flows. For the RK4 sweeps it holds to fourth
+    order in dt, for every m, not at rounding: halving dt divides the
+    residual by about 16 (m = 1 with A 0.3, R 0.5, P0 1, Pbar0 4 over
+    T 10: 2.67e-6, 1.74e-7, 1.10e-8 at dt 0.02, 0.01, 0.005). Both flows integrate in one batched sweep, and the propagators are the
     running products of the one-step matrices that sweep built for each
     flow, taken together as two members of one loop.
     Returns (residual path ||lhs - rhs||_2 per node, max residual, pieces).

@@ -17,7 +17,7 @@ block draws the next stretch of every stream, which reproduces the one-shot
 draws exactly. A block holds as many fine steps as fit in NOISE_BLOCK
 values, counted as fine steps x levels x seeds x m, in whole multiples of
 both the substep count and _integrators.CHUNK, and at least one multiple:
-every block then starts the noise-free recursion at a chunk boundary of the
+every block then starts the truth recursion at a chunk boundary of the
 whole path, which makes its truth bitwise the whole path's. Only the
 increments outlive a block: a path is its grid and its increments. The
 kernels have one shape: a block carries E noise levels and S seed columns,
@@ -26,12 +26,13 @@ of noise levels eps gives one path per level from the same pass: each
 seed's "x0", "V" and "W" streams, F xi and R^{1/2} sqrt(h) xi_W are formed
 once and shared by every level, and each level's path is bitwise the path
 that level alone gives. That holds because every level keeps the products
-and the reduction order of a single level. For m >= 2, A x stays one
-(m, m) @ (m, S) product per level; for m = 1 it is a multiply by the float
-a_k, which differs from the (1, 1) matmul (0 + a x) only in the sign of a
-zero, a sign that never reaches the output (see _euler_maruyama). The drift
-C x is an einsum. The substep sums add the substep slices in order on the
-time-major block, so every column is summed in the order it is summed alone.
+and the reduction order of a single level. The truth has one kernel: every
+level of a block runs as a member of one linear recursion
+(_integrators.linear_recursion), a zero level with the RK4 transition
+steps and a noisy level with the Euler-Maruyama steps I + h A and its
+noise terms as offsets. The drift C x is an einsum. The substep sums add
+the substep slices in order on the time-major block, so every column is
+summed in the order it is summed alone.
 """
 
 from __future__ import annotations
@@ -135,18 +136,15 @@ def simulate_truth(model: LtvModel, x0: np.ndarray, fine: np.ndarray, eps: tuple
     a tuple of the E levels (each >= 0) and rng a sequence of S generators,
     one per seed column (None when every level is 0). Returns the
     (F+1, E, m, S) truth.
-    Zero levels take one RK4 transition per step and draw nothing, in the
-    shared linear recursion (_integrators.linear_recursion, chunks anchored
-    at fine[0]). When every level is zero, or none is, the kernel's array is
-    returned as it is. The other
-    levels take Euler-Maruyama steps,
-    x_{j+1} = x_j + A x_j h + eps F sqrt(h) xi_j: each generator is drawn
+    Every level is a member of one linear recursion
+    (_integrators.linear_recursion, chunks anchored at fine[0]). A zero
+    level takes one RK4 transition per step and +0.0 offsets, and draws
+    nothing. A noisy level takes Euler-Maruyama steps,
+    x_{j+1} = (I + h A) x_j + eps F sqrt(h) xi_j: each generator is drawn
     once for every level and F xi is formed once, and level e adds
-    (eps_e sqrt(h)) (F xi). Each step is written straight into its row of
-    the output by in-place operations in the order of that expression, with
-    no temporary per step. Each level's product A x stays one
-    (m, m) @ (m, S) product (a multiply by a float for m = 1), so every
-    level is bitwise the truth that level alone gives.
+    (eps_e sqrt(h)) (F xi), written as the offset rows of the output. Each
+    level takes the (m, m) @ (m, S) products it takes alone, so every level
+    is bitwise the truth that level alone gives.
     """
     levels = np.asarray(eps, dtype=float)
     if (levels < 0.0).any():
@@ -154,62 +152,23 @@ def simulate_truth(model: LtvModel, x0: np.ndarray, fine: np.ndarray, eps: tuple
     noisy = levels != 0.0
     if noisy.any() and rng is None:
         raise ValueError("eps > 0 requires one RNG per seed column for the system noise")
-    if not noisy.any():
-        return _rk4_truth(model, x0, fine)
-    if noisy.all():
-        return _euler_maruyama(model, x0, fine, levels, rng)
-    out = np.empty((len(fine),) + x0.shape)
-    out[:, ~noisy] = _rk4_truth(model, x0[~noisy], fine)
-    out[:, noisy] = _euler_maruyama(model, x0[noisy], fine, levels[noisy], rng)
-    return out
-
-
-def _rk4_truth(model: LtvModel, x, grid) -> np.ndarray:
-    """Noise-free truth of the states x (E, m, S): one RK4 transition per step."""
-    out = np.empty((len(grid),) + x.shape)
-    out[0] = x
-    return linear_recursion(transition_steps(model, grid), out)
-
-
-def _euler_maruyama(model: LtvModel, x, grid, levels, gens) -> np.ndarray:
-    """Euler-Maruyama truth of the states x (E, m, S), noise levels (E,), one generator per column.
-
-    Each step is x_{k+1} = (x_k + h_k (A_k x_k)) + noise_k in that order of
-    operations, four in-place ufunc calls with positional out arguments. For
-    m >= 2, A_k x_k is one (m, m) @ (m, S) matmul per level: a single
-    product over all levels would round differently when S = 1. For m = 1,
-    it is a multiply by the float a_k (see the comment at the loop).
-    """
-    n_steps = len(grid) - 1
-    h = grid[1:] - grid[:-1]
-    a = model.A_at(grid[:-1])
-    xi = np.empty((n_steps,) + x.shape[1:])
-    for j, g in enumerate(gens):
-        xi[:, :, j] = g.standard_normal((n_steps, model.m))
-    # the noise terms do not feed the recursion: F xi is formed once for
-    # every level, and each level scales it by eps sqrt(h)
-    scale = levels * np.sqrt(h)[:, None]
-    noise = scale[:, :, None, None] * (model.F_at(grid[:-1]) @ xi)[:, None]
-    out = np.empty((n_steps + 1,) + x.shape)
-    out[0] = x
-    # For m = 1, A_k x_k is a multiply by the float a_k. The (1, 1) matmul
-    # computes 0 + a x, so the two differ only in the sign of a zero
-    # product, and x + h (a x) then only in the sign of a zero sum. That
-    # sign cannot reach the output: noise_k is never -0.0 (F xi is a
-    # matmul, 0 + f xi, and eps sqrt(h) >= 0), and +-0.0 + noise_k rounds
-    # the same for either sign.
-    product, mul, add = np.matmul, np.multiply, np.add
-    if model.m == 1:
-        product, a = mul, a[:, 0, 0].tolist()
-    ax = np.empty(x.shape)
-    x = out[0]
-    for a_k, h_k, noise_k, nxt in zip(a, h.tolist(), noise, out[1:]):
-        product(a_k, x, ax)
-        mul(ax, h_k, ax)
-        add(x, ax, nxt)
-        add(nxt, noise_k, nxt)
-        x = nxt
-    return out
+    n_steps = len(fine) - 1
+    out = np.empty((n_steps + 1,) + x0.shape)
+    out[0] = x0
+    steps = None if noisy.all() else transition_steps(model, fine)
+    if noisy.any():
+        h = fine[1:] - fine[:-1]
+        em = np.eye(model.m) + h[:, None, None] * model.A_at(fine[:-1])
+        steps = em if steps is None else np.where(noisy[:, None, None], em[:, None],
+                                                  steps[:, None])
+        xi = np.empty((n_steps,) + x0.shape[1:])
+        for j, g in enumerate(rng):
+            xi[:, :, j] = g.standard_normal((n_steps, model.m))
+        scale = levels * np.sqrt(h)[:, None]
+        np.multiply(scale[:, :, None, None], (model.F_at(fine[:-1]) @ xi)[:, None], out=out[1:])
+        # 0 * F xi is -0.0 where F xi < 0; a zero level adds +0.0
+        out[1:, ~noisy] = 0.0
+    return linear_recursion(steps, out, offset=noisy.any())
 
 
 def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndarray,

@@ -56,6 +56,13 @@ def chunked_loop(steps, x0, offsets=None):
     return out
 
 
+def euler_maruyama_steps(model, grid, eps, xi):
+    """Euler-Maruyama steps I + h A and noise terms eps sqrt(h) F xi_k, xi (K, m, S)."""
+    h = grid[1:] - grid[:-1]
+    steps = np.eye(model.m) + h[:, None, None] * model.A_at(grid[:-1])
+    return steps, (eps * np.sqrt(h))[:, None, None] * (model.F_at(grid[:-1]) @ xi)
+
+
 class ZeroGenerator:
     """Stands in for a numpy Generator and draws zeros: a column with no noise."""
 
@@ -68,9 +75,11 @@ def whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
 
     The fine truth of every column and each stream's draws for the whole
     horizon are held together; one seed gives (m,) states and
-    matrix-vector products. The noise-free truth is the chunked loop over
-    the whole fine grid. x0 replaces the "x0" draws, and noise_off leaves
-    out the observation noise. Returns (increments, coarse truth).
+    matrix-vector products. The truth is the chunked loop over the whole
+    fine grid: RK4 transition steps at eps = 0, otherwise Euler-Maruyama
+    steps I + h A with the noise terms as offsets. x0 replaces the "x0"
+    draws, and noise_off leaves out the observation noise. Returns
+    (increments, coarse truth).
     """
     model, sub = cfg.model, cfg.substeps
     batch = isinstance(seed, tuple)
@@ -84,17 +93,10 @@ def whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
     if eps == 0.0:
         truth = chunked_loop(transition_steps(model, fine), x0)
     else:
-        truth = np.empty((n_fine + 1,) + x0.shape)
-        truth[0] = x = x0
-        h = fine[1:] - fine[:-1]
-        a, f = model.A_at(fine[:-1]), model.F_at(fine[:-1])
         xi = np.stack([RngStream(s, "V").generator().standard_normal((n_fine, model.m))
                        for s in seeds], axis=-1)
-        noise = (eps * np.sqrt(h))[:, None, None] * (f @ xi)
-        noise = noise if batch else noise[..., 0]
-        for k in range(n_fine):
-            x = x + h[k] * (a[k] @ x) + noise[k]
-            truth[k + 1] = x
+        steps, noise = euler_maruyama_steps(model, fine, eps, xi)
+        truth = chunked_loop(steps, x0, noise if batch else noise[..., 0])
     c = model.C_at(fine)
     hh = (fine[1:] - fine[:-1])[:, None]
     rhalf = _psd_sqrt_path(model.R_at(fine[:-1]))

@@ -42,7 +42,7 @@ from kblab.simulate import (
     generate_observation_path,
     simulate_truth,
 )
-from references import chunked_loop, sequential_loop, whole_path_generator
+from references import chunked_loop, euler_maruyama_steps, sequential_loop, whole_path_generator
 
 
 def _dense_pair_model():
@@ -80,7 +80,7 @@ def _sweep_loop(model, grid, P0, eps):
     stages = coefficient_stages(model, grid)
     a_lo, a_mid, a_hi = stages["A"]
     g_lo, g_mid, g_hi = stages["G"]
-    q_lo, q_mid, q_hi = _forcing(stages["FFt"], np.broadcast_to(eps, batch), n_steps, m)
+    q_lo, q_mid, q_hi = _forcing(stages["FFt"], np.broadcast_to(eps, batch))
     eye = np.eye(m)
     h = grid[1:] - grid[:-1]
     path = np.empty((n_steps + 1,) + batch + (m, m))
@@ -133,7 +133,7 @@ def _pair_sweep_loop(model, grid, P0, eps):
     a_lo, a_mid, a_hi = stages["A"]
     g_lo, g_mid, g_hi = stages["G"]
     qs = [q.reshape(n_steps, -1, 2, 2) for q in
-          _forcing(stages["FFt"], np.broadcast_to(eps, batch), n_steps, 2)]
+          _forcing(stages["FFt"], np.broadcast_to(eps, batch))]
     p0s = np.broadcast_to(0.5 * (P0 + P0.swapaxes(-1, -2)), batch + (2, 2)).reshape(-1, 2, 2)
     hs = (grid[1:] - grid[:-1]).tolist()
     eye = np.eye(2)
@@ -234,7 +234,7 @@ def _scalar_sweep_loop(model, grid, P0, eps):
     a1, a2, a3 = (c[:, 0, 0].tolist() for c in stages["A"])
     g1, g2, g3 = (c[:, 0, 0].tolist() for c in stages["G"])
     qcols = [q.reshape(n_steps, -1) for q in
-             _forcing(stages["FFt"], np.broadcast_to(eps, batch), n_steps, 1)]
+             _forcing(stages["FFt"], np.broadcast_to(eps, batch))]
     p0s = np.broadcast_to(0.5 * (P0 + P0.swapaxes(-1, -2)), batch + (1, 1)).reshape(-1)
     hs = (grid[1:] - grid[:-1]).tolist()
     paths = np.empty((p0s.size, n_steps + 1))
@@ -468,21 +468,28 @@ def _em_loop(model, x0, grid, eps, gens):
 
 @pytest.mark.parametrize("name", ["rotation", "periodic3", "scalar_basic"])
 def test_em_truth_equals_per_step_loop(name):
+    # the Euler-Maruyama truth is the chunked loop over the steps I + h A with
+    # the noise terms as offsets, exactly, and the per-step loop
+    # x + h (A x) + noise within rounding
     cfg = builtin_scenario(name)
     fine = fine_grid(make_grid(3.0, 0.02), 9)   # 1350 fine steps
     seeds = (3, 4, 5)
     x0 = np.stack([cfg.m0 + j for j in range(len(seeds))], axis=-1)
     truth = simulate_truth(cfg.model, x0[None], fine, (0.2,),
                            [RngStream(s, "V").generator() for s in seeds])
+    xi = np.stack([RngStream(s, "V").generator().standard_normal((len(fine) - 1, cfg.model.m))
+                   for s in seeds], axis=-1)
+    steps, noise = euler_maruyama_steps(cfg.model, fine, 0.2, xi)
+    assert np.array_equal(truth[:, 0], chunked_loop(steps, x0, noise))
     ref = _em_loop(cfg.model, x0, fine, 0.2, [RngStream(s, "V").generator() for s in seeds])
-    assert np.array_equal(truth, ref[:, None])
+    _assert_near(truth[:, 0], ref, 1e-12)
 
 
 @pytest.mark.parametrize("levels", [(0.1, 0.3), (0.2, 1.0)])
 def test_em_scalar_step_keeps_the_sign_of_zero(levels):
-    # A = 0 and F = 0 keep every state at +-0.0: the m = 1 step multiplies
-    # by a_k where the reference takes a matmul (0 + a x), and only the
-    # matmul form of F xi (never -0.0) makes the two agree in every sign bit
+    # A = 0 and F = 0 keep every state at +-0.0: the scan's
+    # (I + h A) x + noise and the reference's x + h (A x) + noise agree in
+    # every sign bit because the noise F xi is a matmul (0 + f xi), never -0.0
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]], F=[[0.0]])
     fine = make_grid(1.0, 0.05)
     x0 = np.array([[-0.0, 0.0, -0.0, -0.0, 0.0, -0.0]])

@@ -134,6 +134,22 @@ def test_factorization_rotation_seeded():
     assert mx <= 1e-6
 
 
+@pytest.mark.parametrize("case", ["scalar", "periodic3"])
+def test_factorization_residual_is_fourth_order(case):
+    # the factorization holds for the exact flows; the RK4 residual is a
+    # discretization error of fourth order in dt for every m, not rounding:
+    # halving dt divides it by about 16 (2.67e-6 -> 1.74e-7 on the scalar
+    # model, 3.06e-8 -> 1.90e-9 on periodic3)
+    if case == "scalar":
+        model, p0, pbar, horizon = constant_model([[0.3]], [[1.0]], [[0.5]]), [[1.0]], [[4.0]], 10.0
+    else:
+        cfg = builtin_scenario(case)
+        model, p0, pbar, horizon = cfg.model, cfg.P0, cfg.Pbar, cfg.horizon
+    errs = [error_factorization_check(model, p0, pbar, make_grid(horizon, dt))[1]
+            for dt in (0.02, 0.01)]
+    assert 8.0 <= errs[0] / errs[1] <= 32.0
+
+
 def test_covariance_gap_trivial_cases():
     cfg = builtin_scenario("smallnoise_stable")
     grid = make_grid(5.0, cfg.dt)
