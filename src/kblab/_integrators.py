@@ -48,14 +48,12 @@ def coefficient_stages(model: LtvModel, grid):
     """Coefficient matrices at step starts, midpoints and ends, batched.
 
     Returns a dict with keys 'A', 'G' (= C^T R^-1 C) and 'FFt', each a
-    tuple of (lo, mid, hi) stacked arrays of shape (K, m, m).
+    tuple of (lo, mid, hi) stacked arrays of shape (K, m, m), taken from the
+    model's paths: a constant one is a read-only broadcast of one matrix.
     """
     times = _stage_times(grid)
-    cs = [model.C_at(t) for t in times]
-    rinv = [np.linalg.inv(model.R_at(t)) for t in times]
-    return {"A": tuple(model.A_at(t) for t in times),
-            "G": tuple(np.swapaxes(c, 1, 2) @ ri @ c for c, ri in zip(cs, rinv)),
-            "FFt": tuple(f @ np.swapaxes(f, 1, 2) for f in map(model.F_at, times))}
+    return {"A": tuple(map(model.A_at, times)), "G": tuple(map(model.G_at, times)),
+            "FFt": tuple(map(model.FFt_at, times))}
 
 
 def rk4_linear_steps(b1, b2, b3, b4, h) -> np.ndarray:

@@ -130,7 +130,9 @@ def cmd_stability_cov(args) -> int:
         "health.min_eig_P": f"{min_eig:.17g}",
     }, times=times, wall_time=time.time() - t0)
     return _verdict("stability-cov", mx <= tol,
-                    f"covariance-difference factorization residual {mx:.3e} (tol {tol:g})")
+                    f"covariance-difference factorization residual {mx:.3e} (tol {tol:g}); "
+                    f"P - Pbar = Psi (P0 - Pbar0) Psibar^T holds to fourth order in dt, "
+                    f"not at float precision")
 
 
 def cmd_stability_mean(args) -> int:

@@ -12,6 +12,13 @@ Three builtin schedule families are supported:
 Only ``periodic`` takes the modulations X1, and ``rotation_damped`` takes no
 A0; a model or document that gives them anyway is rejected.
 
+The model is also the one home of the paths derived from the schedules:
+G = C^T R^-1 C (G_at), R^-1 (Rinv_at), the PSD root R^{1/2} (Rhalf_at) and
+F F^T (FFt_at). A derived path is formed per node only when a schedule it
+reads has its modulation X1 set; otherwise it is formed once and broadcast.
+A schedule without X1 is a read-only broadcast view of X0 as well, not a
+copy per node.
+
 Configurations are plain UTF-8 ``key = value`` documents with sections
 [model], [init], [atoms], [noise], [run]; matrices are given row-major as
 ``name.shape = rows cols`` plus ``name.data = v1 v2 ...``, vectors as
@@ -68,6 +75,31 @@ def _as_matrix(x, rows, cols, name):
     return a
 
 
+def psd_sqrt(P: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root of a matrix or of a stack (last two axes).
+
+    Eigenvalues below zero are clamped to zero; a stack takes one batched
+    eigh call.
+    """
+    P = np.asarray(P, dtype=float)
+    w, v = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def _derived(form, mods, t):
+    """The derived path form(t) of a model.
+
+    Formed per node when one of the schedules it reads is modulated (an X1
+    in mods is set); otherwise formed at one node, as a stack of one with
+    the same arithmetic per matrix, and broadcast read-only over t.
+    """
+    t = np.asarray(t, dtype=float)
+    if any(mod is not None for mod in mods):
+        return form(t)
+    one = form(np.zeros(1))[0]
+    return np.broadcast_to(one, t.shape + one.shape)
+
+
 @dataclass(frozen=True)
 class LtvModel:
     """Evaluatable coefficient schedules with dimensions (m, n)."""
@@ -113,7 +145,7 @@ class LtvModel:
     def _sched(self, base, mod, t):
         t = np.asarray(t, dtype=float)
         if mod is None:
-            return np.broadcast_to(base, t.shape + base.shape).copy()
+            return np.broadcast_to(base, t.shape + base.shape)
         s = np.sin(self.omega * t)
         return base + s[..., None, None] * mod
 
@@ -128,6 +160,28 @@ class LtvModel:
 
     def F_at(self, t):
         return self._sched(self.F0, self.F1, t)
+
+    # -- derived paths: the one place each is formed --------------------------
+
+    def G_at(self, t):
+        """C^T R^-1 C, multiplied left to right."""
+        def form(s):
+            c = self.C_at(s)
+            return np.swapaxes(c, -1, -2) @ self.Rinv_at(s) @ c
+        return _derived(form, (self.C1, self.R1), t)
+
+    def Rinv_at(self, t):
+        return _derived(lambda s: np.linalg.inv(self.R_at(s)), (self.R1,), t)
+
+    def Rhalf_at(self, t):
+        """The symmetric PSD square root R^{1/2}."""
+        return _derived(lambda s: psd_sqrt(self.R_at(s)), (self.R1,), t)
+
+    def FFt_at(self, t):
+        def form(s):
+            f = self.F_at(s)
+            return f @ np.swapaxes(f, -1, -2)
+        return _derived(form, (self.F1,), t)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def integrate_extended_system(model: LtvModel, obs: ObservationPath, init,
     grid = obs.grid
     h = grid[1:] - grid[:-1]
     c = model.C_at(grid[:-1])
-    rinv = np.linalg.inv(model.R_at(grid[:-1]))
+    rinv = model.Rinv_at(grid[:-1])
     g_lo = prop[:-1]
     # G_k^T C_k^T R_k^-1, the factor of both the quadratic and the linear increments
     gcr = np.swapaxes(g_lo, 1, 2) @ np.swapaxes(c, 1, 2) @ rinv
@@ -161,7 +161,7 @@ def bank_oracle(model: LtvModel, obs: ObservationPath, atoms, gaussian_init,
 
     h = grid[1:] - grid[:-1]
     c = model.C_at(grid[:-1])
-    rinv = np.linalg.inv(model.R_at(grid[:-1]))
+    rinv = model.Rinv_at(grid[:-1])
     n_steps = len(grid) - 1
     k = locs.shape[0]
     loglik = np.zeros((n_steps + 1, k))

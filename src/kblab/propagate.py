@@ -82,10 +82,7 @@ def accumulated_information(model: LtvModel, phi: MatrixPath,
     grid = phi.grid
 
     def weighted(ts, phis):
-        c = model.C_at(ts)
-        rinv = np.linalg.inv(model.R_at(ts))
-        g = np.swapaxes(c, 1, 2) @ rinv @ c
-        return np.swapaxes(phis, 1, 2) @ g @ phis
+        return np.swapaxes(phis, 1, 2) @ model.G_at(ts) @ phis
 
     b_node = weighted(grid, phi.values)
     h = (grid[1:] - grid[:-1])[:, None, None]

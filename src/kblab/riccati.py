@@ -14,19 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrators import accumulate_transitions, riccati_sweep
-from .model import LtvModel
+from .model import LtvModel, psd_sqrt
 from .propagate import COND_LIMIT, MatrixPath, accumulated_information, spectral_norms
-
-
-def psd_sqrt(P: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root of a matrix or of a stack (last two axes).
-
-    Eigenvalues below zero are clamped to zero; a stack takes one batched
-    eigh call.
-    """
-    P = np.asarray(P, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 @dataclass
@@ -163,5 +152,4 @@ __all__ = [
     "error_factorization_check",
     "integrate_dre",
     "integrate_dre_batch",
-    "psd_sqrt",
 ]

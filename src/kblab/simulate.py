@@ -44,8 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrators import CHUNK, linear_recursion, transition_steps
-from .model import ExperimentConfig, LtvModel
-from .riccati import psd_sqrt
+from .model import ExperimentConfig, LtvModel, psd_sqrt
 
 
 # values per block of the streamed truth and observation pass, counted as
@@ -57,17 +56,6 @@ NOISE_BLOCK = 2 ** 16
 
 def _label_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
-
-
-def _psd_sqrt_path(mats: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square roots along a path; a constant path takes one root.
-
-    The constant-path branch is bitwise the batched root at mats[0], so a
-    streamed block may take either branch.
-    """
-    if np.ptp(mats, axis=0).max() == 0.0:
-        return np.broadcast_to(psd_sqrt(mats[0]), mats.shape)
-    return psd_sqrt(mats)
 
 
 @dataclass
@@ -150,8 +138,9 @@ def simulate_truth(model: LtvModel, x0: np.ndarray, fine: np.ndarray, eps: tuple
     if (levels < 0.0).any():
         raise ValueError("noise levels must be >= 0")
     noisy = levels != 0.0
-    if noisy.any() and rng is None:
-        raise ValueError("eps > 0 requires one RNG per seed column for the system noise")
+    if noisy.any() and (rng is None or len(rng) != x0.shape[-1]):
+        raise ValueError(f"eps > 0 requires one RNG per seed column for the system noise, "
+                         f"{x0.shape[-1]} in all; got {0 if rng is None else len(rng)}")
     n_steps = len(fine) - 1
     out = np.empty((n_steps + 1,) + x0.shape)
     out[0] = x0
@@ -179,14 +168,17 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
     S generators, one per seed column. Returns the (K, E, n, S) increments,
     K = F / substeps. Per coarse step: dy_k = trapezoid of C_s x_s over the
     substeps plus sum_j R_j^{1/2} sqrt(h) xi_j. The coefficient paths C and
-    R^{1/2} are built once, and each column's noise is drawn and formed once
-    and added to the drift of every level. The substep terms are added in
-    order, slice by slice, on the time-major block, so each column's sum does
-    not depend on E, S or the block size.
+    R^{1/2} are taken from the model once per block, and each column's noise
+    is drawn and formed once and added to the drift of every level. The
+    substep terms are added in order, slice by slice, on the time-major
+    block, so each column's sum does not depend on E, S or the block size.
     """
     n_fine = len(fine) - 1
     if n_fine % substeps:
         raise ValueError("fine grid length is not a multiple of substeps")
+    if len(rngs) != truth_fine.shape[-1]:
+        raise ValueError(f"one RNG per seed column is required for the observation noise, "
+                         f"{truth_fine.shape[-1]} in all; got {len(rngs)}")
     n_coarse = n_fine // substeps
     c = model.C_at(fine)
     h = fine[1:] - fine[:-1]
@@ -196,7 +188,7 @@ def simulate_observations(model: LtvModel, truth_fine: np.ndarray, fine: np.ndar
     xi = np.empty((n_fine, model.n, len(rngs)))
     for j, g in enumerate(rngs):
         xi[:, :, j] = g.standard_normal((n_fine, model.n))
-    rhalf = _psd_sqrt_path(model.R_at(fine[:-1]))
+    rhalf = model.Rhalf_at(fine[:-1])
     total += (np.sqrt(h)[:, None, None] * np.einsum("tij,tjs->tis", rhalf, xi))[:, None]
     steps = total.reshape((n_coarse, substeps) + total.shape[1:])
     inc = steps[:, 0].copy()

@@ -1,4 +1,4 @@
-"""Reference loops and the whole-path observation generator shared by the tests.
+"""Reference loops, the whole-path observation generator and random models shared by the tests.
 
 The loops are the plain per-step and chunked forms of the package's linear
 recursions. The whole-path generator is the one-shot form of the streamed
@@ -10,13 +10,8 @@ which the package itself never does.
 import numpy as np
 
 from kblab._integrators import CHUNK, transition_steps
-from kblab.simulate import (
-    ObservationPath,
-    RngStream,
-    _psd_sqrt_path,
-    draw_initial_state,
-    fine_grid,
-)
+from kblab.model import LtvModel, psd_sqrt
+from kblab.simulate import ObservationPath, RngStream, draw_initial_state, fine_grid
 
 
 def sequential_loop(steps, x0, offsets=None):
@@ -99,7 +94,7 @@ def whole_path_generator(cfg, seed, eps, x0=None, noise_off=False):
         truth = chunked_loop(steps, x0, noise if batch else noise[..., 0])
     c = model.C_at(fine)
     hh = (fine[1:] - fine[:-1])[:, None]
-    rhalf = _psd_sqrt_path(model.R_at(fine[:-1]))
+    rhalf = psd_sqrt(model.R_at(fine[:-1]))
     columns = truth if batch else truth[:, :, None]
     inc = np.empty((n_fine // sub, model.n, len(seeds)))
     for j, s in enumerate(seeds):
@@ -116,3 +111,23 @@ def noise_free_path(cfg, x0=None):
     """The path of cfg.seed at eps = 0 without observation noise, and its coarse truth."""
     inc, truth = whole_path_generator(cfg, cfg.seed, 0.0, x0=x0, noise_off=True)
     return ObservationPath(grid=cfg.grid(), increments=inc), truth
+
+
+def random_model(rng, m, n, modulations=()):
+    """A random model of m states and n observations, drawn from rng.
+
+    Constant without modulations; otherwise periodic with the named ones of
+    A1, C1, R1 and F1 set. R0 is at least 0.5 I and R1 at most 0.4 in norm,
+    so R stays positive definite.
+    """
+    root = rng.normal(scale=0.5, size=(n, n))
+    coefs = {"A0": rng.normal(scale=0.5, size=(m, m)), "C0": rng.normal(size=(n, m)),
+             "R0": root @ root.T + 0.5 * np.eye(n), "F0": rng.normal(scale=0.5, size=(m, m))}
+    for name in modulations:
+        if name == "R1":
+            sym = rng.normal(size=(n, n))
+            coefs[name] = 0.4 * (sym + sym.T) / np.linalg.norm(sym + sym.T, 2)
+        else:
+            coefs[name] = rng.normal(scale=0.3, size=coefs[name[0] + "0"].shape)
+    return LtvModel(m=m, n=n, family="periodic" if modulations else "constant",
+                    omega=float(rng.uniform(0.5, 3.0)), **coefs)

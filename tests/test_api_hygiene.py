@@ -5,6 +5,7 @@ field or property is read as an attribute somewhere in the package, and every
 module-level name a module assigns is read somewhere in the package. A
 parameter the body never reads, or a field or constant nothing reads, is
 either a copy of a value that has a home elsewhere or a value with no use.
+R(t) is evaluated only in model.py, the home of the paths derived from it.
 
 Reads are matched by attribute name, not by owner: ast does not know the type
 of the object an attribute is read from, so a field counts as read when any
@@ -107,3 +108,12 @@ def test_every_module_constant_is_read():
             unread += [f"{fname}: {node.id}" for target in targets for node in ast.walk(target)
                        if isinstance(node, ast.Name) and node.id not in read | MODULE_METADATA]
     assert not unread, "module-level names never read: " + ", ".join(unread)
+
+
+def test_only_the_model_evaluates_r():
+    # C^T R^-1 C, R^-1 and R^{1/2} are the model's derived paths, formed once
+    # for a constant R; a module that evaluates R itself re-forms them per node
+    calls = [f"{fname}:{node.lineno}" for fname, tree in _trees().items() if fname != "model.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "R_at"]
+    assert not calls, "R_at called outside model.py: " + ", ".join(calls)

@@ -37,10 +37,13 @@ def test_riccati_command_artifacts_and_exit(tmp_path):
 
 @pytest.mark.parametrize("command, stages", [("riccati", ("riccati", "oracle", "write")),
                                               ("stability-cov", ("riccati", "write"))])
-def test_riccati_manifests_record_stage_times_and_min_eig(tmp_path, command, stages):
+def test_riccati_manifests_record_stage_times_and_min_eig(tmp_path, capsys, command, stages):
     cfg = replace(builtin_scenario("rotation"), horizon=2.0)
     out = tmp_path / "out"
     assert cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    if command == "stability-cov":
+        # the verdict states the factorization's range
+        assert "holds to fourth order in dt, not at float precision" in capsys.readouterr().out
     manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
     times = sorted(k for k in manifest if k.startswith("time."))
     assert times == sorted(f"time.{s}" for s in stages)

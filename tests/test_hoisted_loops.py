@@ -25,7 +25,7 @@ from kblab._integrators import (
     transition_steps,
 )
 from kblab.kalman import _scan, filter_pieces, filter_pieces_batch, mismatched_mc, run_filter
-from kblab.model import constant_model, make_grid, periodic_model
+from kblab.model import constant_model, make_grid, periodic_model, psd_sqrt
 from kblab.propagate import (
     COND_LIMIT,
     _half_step_transitions,
@@ -33,7 +33,7 @@ from kblab.propagate import (
     fundamental_matrix,
     uco_gramian,
 )
-from kblab.riccati import closed_form_dre, integrate_dre_batch, psd_sqrt
+from kblab.riccati import closed_form_dre, integrate_dre_batch
 from kblab.scenarios import SCENARIOS, builtin_scenario
 from kblab.simulate import (
     ObservationPath,
@@ -559,8 +559,8 @@ def test_streamed_generator_block_boundaries(name, substeps, monkeypatch):
 
 
 def test_streamed_generator_time_varying_noise_roots(monkeypatch):
-    # R varies in time, but the last block is one fine step, whose R^{1/2}
-    # path takes the constant-path branch
+    # R varies in time: every block forms its R^{1/2} path per node, the
+    # last block of one fine step too, as the whole path does
     cfg = replace(builtin_scenario("periodic3"), model=_models()[3], dt=0.01, horizon=10.25)
     assert (len(cfg.grid()) - 1) % BLOCK_FINE_STEPS == 1
     _assert_streamed_equals_whole_path(cfg, (3, 4), (0.1, 0.0), monkeypatch)

@@ -13,11 +13,13 @@ from kblab.model import (
     constant_model,
     parse_config,
     periodic_model,
+    psd_sqrt,
     rotation_damped_model,
     serialize_config,
     validate_config,
 )
 from kblab.scenarios import SCENARIOS, builtin_scenario
+from references import random_model
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -44,7 +46,7 @@ def test_constant_schedule_at_arbitrary_time():
     assert np.array_equal(mdl.C_at(t), np.eye(2))
     assert np.array_equal(mdl.R_at(t), np.eye(2))
     # G = C^T R^-1 C
-    assert np.array_equal(coefficient_stages(mdl, np.array([t, 4.0]))["G"][0][0], np.eye(2))
+    assert np.array_equal(mdl.G_at(t), np.eye(2))
     assert np.array_equal(mdl.F_at(t), np.eye(2))
 
 
@@ -88,17 +90,41 @@ def test_model_modulation_on_a_non_periodic_family_is_rejected(family):
                  F0=np.eye(2), C1=np.eye(2))
 
 
-def test_rinv_product_identity():
-    for name in ("scalar_basic", "rotation", "periodic3"):
-        cfg = builtin_scenario(name)
-        times = np.union1d(np.linspace(0, 10, 23), np.linspace(0, cfg.horizon, 37))
-        lo, mid, hi = times[:-1], 0.5 * (times[:-1] + times[1:]), times[1:]
-        worst = 0.0
-        for ts, g in zip((lo, mid, hi), coefficient_stages(cfg.model, times)["G"]):
-            c = cfg.model.C_at(ts)
-            ref = np.swapaxes(c, 1, 2) @ np.linalg.solve(cfg.model.R_at(ts), c)
-            worst = max(worst, np.abs(g - ref).max())
-        assert worst <= 1e-12, name
+def _path_models():
+    """Every shipped model, and seeded random ones with m, n <= 3: constant,
+    and periodic with A1, with A1 and C1, and with C1, R1 and F1."""
+    cases = [pytest.param(builtin_scenario(name).model, id=name) for name in SCENARIOS]
+    rng = np.random.default_rng(11)
+    for mods in ((), ("A1",), ("A1", "C1"), ("C1", "R1", "F1")):
+        for m, n in ((1, 1), (2, 3), (3, 2)):
+            label = "-".join(("periodic",) + mods) if mods else "constant"
+            cases.append(pytest.param(random_model(rng, m, n, mods), id=f"{label}-m{m}n{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("model", _path_models())
+def test_derived_paths_equal_per_node_formation(model):
+    # each derived path is bitwise its formation at every node; a path that
+    # reads no modulated schedule, and a constant schedule, is one read-only
+    # matrix broadcast over the nodes; the coefficient stages' G is
+    # C^T R^-1 C to rounding
+    times = np.union1d(np.linspace(0, 10, 23), np.linspace(0, 7.3, 37))
+    c, r, f = model.C_at(times), model.R_at(times), model.F_at(times)
+    rinv = np.linalg.inv(r)
+    per_node = {"G_at": (np.swapaxes(c, 1, 2) @ rinv @ c, (model.C1, model.R1)),
+                "Rinv_at": (rinv, (model.R1,)), "Rhalf_at": (psd_sqrt(r), (model.R1,)),
+                "FFt_at": (f @ np.swapaxes(f, 1, 2), (model.F1,))}
+    for name, (ref, mods) in per_node.items():
+        path = getattr(model, name)(times)
+        assert _bitwise_equal(path, ref), name
+        assert path.flags.writeable == any(mod is not None for mod in mods), name
+    for name in "ACRF":
+        constant = getattr(model, f"{name}1") is None
+        assert getattr(model, f"{name}_at")(times).flags.writeable != constant, name
+    lo, mid, hi = times[:-1], 0.5 * (times[:-1] + times[1:]), times[1:]
+    for ts, g in zip((lo, mid, hi), coefficient_stages(model, times)["G"]):
+        c = model.C_at(ts)
+        assert np.abs(g - np.swapaxes(c, 1, 2) @ np.linalg.solve(model.R_at(ts), c)).max() <= 1e-12
 
 
 def test_unknown_scenario_raises_listing_shipped_names():

@@ -1,10 +1,11 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kblab.model import ExperimentConfig, constant_model
-from kblab.kalman import filter_pieces, run_filter
+from kblab.kalman import filter_pieces, mean_decomposition_diagnostics, mismatched_pair, run_filter
 from kblab.nongaussian import (
     bank_oracle,
     integrate_extended_system,
@@ -16,7 +17,7 @@ from kblab.propagate import fundamental_matrix
 from kblab.riccati import closed_form_dre
 from kblab.simulate import generate_observation_path
 from kblab.scenarios import builtin_scenario
-from references import noise_free_path
+from references import noise_free_path, random_model
 
 
 def test_logsumexp_handles_extreme_exponents():
@@ -170,6 +171,32 @@ def test_decomposition_split_invariance():
     assert np.abs(mix_a.mean - mix_b.mean).max() <= 1e-8
     assert np.abs(mix_a.log_weights - mix_b.log_weights).max() <= 1e-8
     assert np.abs(mix_a.cov - mix_b.cov).max() <= 1e-8
+
+
+def test_identities_hold_on_random_models():
+    # both families, every m, n in {1, 2, 3}: the mean-gap decomposition
+    # holds at float precision and the mixture equals the bank within
+    # criterion 6's tolerances; every drawn model runs
+    rng = np.random.default_rng(7)
+    worst = []
+    for m, n, mods in itertools.product((1, 2, 3), (1, 2, 3), ((), ("A1", "C1", "R1", "F1"))):
+        model = random_model(rng, m, n, mods)
+        root = rng.normal(scale=0.5, size=(m, m))
+        P0, m0 = root @ root.T + 0.5 * np.eye(m), rng.normal(size=m)
+        cfg = ExperimentConfig(model=model, horizon=2.0, dt=0.005, substeps=2,
+                               seed=int(rng.integers(1000)), m0=m0, P0=P0,
+                               mbar=m0 + rng.normal(size=m), Pbar=2.0 * P0,
+                               atoms=((rng.normal(size=m), 0.3), (rng.normal(size=m), 0.7)))
+        obs = generate_observation_path(cfg)
+        pair = mismatched_pair(model, obs, (cfg.m0, cfg.P0), (cfg.mbar, cfg.Pbar))
+        init = (cfg.m0, cfg.P0)
+        mix = mixture_filter(integrate_extended_system(model, obs, init), cfg.atoms)
+        bank = bank_oracle(model, obs, cfg.atoms, init)
+        worst.append((model.family, m, n, mean_decomposition_diagnostics(pair).residual.max(),
+                      np.abs(mix.mean - bank.mean).max(),
+                      np.abs(mix.log_weights - bank.log_weights).max()))
+    bad = [w for w in worst if not (w[3] <= 1e-10 and w[4] <= 1e-6 and w[5] <= 1e-8)]
+    assert not bad, bad
 
 
 def test_empty_atoms_rejected():

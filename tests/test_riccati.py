@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from kblab.model import constant_model
+from kblab.model import constant_model, psd_sqrt
 from kblab.propagate import fundamental_matrix, make_grid
 from kblab.riccati import (
     closed_form_dre,
     covariance_gap,
     error_factorization_check,
     integrate_dre,
-    psd_sqrt,
 )
 from kblab.scenarios import builtin_scenario
 

@@ -3,11 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kblab.model import constant_model, periodic_model
+from kblab.model import constant_model, periodic_model, psd_sqrt
 from kblab.propagate import make_grid
 from kblab.simulate import (
     RngStream,
-    _psd_sqrt_path,
     draw_initial_state,
     fine_grid,
     generate_observation_path,
@@ -77,6 +76,19 @@ def test_truth_noise_requires_rng():
     mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
     with pytest.raises(ValueError):
         simulate_truth(mdl, np.zeros((1, 1, 1)), make_grid(1.0, 0.1), (0.1,), None)
+
+
+def test_generator_count_must_match_the_seed_columns():
+    # three seed columns and one generator: the draw buffers of the other
+    # two columns would be left unwritten
+    cfg = builtin_scenario("scalar_basic")
+    fg = make_grid(1.0, 0.1)
+    one = [RngStream(1, "V").generator()]
+    with pytest.raises(ValueError, match="one RNG per seed column.*3 in all; got 1"):
+        simulate_truth(cfg.model, np.ones((1, 1, 3)), fg, (0.1,), one)
+    truth = simulate_truth(cfg.model, np.ones((1, 1, 3)), fg, (0.0,), None)
+    with pytest.raises(ValueError, match="one RNG per seed column.*3 in all; got 1"):
+        simulate_observations(cfg.model, truth, fg, 1, one)
 
 
 def test_em_terminal_variance_matches_eps2_t():
@@ -206,7 +218,7 @@ def test_observation_columns_equal_in_order_substep_sums(substeps, n):
     batch = simulate_observations(mdl, truth, fg, substeps, gens)
     assert batch.shape == (n_coarse, 2, n, 3)
     c, h = mdl.C_at(fg), np.diff(fg)[:, None]
-    rhalf = _psd_sqrt_path(mdl.R_at(fg[:-1]))
+    rhalf = psd_sqrt(mdl.R_at(fg[:-1]))
     for j, s in enumerate((1, 2, None)):
         if s is None:
             noise = np.zeros((n_fine, n))
