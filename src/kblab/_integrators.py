@@ -15,16 +15,21 @@ CHUNK steps: about 2 CHUNK + K / CHUNK batched products in Python instead
 of K. Its independent recursions run as members of each batched product.
 
 The Riccati sweep runs one of two loops, chosen by the state dimension m
-alone. For m <= 2 each member runs through a plain-float loop that reads and
-writes the arrays in place through zero-copy memoryviews of their entries:
-the scalar recursion for m = 1, and for m = 2 a recursion on the symmetric
-triple (p00, p01, p11), so its stage values p2, p3, p4 are exactly
-symmetric. m >= 3 runs all members together through a numpy matrix loop.
-The loops share the stage formulas; the float loops round each two-term
-product sum as a plain sum, where numpy's matmul may fuse it.
+alone. For m <= FLOAT_LOOP_MAX_M each member runs through a plain-float
+loop that reads and writes the arrays in place through zero-copy
+memoryviews of their entries. That loop is straight-line Python generated
+once per m from one stage formula (_float_loop_source) and carries the upper
+triangle of P, so its stage values p2, p3, p4 are exactly symmetric. Larger
+m runs all members together through a numpy matrix loop. The loops share
+the stage formulas; the float loop rounds each product sum as a plain
+left-to-right sum, where numpy's matmul may round it otherwise.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import linecache
 
 import numpy as np
 
@@ -36,6 +41,12 @@ BLOWUP = 1e12
 # steps per chunk of the two-level scan in linear_recursion; a streamed
 # recursion resumed at a multiple of it is bitwise the whole one
 CHUNK = 32
+
+# largest state dimension whose Riccati sweep runs the generated plain-float
+# loop, one member at a time; above it the numpy matrix loop, which steps
+# every member together, is faster (whole sweep per step on a random
+# periodic model: 21.3 against 35.3 us at m = 4, 40.2 against 36.5 us at m = 5)
+FLOAT_LOOP_MAX_M = 4
 
 
 def _stage_times(grid):
@@ -182,9 +193,10 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     (propagate.closed_loop_propagator). ||P|| > BLOWUP or a non-finite entry
     raises naming the time.
 
-    m <= 2 runs one member at a time in plain floats (the m = 2 loop on the
-    triple (p00, p01, p11), so its stage values are exactly symmetric);
-    m >= 3 runs the members together in a numpy matrix loop.
+    m <= FLOAT_LOOP_MAX_M runs one member at a time through the plain-float
+    loop generated for m (_float_loop), on the upper triangle of P, so its
+    stage values are exactly symmetric; larger m runs the members together
+    in a numpy matrix loop.
 
     Several flows on one grid run as members of one sweep: P0 of shape
     (B, m, m) and/or eps of shape (B,), the other broadcast. Each member is
@@ -218,21 +230,21 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     p2s, p3s, p4s = p234
     stops = []  # per member of a float loop: the node of its blow-up, or None
 
-    if m <= 2:
-        loop, entries, triple = ((_riccati_sweep_scalar, _ONE, _ONE) if m == 1 else
-                                 (_riccati_sweep_pair, _ENTRIES, _TRIPLE))
-        coefs = [_entry_views(c, entries) for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
+    if m <= FLOAT_LOOP_MAX_M:
+        full, upper = _entries(m)
+        loop = _float_loop(m)
+        coefs = [_entry_views(c, full) for c in (a_lo, a_mid, a_hi, g_lo, g_mid, g_hi)]
         qmembers = [q.reshape(n_steps, -1, m, m) for q in (q_lo, q_mid, q_hi)]
         pmembers = paths.reshape(-1, n_steps + 1, m, m)
         smembers = p234.reshape(3, n_steps, -1, m, m)
-        stops = [loop(memoryview(h), *coefs, *(_entry_views(q[:, b], triple) for q in qmembers),
-                      _entry_views(pmembers[b], triple),
-                      [_entry_views(s[:, b], triple) for s in smembers])
+        stops = [loop(memoryview(h), *coefs, *(_entry_views(q[:, b], upper) for q in qmembers),
+                      _entry_views(pmembers[b], upper),
+                      [_entry_views(s[:, b], upper) for s in smembers])
                  for b in range(len(pmembers))]
-        if m == 2:
-            # the float loop writes the upper triangle
-            paths[..., 1, 0] = paths[..., 0, 1]
-            p234[..., 1, 0] = p234[..., 0, 1]
+        # the float loop writes the upper triangle
+        for i, j in itertools.combinations(range(m), 2):
+            paths[..., j, i] = paths[..., i, j]
+            p234[..., j, i] = p234[..., i, j]
     else:
         for k in range(n_steps):
             hk = h[k]
@@ -279,59 +291,24 @@ def _forcing(ffts, eps: np.ndarray):
     """eps^2 F F^T at the three stage times, per member.
 
     Members with eps = 0 get +0.0 (0 * F would give -0.0 where F F^T < 0),
-    so they add exactly what a noise-free single sweep adds.
+    so they add exactly what a noise-free single sweep adds. A constant path
+    (a read-only broadcast of one matrix, stride 0 along time) is formed on
+    that one matrix, bitwise the per-node result; every path is returned as
+    a read-only view.
     """
     e2 = (eps * eps)[..., None, None]
     members = tuple(range(1, 1 + eps.ndim))
-    return tuple(np.where(e2 != 0.0, e2 * np.expand_dims(f, members), 0.0) for f in ffts)
+
+    def path(f):
+        one = f.strides[0] == 0
+        q = np.where(e2 != 0.0, e2 * np.expand_dims(f[:1] if one else f, members), 0.0)
+        return np.broadcast_to(q, (len(f),) + q.shape[1:])
+    return tuple(map(path, ffts))
 
 
 def _blowup_error(member, t: float) -> FloatingPointError:
     where = "" if member is None else f" in member {member}"
     return FloatingPointError(f"Riccati blow-up{where}: ||P|| > {BLOWUP:g} at t={t:.6g}")
-
-
-def _riccati_sweep_scalar(hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q_hi,
-                          pout, sout):
-    """m = 1 P recursion of one member in plain float arithmetic; same stage formulas.
-
-    Arguments are laid out as for _riccati_sweep_pair, with one entry per
-    matrix: a_*, g_* and q_* hold the rows of A, G and eps^2 F F^T, pout the
-    member's row of P, starting from P0, and sout[s] its rows of the stage
-    values p2, p3, p4. Every row is a memoryview of floats. Returns the node
-    of a blow-up, None if there is none.
-    """
-    (a1,), (a2,), (a3,), (g1,), (g2,), (g3,) = a_lo, a_mid, a_hi, g_lo, g_mid, g_hi
-    (q1,), (q2,), (q3,) = q_lo, q_mid, q_hi
-    (prow,), ((s2,), (s3,), (s4,)) = pout, sout
-    p = prow[0]
-    for k in range(len(hs)):
-        hk = hs[k]
-        half, sixth = 0.5 * hk, hk / 6.0
-        A1, A2, A3 = a1[k], a2[k], a3[k]
-        G1, G2, G3 = g1[k], g2[k], g3[k]
-        k1p = 2.0 * A1 * p - G1 * p * p + q1[k]
-        p2 = p + half * k1p
-        k2p = 2.0 * A2 * p2 - G2 * p2 * p2 + q2[k]
-        p3 = p + half * k2p
-        k3p = 2.0 * A2 * p3 - G2 * p3 * p3 + q2[k]
-        p4 = p + hk * k3p
-        k4p = 2.0 * A3 * p4 - G3 * p4 * p4 + q3[k]
-        p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        # a chained compare is False for nan, so nan counts as a blow-up
-        if not -BLOWUP <= p <= BLOWUP:
-            return k + 1
-        prow[k + 1] = p
-        s2[k] = p2
-        s3[k] = p3
-        s4[k] = p4
-
-
-# the entry of a 1x1 matrix; the entries of a 2x2 matrix: all four, and the
-# upper triangle of a symmetric one
-_ONE = ((0, 0),)
-_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
-_TRIPLE = ((0, 0), (0, 1), (1, 1))
 
 
 def _entry_views(stack, entries):
@@ -342,75 +319,93 @@ def _entry_views(stack, entries):
     return [memoryview(stack[:, i, j]) for i, j in entries]
 
 
-def _riccati_sweep_pair(hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, q_lo, q_mid, q_hi, pout, sout):
-    """m = 2 P recursion of one member in plain float arithmetic; same stage formulas.
+def _entries(m: int):
+    """Every (i, j) of an m x m matrix, and its upper triangle i <= j, row-major."""
+    return (list(itertools.product(range(m), repeat=2)),
+            list(itertools.combinations_with_replacement(range(m), 2)))
 
-    P = [[a, b], [b, c]] and its stage values are carried as symmetric
-    triples, and each stage derivative A P + (A P)^T - (P G) P + Q is formed
-    entry by entry on the triple. a_*, g_* hold the entries 00, 01, 10, 11
-    of A and G, q_* the triple of eps^2 F F^T; pout holds the member's rows
-    of p00, p01, p11, starting from P0, and sout[s] those of the stage values
-    p2, p3, p4. Every row is a memoryview of floats. Returns the node of a
-    blow-up, None if there is none.
+
+def _float_loop_source(m: int) -> str:
+    """Straight-line source of the plain-float P recursion for dimension m.
+
+    P = P^T and its stage values p2, p3, p4 are carried as their upper
+    triangles (p01, p2_01, ...), so the stage values are exactly symmetric.
+    Each stage derivative is formed entry by entry, every product sum left
+    to right: PG in full, then on the upper triangle
+        k_ii = 2.0 * (AP)_ii - (PGP)_ii + q_ii,
+        k_ij = (AP)_ij + (AP)_ji - (PGP)_ij + q_ij,
+    with PGP = (PG) P and q = eps^2 F F^T at the stage time.
     """
-    ra, rb, rc = pout
-    (sa2, sb2, sc2), (sa3, sb3, sc3), (sa4, sb4, sc4) = sout
-    xa1, xb1, xc1, xd1 = a_lo
-    xa2, xb2, xc2, xd2 = a_mid
-    xa3, xb3, xc3, xd3 = a_hi
-    ya1, yb1, yc1, yd1 = g_lo
-    ya2, yb2, yc2, yd2 = g_mid
-    ya3, yb3, yc3, yd3 = g_hi
-    qa1, qb1, qc1 = q_lo
-    qa2, qb2, qc2 = q_mid
-    qa3, qb3, qc3 = q_hi
-    a, b, c = ra[0], rb[0], rc[0]
-    for k in range(len(hs)):
-        hk = hs[k]
-        half, sixth = 0.5 * hk, hk / 6.0
-        x00, x01, x10, x11 = xa1[k], xb1[k], xc1[k], xd1[k]
-        y00, y01, y10, y11 = ya1[k], yb1[k], yc1[k], yd1[k]
-        g00, g01, g10, g11 = (a * y00 + b * y10, a * y01 + b * y11,
-                              b * y00 + c * y10, b * y01 + c * y11)
-        k1a = 2.0 * (x00 * a + x01 * b) - (g00 * a + g01 * b) + qa1[k]
-        k1b = (x00 * b + x01 * c) + (x10 * a + x11 * b) - (g00 * b + g01 * c) + qb1[k]
-        k1c = 2.0 * (x10 * b + x11 * c) - (g10 * b + g11 * c) + qc1[k]
-        a2, b2, c2 = a + half * k1a, b + half * k1b, c + half * k1c
+    full, upper = _entries(m)
 
-        x00, x01, x10, x11 = xa2[k], xb2[k], xc2[k], xd2[k]
-        y00, y01, y10, y11 = ya2[k], yb2[k], yc2[k], yd2[k]
-        qa, qb, qc = qa2[k], qb2[k], qc2[k]
-        g00, g01, g10, g11 = (a2 * y00 + b2 * y10, a2 * y01 + b2 * y11,
-                              b2 * y00 + c2 * y10, b2 * y01 + c2 * y11)
-        k2a = 2.0 * (x00 * a2 + x01 * b2) - (g00 * a2 + g01 * b2) + qa
-        k2b = (x00 * b2 + x01 * c2) + (x10 * a2 + x11 * b2) - (g00 * b2 + g01 * c2) + qb
-        k2c = 2.0 * (x10 * b2 + x11 * c2) - (g10 * b2 + g11 * c2) + qc
-        a3, b3, c3 = a + half * k2a, b + half * k2b, c + half * k2c
+    def listed(fmt, entries):
+        # "n00, n01, ": a tuple target or value list of any length
+        return "".join(fmt.format(i, j) + ", " for i, j in entries)
 
-        g00, g01, g10, g11 = (a3 * y00 + b3 * y10, a3 * y01 + b3 * y11,
-                              b3 * y00 + c3 * y10, b3 * y01 + c3 * y11)
-        k3a = 2.0 * (x00 * a3 + x01 * b3) - (g00 * a3 + g01 * b3) + qa
-        k3b = (x00 * b3 + x01 * c3) + (x10 * a3 + x11 * b3) - (g00 * b3 + g01 * c3) + qb
-        k3c = 2.0 * (x10 * b3 + x11 * c3) - (g10 * b3 + g11 * c3) + qc
-        a4, b4, c4 = a + hk * k3a, b + hk * k3b, c + hk * k3c
+    def entry(name, i, j):
+        # A (x), G (y) and PG (g) are full; a stage value of P is symmetric
+        return f"{name}{i}{j}" if name in ("x", "y", "g") else f"{name}{min(i, j)}{max(i, j)}"
 
-        x00, x01, x10, x11 = xa3[k], xb3[k], xc3[k], xd3[k]
-        y00, y01, y10, y11 = ya3[k], yb3[k], yc3[k], yd3[k]
-        g00, g01, g10, g11 = (a4 * y00 + b4 * y10, a4 * y01 + b4 * y11,
-                              b4 * y00 + c4 * y10, b4 * y01 + c4 * y11)
-        k4a = 2.0 * (x00 * a4 + x01 * b4) - (g00 * a4 + g01 * b4) + qa3[k]
-        k4b = (x00 * b4 + x01 * c4) + (x10 * a4 + x11 * b4) - (g00 * b4 + g01 * c4) + qb3[k]
-        k4c = 2.0 * (x10 * b4 + x11 * c4) - (g10 * b4 + g11 * c4) + qc3[k]
+    def dot(left, right, i, j):
+        return " + ".join(f"{entry(left, i, l)} * {entry(right, l, j)}" for l in range(m))
 
-        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        if not (-BLOWUP <= a <= BLOWUP and -BLOWUP <= b <= BLOWUP and -BLOWUP <= c <= BLOWUP):
-            return k + 1
-        ra[k + 1], rb[k + 1], rc[k + 1] = a, b, c
-        sa2[k], sb2[k], sc2[k] = a2, b2, c2
-        sa3[k], sb3[k], sc3[k] = a3, b3, c3
-        sa4[k], sb4[k], sc4[k] = a4, b4, c4
+    def stage(s, pre, read, q):
+        """Lines forming the derivative k{s} at the stage value named pre."""
+        lines = [f"{c}{i}{j} = {c}{read}{i}{j}[k]" for c in "xy" for i, j in full] if read else []
+        lines += [f"g{i}{j} = {dot(pre, 'y', i, j)}" for i, j in full]
+        for i, j in upper:
+            lead = (f"2.0 * ({dot('x', pre, i, i)})" if i == j else
+                    f"({dot('x', pre, i, j)}) + ({dot('x', pre, j, i)})")
+            lines.append(f"k{s}_{i}{j} = {lead} - ({dot('g', pre, i, j)}) + {q.format(i, j)}")
+        return lines
+
+    head = [f"{listed(name + '{}{}', full)}= {arg}" for arg, name in
+            (("a_lo", "xlo"), ("a_mid", "xmid"), ("a_hi", "xhi"),
+             ("g_lo", "ylo"), ("g_mid", "ymid"), ("g_hi", "yhi"))]
+    head += [f"{listed(name + '{}{}', upper)}= {arg}" for arg, name in
+             (("q_lo", "qlo"), ("q_mid", "qmid"), ("q_hi", "qhi"), ("pout", "r"))]
+    head += ["".join(f"({listed(f's{s}_{{}}{{}}', upper)}), " for s in (2, 3, 4)) + "= sout",
+             f"{listed('p{}{}', upper)}= {listed('r{}{}[0]', upper)}"]
+    loop = ["hk = hs[k]", "half, sixth = 0.5 * hk, hk / 6.0"]
+    loop += stage(1, "p", "lo", "qlo{}{}[k]")
+    loop += [f"p2_{i}{j} = p{i}{j} + half * k1_{i}{j}" for i, j in upper]
+    loop += [f"q{i}{j} = qmid{i}{j}[k]" for i, j in upper]
+    loop += stage(2, "p2_", "mid", "q{}{}")
+    loop += [f"p3_{i}{j} = p{i}{j} + half * k2_{i}{j}" for i, j in upper]
+    loop += stage(3, "p3_", "", "q{}{}")
+    loop += [f"p4_{i}{j} = p{i}{j} + hk * k3_{i}{j}" for i, j in upper]
+    loop += stage(4, "p4_", "hi", "qhi{}{}[k]")
+    loop += [f"p{i}{j} = p{i}{j} + sixth * (k1_{i}{j} + 2.0 * k2_{i}{j} + 2.0 * k3_{i}{j}"
+             f" + k4_{i}{j})" for i, j in upper]
+    # a chained compare is False for nan, so nan counts as a blow-up
+    loop += ["if not (" + " and ".join(f"-BLOWUP <= p{i}{j} <= BLOWUP" for i, j in upper) + "):",
+             "    return k + 1"]
+    loop += [f"r{i}{j}[k + 1] = p{i}{j}" for i, j in upper]
+    loop += [f"s{s}_{i}{j}[k] = p{s}_{i}{j}" for s in (2, 3, 4) for i, j in upper]
+    return "\n".join([f"def float_loop_m{m}(hs, a_lo, a_mid, a_hi, g_lo, g_mid, g_hi, "
+                      "q_lo, q_mid, q_hi, pout, sout):"]
+                     + ["    " + line for line in head] + ["    for k in range(len(hs)):"]
+                     + ["        " + line for line in loop]) + "\n"
+
+
+@functools.cache
+def _float_loop(m: int):
+    """The plain-float P recursion of one member, compiled once per m.
+
+    Its source is _float_loop_source(m), registered with linecache so that
+    tracebacks and inspect.getsource show it. The loop takes the step
+    widths; memoryviews of every entry of A and G at the three stage times
+    (lo, mid, hi) and of the upper triangles of eps^2 F F^T; pout, the
+    member's upper-triangle rows of P, starting from P0; and sout[s], those
+    of the stage values p2, p3, p4. It writes the rows in place and returns
+    the node of a blow-up, None if there is none.
+    """
+    source = _float_loop_source(m)
+    filename = f"<kblab._integrators float loop m={m}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace[f"float_loop_m{m}"]
 
 
 def gain_steps(model: LtvModel, grid, msteps: np.ndarray, phi_steps: np.ndarray):
@@ -426,4 +421,10 @@ def gain_steps(model: LtvModel, grid, msteps: np.ndarray, phi_steps: np.ndarray)
     (..., K, m, n) gains and the (K, n, m) products C_k dt they invert.
     """
     cdt = model.C_at(grid[:-1]) * (grid[1:] - grid[:-1])[:, None, None]
-    return (phi_steps - msteps) @ np.linalg.pinv(cdt), cdt
+    # one pinv per distinct C_k dt, told apart by their bytes so that -0.0
+    # and +0.0 stay distinct: bitwise the per-node pinv
+    rows = np.ascontiguousarray(cdt).reshape(len(cdt), -1)
+    distinct, inverse = np.unique(rows.view((np.void, rows.itemsize * rows.shape[1]))[:, 0],
+                                  return_inverse=True)
+    pinvs = np.linalg.pinv(distinct.view(float).reshape((-1,) + cdt.shape[1:]))
+    return (phi_steps - msteps) @ pinvs[inverse], cdt

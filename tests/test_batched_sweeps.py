@@ -100,7 +100,7 @@ def test_batch_requires_a_member_axis():
         integrate_dre_batch(mdl, np.eye(2), make_grid(1.0, 0.1))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_blowup_names_the_member_and_time(m):
     # unobserved unstable mode: P grows like e^{40 t}; only the large start
     # crosses 1e12 within the horizon
@@ -110,9 +110,9 @@ def test_blowup_names_the_member_and_time(m):
         integrate_dre_batch(mdl, P0s, make_grid(0.5, 1e-3))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_blowup_names_the_earliest_member(m):
-    # every member blows up; the float loops (m = 1, 2) run member by member
+    # every member blows up; the float loops (m <= 4) run member by member
     # but must name the member that crosses first, lowest index on a tie
     mdl = constant_model(20.0 * np.eye(m), np.zeros((m, m)), np.eye(m))
     P0s = np.stack([1e3 * np.eye(m), 1e6 * np.eye(m), 1e6 * np.eye(m)])

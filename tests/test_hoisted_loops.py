@@ -8,6 +8,9 @@ CHUNK rows, and the per-step loop within a float bound everywhere. Those two
 loops and the whole-path observation generator are in references.py.
 """
 
+import functools
+import inspect
+import operator
 import re
 from dataclasses import replace
 
@@ -17,9 +20,13 @@ import pytest
 from kblab import simulate
 from kblab._integrators import (
     CHUNK,
+    FLOAT_LOOP_MAX_M,
+    _float_loop,
+    _float_loop_source,
     _forcing,
     accumulate_transitions,
     coefficient_stages,
+    gain_steps,
     linear_recursion,
     riccati_sweep,
     transition_steps,
@@ -45,16 +52,24 @@ from kblab.simulate import (
 from references import chunked_loop, euler_maruyama_steps, sequential_loop, whole_path_generator
 
 
-def _dense_pair_model():
-    """Time-varying 2x2 model with full A0, A1, a two-row C, R1 and F1.
+def _dense_model(m):
+    """Time-varying m x m model with full A0, A1, a two-row C, C1, R1 and F1.
 
     Unlike rotation_partial (A in {0, +-1}, G = diag(1, 0)), its products
-    round, so a change in the order of a sum shows in the bits.
+    round, so a change in the order of a sum shows in the bits. m = 2 is a
+    fixed model; larger m draws the coefficients from a seeded generator.
     """
-    return periodic_model([[-0.3, 1.1], [-0.7, 0.2]], [[0.25, -0.4], [0.35, 0.15]],
-                          [[0.9, 0.3], [-0.2, 0.8]], [[1.1, 0.2], [0.2, 0.5]], omega=1.7,
-                          F=[[0.6, 0.2], [0.1, 0.7]], C1=[[0.2, -0.1], [0.05, 0.3]],
-                          R1=[[0.3, 0.0], [0.0, 0.1]], F1=[[0.4, 0.1], [-0.2, 0.3]])
+    if m == 2:
+        return periodic_model([[-0.3, 1.1], [-0.7, 0.2]], [[0.25, -0.4], [0.35, 0.15]],
+                              [[0.9, 0.3], [-0.2, 0.8]], [[1.1, 0.2], [0.2, 0.5]], omega=1.7,
+                              F=[[0.6, 0.2], [0.1, 0.7]], C1=[[0.2, -0.1], [0.05, 0.3]],
+                              R1=[[0.3, 0.0], [0.0, 0.1]], F1=[[0.4, 0.1], [-0.2, 0.3]])
+    rng = np.random.default_rng(40 + m)
+    return periodic_model(rng.uniform(-0.8, 0.8, (m, m)) - 0.3 * np.eye(m),
+                          rng.uniform(-0.4, 0.4, (m, m)), rng.uniform(-1.0, 1.0, (2, m)),
+                          [[1.1, 0.2], [0.2, 0.5]], omega=1.7, F=rng.uniform(-0.7, 0.7, (m, m)),
+                          C1=rng.uniform(-0.3, 0.3, (2, m)), R1=[[0.3, 0.0], [0.0, 0.1]],
+                          F1=rng.uniform(-0.4, 0.4, (m, m)))
 
 
 def _models():
@@ -118,40 +133,45 @@ def _sweep_loop(model, grid, P0, eps):
     return np.moveaxis(path, 0, -3), np.moveaxis(msteps, 0, -3)
 
 
-def _pair_sweep_loop(model, grid, P0, eps):
-    """m = 2 sweep in plain float arithmetic, one member at a time.
+def _float_sweep_loop(model, grid, P0, eps):
+    """Sweep in plain float arithmetic, one member at a time, for any m.
 
-    Matrix products are summed left to right over nested lists. Each stage
-    derivative keeps its upper triangle and mirrors it, so P and its stage
-    values stay exactly symmetric; M_k is built in the same step, in matrix
-    form, from those stage values.
+    Matrix products are summed left to right over nested lists, each sum
+    starting from its first product (not from 0, which would turn a -0.0
+    sum into +0.0). Each stage derivative keeps its upper triangle and
+    mirrors it, so P and its stage values stay exactly symmetric; M_k is
+    built in the same step, in matrix form, from those stage values.
     """
-    n_steps = len(grid) - 1
+    n_steps, m = len(grid) - 1, model.m
     P0, eps = np.asarray(P0, dtype=float), np.asarray(eps, dtype=float)
     batch = np.broadcast_shapes(P0.shape[:-2], eps.shape)
     stages = coefficient_stages(model, grid)
     a_lo, a_mid, a_hi = stages["A"]
     g_lo, g_mid, g_hi = stages["G"]
-    qs = [q.reshape(n_steps, -1, 2, 2) for q in
+    qs = [q.reshape(n_steps, -1, m, m) for q in
           _forcing(stages["FFt"], np.broadcast_to(eps, batch))]
-    p0s = np.broadcast_to(0.5 * (P0 + P0.swapaxes(-1, -2)), batch + (2, 2)).reshape(-1, 2, 2)
+    p0s = np.broadcast_to(0.5 * (P0 + P0.swapaxes(-1, -2)), batch + (m, m)).reshape(-1, m, m)
     hs = (grid[1:] - grid[:-1]).tolist()
-    eye = np.eye(2)
+    eye = np.eye(m)
 
     def mul(x, y):
-        return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+        return [[functools.reduce(operator.add, (x[i][l] * y[l][j] for l in range(m)))
+                 for j in range(m)] for i in range(m)]
 
     def deriv(a, g, q, p):
         ap, pgp = mul(a, p), mul(mul(p, g), p)
-        d = [[ap[i][j] + ap[j][i] - pgp[i][j] + q[i][j] for j in range(2)] for i in range(2)]
-        d[1][0] = d[0][1]
-        return d
+        return [[ap[i][j] + ap[j][i] - pgp[i][j] + q[i][j] if i <= j else None
+                 for j in range(m)] for i in range(m)]
 
     def step(p, s, d):
-        return [[p[i][j] + s * d[i][j] for j in range(2)] for i in range(2)]
+        out = [[p[i][j] + s * d[i][j] if i <= j else None for j in range(m)] for i in range(m)]
+        for i in range(m):
+            for j in range(i):
+                out[i][j] = out[j][i]
+        return out
 
-    paths = np.empty((len(p0s), n_steps + 1, 2, 2))
-    msteps = np.empty((len(p0s), n_steps, 2, 2))
+    paths = np.empty((len(p0s), n_steps + 1, m, m))
+    msteps = np.empty((len(p0s), n_steps, m, m))
     for b in range(len(p0s)):
         P = p0s[b].tolist()
         paths[b, 0] = P
@@ -171,12 +191,12 @@ def _pair_sweep_loop(model, grid, P0, eps):
             k2m = (A2 - np.array(p2) @ G2) @ (eye + (0.5 * hk) * k1m)
             k3m = (A2 - np.array(p3) @ G2) @ (eye + (0.5 * hk) * k2m)
             k4m = (A3 - np.array(p4) @ G3) @ (eye + hk * k3m)
-            P = [[P[i][j] + (hk / 6.0) * (k1p[i][j] + 2.0 * k2p[i][j] + 2.0 * k3p[i][j]
-                                           + k4p[i][j]) for j in range(2)] for i in range(2)]
+            P = step(P, hk / 6.0, [[k1p[i][j] + 2.0 * k2p[i][j] + 2.0 * k3p[i][j] + k4p[i][j]
+                                    if i <= j else None for j in range(m)] for i in range(m)])
             paths[b, k + 1] = P
             msteps[b, k] = eye + (hk / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    return (paths.reshape(batch + (n_steps + 1, 2, 2)),
-            msteps.reshape(batch + (n_steps, 2, 2)))
+    return (paths.reshape(batch + (n_steps + 1, m, m)),
+            msteps.reshape(batch + (n_steps, m, m)))
 
 
 def _member_cases(m, members):
@@ -185,14 +205,16 @@ def _member_cases(m, members):
             "eps": (P0s[1], np.array([0.0, 0.1]))}[members]
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("members", ["single", "P0", "eps"])
 def test_riccati_sweep_equals_per_step_loop(m, members):
-    # m = 2 runs the float recursion, m = 3 the numpy matrix loop
-    if m == 2:
-        reference, models = _pair_sweep_loop, (_models()[2], _dense_pair_model())
+    # m <= FLOAT_LOOP_MAX_M runs the generated float loop, m = 5 the numpy
+    # matrix loop
+    if m <= FLOAT_LOOP_MAX_M:
+        reference = _float_sweep_loop
+        models = (_models()[m], _dense_model(m)) if m in _models() else (_dense_model(m),)
     else:
-        reference, models = _sweep_loop, (_models()[3],)
+        reference, models = _sweep_loop, (_dense_model(m),)
     grid = make_grid(3.0, 0.01)
     P0, eps = _member_cases(m, members)
     for mdl in models:
@@ -208,15 +230,22 @@ def test_riccati_sweep_equals_per_step_loop(m, members):
 
 @pytest.mark.parametrize("members", ["single", "P0", "eps"])
 def test_pair_float_recursion_agrees_with_matrix_loop(members):
-    # on a model whose sums round, the float path and the numpy loop differ
-    # only in where each two-term sum rounds
-    mdl = _dense_pair_model()
+    # m = 2 and 3 on models whose sums round: the float loop and the numpy
+    # loop differ only in where each product sum rounds
     grid = make_grid(3.0, 0.01)
-    P0, eps = _member_cases(2, members)
-    path, msteps = riccati_sweep(mdl, grid, P0, eps=eps)
-    ref_path, ref_msteps = _sweep_loop(mdl, grid, P0, eps)
-    assert np.abs(path - ref_path).max() <= 1e-13 * np.abs(ref_path).max()
-    assert np.abs(msteps - ref_msteps).max() <= 1e-13 * np.abs(ref_msteps).max()
+    for mdl in (_dense_model(2), _dense_model(3)):
+        P0, eps = _member_cases(mdl.m, members)
+        path, msteps = riccati_sweep(mdl, grid, P0, eps=eps)
+        ref_path, ref_msteps = _sweep_loop(mdl, grid, P0, eps)
+        assert np.abs(path - ref_path).max() <= 1e-13 * np.abs(ref_path).max()
+        assert np.abs(msteps - ref_msteps).max() <= 1e-13 * np.abs(ref_msteps).max()
+
+
+def test_float_loop_source_is_inspectable():
+    # the generated loop shows in tracebacks and inspect.getsource
+    loop = _float_loop(3)
+    assert inspect.getsource(loop) == _float_loop_source(3)
+    assert loop is _float_loop(3)
 
 
 def _scalar_models():
@@ -278,6 +307,47 @@ def test_scalar_riccati_sweep_equals_float_loop(model, members):
         ref_path, ref_msteps = _scalar_sweep_loop(mdl, grid, P0, eps)
         assert np.array_equal(path, ref_path)
         assert np.array_equal(msteps, ref_msteps)
+
+
+def _same_bits(out, ref):
+    return (out.shape == ref.shape and np.array_equal(out, ref)
+            and np.array_equal(np.signbit(out), np.signbit(ref)))
+
+
+def test_forcing_equals_per_node_forcing():
+    # a constant F F^T is formed once per member and broadcast; every bit,
+    # the +0.0 of eps = 0 members and the -0.0 of negative entries included,
+    # is that of the per-node, per-member formation
+    F = [[0.6, 0.2], [0.1, -0.7]]  # F F^T has a negative off-diagonal entry
+    A = [[-0.3, 1.1], [-0.7, 0.2]]
+    grid = make_grid(1.0, 0.1)
+    for mdl in (constant_model(A, [[1.0, 0.0]], [[1.0]], F=F),
+                periodic_model(A, np.zeros((2, 2)), [[1.0, 0.0]], [[1.0]], F=F, F1=np.eye(2))):
+        ffts = coefficient_stages(mdl, grid)["FFt"]
+        for eps in (np.array(0.0), np.array(0.3), np.array([0.0, 0.2, 0.0])):
+            e2s = (eps * eps).reshape(-1)
+            for q, f in zip(_forcing(ffts, eps), ffts):
+                ref = np.array([[e2 * f[k] if e2 != 0.0 else np.zeros((2, 2)) for e2 in e2s]
+                                for k in range(len(f))]).reshape(q.shape)
+                assert _same_bits(q, ref)
+                assert (q.strides[0] == 0) == (mdl.F1 is None)
+
+
+def test_gains_take_one_pinv_per_distinct_input():
+    # one pinv per distinct C_k dt, told apart by bytes: bitwise the pinv of
+    # every node. The last model's zeros in C_k are +0.0 where sin >= 0 and
+    # -0.0 where sin < 0, and pinv's bits depend on their sign, so inputs
+    # that are equal as values must not share a pinv
+    A = [[-0.3, 1.1], [-0.7, 0.2]]
+    C = [[-0.0, -0.0], [0.32, -0.0], [-1.9, -0.11]]
+    grid = make_grid(3.0, 0.01)
+    for mdl in (builtin_scenario("rotation_partial").model, _dense_model(2),
+                constant_model(A, C, np.eye(3)),
+                periodic_model(A, np.zeros((2, 2)), C, np.eye(3), omega=1.7, C1=np.zeros((3, 2)))):
+        phi = transition_steps(mdl, grid)
+        msteps = riccati_sweep(mdl, grid, np.eye(2))[1]
+        gains, cdt = gain_steps(mdl, grid, msteps, phi)
+        assert _same_bits(gains, (phi - msteps) @ np.linalg.pinv(cdt))
 
 
 def _free_flow_steps(model, lo, mid, hi, h):
