@@ -38,6 +38,10 @@ from .model import LtvModel
 # ||P|| above which the Riccati sweep stops and reports a blow-up
 BLOWUP = 1e12
 
+# RK4 is stable for h lambda on the negative real axis down to -RK4_REAL_LIMIT,
+# the real root of z + z^2/2 + z^3/6 + z^4/24 = 0
+RK4_REAL_LIMIT = 2.785293563405282
+
 # steps per chunk of the two-level scan in linear_recursion; a streamed
 # recursion resumed at a multiple of it is bitwise the whole one
 CHUNK = 32
@@ -191,7 +195,10 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     returned covariance path. This sweep is the only place M_k is built: the
     closed-loop propagator Psi_t is their running product
     (propagate.closed_loop_propagator). ||P|| > BLOWUP or a non-finite entry
-    raises naming the time.
+    raises naming the time: as a step too large for RK4 when a step up to
+    the crossing started with h max(-Re(l_i + l_j)) > RK4_REAL_LIMIT over the
+    eigenvalues l of A - P C^T R^-1 C (the linearized flow left RK4's
+    stability interval), otherwise as a blow-up.
 
     m <= FLOAT_LOOP_MAX_M runs one member at a time through the plain-float
     loop generated for m (_float_loop), on the upper triangle of P, so its
@@ -228,7 +235,7 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
     # the loops carry only the P recursion and keep its stage values p2, p3, p4
     p234 = np.empty((3, n_steps) + batch + (m, m))
     p2s, p3s, p4s = p234
-    stops = []  # per member of a float loop: the node of its blow-up, or None
+    stops = []  # (node, member) of each blow-up
 
     if m <= FLOAT_LOOP_MAX_M:
         full, upper = _entries(m)
@@ -237,10 +244,12 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
         qmembers = [q.reshape(n_steps, -1, m, m) for q in (q_lo, q_mid, q_hi)]
         pmembers = paths.reshape(-1, n_steps + 1, m, m)
         smembers = p234.reshape(3, n_steps, -1, m, m)
-        stops = [loop(memoryview(h), *coefs, *(_entry_views(q[:, b], upper) for q in qmembers),
-                      _entry_views(pmembers[b], upper),
-                      [_entry_views(s[:, b], upper) for s in smembers])
-                 for b in range(len(pmembers))]
+        for b in range(len(pmembers)):
+            node = loop(memoryview(h), *coefs, *(_entry_views(q[:, b], upper) for q in qmembers),
+                        _entry_views(pmembers[b], upper),
+                        [_entry_views(s[:, b], upper) for s in smembers])
+            if node is not None:
+                stops.append((node, b))
         # the float loop writes the upper triangle
         for i, j in itertools.combinations(range(m), 2):
             paths[..., j, i] = paths[..., i, j]
@@ -268,14 +277,17 @@ def riccati_sweep(model: LtvModel, grid, P0, eps=0.0):
             # "not <=" so that a nan entry counts as a blow-up
             if not np.abs(P).max() <= BLOWUP:
                 norms = np.abs(np.broadcast_to(P, batch + (m, m))).max(axis=(-2, -1))
-                raise _blowup_error(np.argmax(~(norms <= BLOWUP)) if batch else None, grid[k + 1])
+                stops = [(k + 1, int(np.argmax(~(norms <= BLOWUP))))]
+                break
             path[k + 1] = P
             p2s[k], p3s[k], p4s[k] = p2, p3, p4
-    # as in the matrix loop, name the earliest blow-up (lowest member on a tie)
-    hits = [(k, b) for b, k in enumerate(stops) if k is not None]
-    if hits:
-        k, b = min(hits)
-        raise _blowup_error(b if batch else None, grid[k])
+    if stops:
+        # the earliest blow-up, the lowest member on a tie
+        node, b = min(stops)
+        starts = paths.reshape(-1, n_steps + 1, m, m)[b, :node]
+        closed = np.linalg.eigvals(a_lo[:node] - starts @ g_lo[:node]).real
+        raise _sweep_error(b if batch else None, -2.0 * h[:node] * closed.min(axis=-1),
+                           grid, node)
 
     # closed-loop generators A - P G at the four stages, the last three in place
     shape = (n_steps,) + (1,) * len(batch) + (m, m)
@@ -306,9 +318,16 @@ def _forcing(ffts, eps: np.ndarray):
     return tuple(map(path, ffts))
 
 
-def _blowup_error(member, t: float) -> FloatingPointError:
+def _sweep_error(member, indicator: np.ndarray, grid, node: int) -> FloatingPointError:
+    """The error of a sweep that crossed BLOWUP at grid[node], given each step's RK4 indicator."""
     where = "" if member is None else f" in member {member}"
-    return FloatingPointError(f"Riccati blow-up{where}: ||P|| > {BLOWUP:g} at t={t:.6g}")
+    crossed = f"||P|| > {BLOWUP:g} at t={grid[node]:.6g}"
+    k = int(np.argmax(indicator))
+    if indicator[k] > RK4_REAL_LIMIT:
+        return FloatingPointError(
+            f"Riccati step too large for RK4{where}: h max(-Re(lambda_i + lambda_j)) = "
+            f"{indicator[k]:.4g} > {RK4_REAL_LIMIT:.4g} in the step from t={grid[k]:.6g}; {crossed}")
+    return FloatingPointError(f"Riccati blow-up{where}: {crossed}")
 
 
 def _entry_views(stack, entries):

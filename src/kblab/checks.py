@@ -90,12 +90,13 @@ def run_checks(name_filter: str | None = None) -> list[CheckResult]:
         if name_filter and name_filter not in c.name:
             continue
         t0 = time.time()
+        known_fail = c.known_fail
         try:
             passed, detail = c.fn()
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        except Exception as exc:  # a crashed check is a failed check, never a known one
+            passed, detail, known_fail = False, f"raised {type(exc).__name__}: {exc}", False
         results.append(CheckResult(name=c.name, passed=bool(passed), detail=detail,
-                                   known_fail=c.known_fail, elapsed=time.time() - t0))
+                                   known_fail=known_fail, elapsed=time.time() - t0))
     return results
 
 

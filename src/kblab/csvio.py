@@ -36,25 +36,32 @@ def write_table(path, header, columns):
     return path
 
 
-def write_matrix_path(path, mp: MatrixPath, name: str):
-    """Header t,<name>_11,<name>_12,... with row-major matrix entries."""
+def matrix_table(mp: MatrixPath, name: str):
+    """(header, columns) of a matrix path: t,<name>_11,<name>_12,... with row-major entries."""
     n, p, q = mp.values.shape
     header = ["t"] + [f"{name}_{i + 1}{j + 1}" for i in range(p) for j in range(q)]
-    return write_table(path, header, [mp.grid, mp.values.reshape(n, p * q)])
+    return header, [mp.grid, mp.values.reshape(n, p * q)]
 
 
 @contextmanager
 def timed(times: dict, stage: str):
-    """Add the wall time of the with-block to times[stage] (manifest `time.<stage>`)."""
+    """Add the wall time of the with-block to times[stage] (manifest `time.<stage>`).
+
+    An exception leaving the block carries the innermost such dict as its
+    stage_times, so a failed run's manifest can report the stages it reached.
+    """
     start = time.perf_counter()
     try:
         yield
+    except Exception as exc:
+        vars(exc).setdefault("stage_times", times)
+        raise
     finally:
         times[stage] = times.get(stage, 0.0) + time.perf_counter() - start
 
 
 def write_manifest(out_dir, cfg, extra, times, wall_time, seeds=None):
-    """Plain-text manifest, stage times as time.<stage>; present only once a run has completed."""
+    """Plain-text manifest, stage times as time.<stage>; written once a run has ended."""
     import kblab
 
     out_dir = Path(out_dir)

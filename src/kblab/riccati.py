@@ -57,8 +57,10 @@ def integrate_dre(model: LtvModel, P0, grid, eps: float = 0.0) -> RiccatiSolutio
     """4th-order integration of the Riccati flow with per-step symmetrization.
 
     The smallest eigenvalue of P at each node is min_eigs, computed when
-    read; blow-up (||P|| > 1e12 or a non-finite entry) raises naming the
-    time. A non-finite or asymmetric P0 raises ValueError.
+    read; ||P|| > 1e12 or a non-finite entry raises FloatingPointError naming
+    the time, as a blow-up or as a step too large for RK4
+    (_integrators.riccati_sweep). A non-finite or asymmetric P0 raises
+    ValueError.
     """
     grid = np.asarray(grid, dtype=float)
     P0 = _symmetric(P0)

@@ -117,3 +117,18 @@ def test_only_the_model_evaluates_r():
              for node in ast.walk(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "R_at"]
     assert not calls, "R_at called outside model.py: " + ", ".join(calls)
+
+
+def test_only_the_runner_loads_writes_and_records():
+    # every subcommand goes through cli._run, the one place that loads the
+    # config, writes the tables and the manifest and maps a numerical failure
+    tree = _trees()["cli.py"]
+    runner = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_run")
+
+    def calls(node):
+        return sorted(getattr(call.func, "id", getattr(call.func, "attr", None))
+                      for call in ast.walk(node) if isinstance(call, ast.Call))
+
+    shared = {"_load_config", "write_table", "write_manifest"}
+    assert shared <= set(calls(runner))
+    assert [c for c in calls(tree) if c in shared] == [c for c in calls(runner) if c in shared]

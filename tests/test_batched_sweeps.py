@@ -106,7 +106,7 @@ def test_blowup_names_the_member_and_time(m):
     # crosses 1e12 within the horizon
     mdl = constant_model(20.0 * np.eye(m), np.zeros((1, m)), [[1.0]])
     P0s = np.stack([1e-6 * np.eye(m), 1e6 * np.eye(m), np.eye(m)])
-    with pytest.raises(FloatingPointError, match=r"member 1: .* at t=0\.3"):
+    with pytest.raises(FloatingPointError, match=r"^Riccati blow-up in member 1: .* at t=0\.3"):
         integrate_dre_batch(mdl, P0s, make_grid(0.5, 1e-3))
 
 
@@ -116,8 +116,30 @@ def test_blowup_names_the_earliest_member(m):
     # but must name the member that crosses first, lowest index on a tie
     mdl = constant_model(20.0 * np.eye(m), np.zeros((m, m)), np.eye(m))
     P0s = np.stack([1e3 * np.eye(m), 1e6 * np.eye(m), 1e6 * np.eye(m)])
-    with pytest.raises(FloatingPointError, match=r"member 1: .* at t=0\.346$"):
+    with pytest.raises(FloatingPointError, match=r"^Riccati blow-up in member 1: .* at t=0\.346$"):
         integrate_dre_batch(mdl, P0s, make_grid(1.0, 1e-3))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("dt, indicator, crossed", [(1e-2, "200", "0.01"), (5e-4, "10", "0.001")])
+def test_a_step_past_rk4s_limit_is_not_called_a_blowup(m, dt, indicator, crossed):
+    # dP = -P^2 falls from 1e4 to 1 / (1e-4 + t), a bounded flow; but the
+    # first step's h max(-Re(l_i + l_j)) = 2e4 h lies outside RK4's real
+    # stability interval [-2.785, 0], and the sweep crosses 1e12 at that step
+    # (dt 1e-2) or at a later one (dt 5e-4)
+    mdl = constant_model(np.zeros((m, m)), np.eye(m), np.eye(m))
+    P0s = np.stack([np.eye(m), 1e4 * np.eye(m)])
+    message = (rf"^Riccati step too large for RK4 in member 1: h max\(-Re\(lambda_i \+ lambda_j\)\) "
+               rf"= {indicator} > 2\.785 in the step from t=0; \|\|P\|\| > 1e\+12 at t={crossed}$")
+    with pytest.raises(FloatingPointError, match=message):
+        integrate_dre_batch(mdl, P0s, make_grid(1.0, dt))
+
+
+def test_a_step_inside_rk4s_limit_follows_the_flow():
+    # the flow above at h = 1e-4: 2e4 h = 2 lies inside the interval
+    mdl = constant_model([[0.0]], [[1.0]], [[1.0]])
+    p = integrate_dre(mdl, [[1e4]], make_grid(1.0, 1e-4)).values[-1, 0, 0]
+    assert abs(p * (1e-4 + 1.0) - 1.0) <= 1e-5
 
 
 def test_factorization_pieces_equal_single_sweeps():

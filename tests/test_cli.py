@@ -9,8 +9,8 @@ import pytest
 
 import kblab
 from kblab import cli
-from kblab.csvio import write_matrix_path
-from kblab.model import serialize_config
+from kblab.csvio import matrix_table, write_table
+from kblab.model import ExperimentConfig, constant_model, periodic_model, serialize_config
 from kblab.propagate import MatrixPath, make_grid
 from kblab.scenarios import builtin_scenario
 
@@ -306,6 +306,20 @@ def test_verify_surfaces_injected_failure(monkeypatch, capsys):
     assert "FAIL" in out and "hook-corrupted-tolerance" in out
 
 
+def test_verify_counts_a_crashed_known_fail_check_as_unexpected(monkeypatch, capsys):
+    import kblab.checks as checks
+
+    def crash():
+        raise FloatingPointError("injected crash")
+
+    crashed = checks.Check(name="hook-crashed-known-fail", fn=crash, known_fail=True)
+    monkeypatch.setattr(checks, "CHECKS", checks.CHECKS + [crashed])
+    assert cli.main(["verify", "--filter", "hook-crashed"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL ") and "raised FloatingPointError: injected crash" in out
+    assert "known discrepanc" not in out
+
+
 def test_module_entry_point(tmp_path):
     cfg = replace(builtin_scenario("scalar_basic"), horizon=1.0)
     cfgpath = write_cfg(tmp_path, cfg)
@@ -335,7 +349,74 @@ def test_matrix_path_csv_roundtrip(tmp_path):
     vals = np.arange(5 * 4, dtype=float).reshape(5, 2, 2) / 7.0
     mp = MatrixPath(grid, vals)
     path = tmp_path / "p.csv"
-    write_matrix_path(path, mp, "P")
+    write_table(path, *matrix_table(mp, "P"))
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(raw[:, 0], grid)
     assert np.array_equal(raw[:, 1:].reshape(-1, 2, 2), vals)
+
+
+def _blowup_document():
+    # an unobserved unstable mode: P = 1000 e^{40 t} crosses 1e12 at t = 0.518
+    cfg = replace(builtin_scenario("scalar_basic"), horizon=2.0, dt=0.02, mc_runs=2,
+                  P0=np.array([[1000.0]]))
+    return replace(cfg, model=constant_model([[20.0]], [[0.0]], [[1.0]]))
+
+
+@pytest.mark.parametrize("command", ["riccati", "stability-cov", "stability-mean"])
+def test_numerical_failure_is_its_own_outcome(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", write_cfg(tmp_path, _blowup_document()),
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: Riccati blow-up") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert manifest["failure"] == captured.err[len("error: "):].strip()
+    assert float(manifest["time.riccati"]) >= 0.0 and "wall_time_s" in manifest
+    assert not list(out.glob("*.csv"))
+
+
+def _fuzz_documents():
+    """Six seeded random documents, the recipe of the CLI fuzz, plus the blow-up document."""
+    rng = np.random.default_rng(123)
+    docs = []
+    for i in range(6):
+        m, n = (int(k) for k in rng.integers(1, 4, size=2))
+        A0, C0 = rng.standard_normal((m, m)), rng.standard_normal((n, m))
+        if rng.random() < 0.2:
+            C0[:, 0] = 0.0
+        if rng.random() < 0.5:
+            C1 = rng.standard_normal((n, m)) if rng.random() < 0.5 else None
+            model = periodic_model(A0, rng.standard_normal((m, m)), C0, np.eye(n), C1=C1)
+        else:
+            model = constant_model(A0, C0, np.eye(n))
+        L = rng.standard_normal((m, m))
+        P0 = L @ L.T + 0.3 * np.eye(m)
+        docs.append(ExperimentConfig(
+            model, horizon=2.0, dt=0.02, substeps=2, seed=i, m0=rng.standard_normal(m),
+            P0=P0, mbar=rng.standard_normal(m), Pbar=2.0 * P0,
+            atoms=((rng.standard_normal(m), 0.5), (rng.standard_normal(m), 0.5)),
+            epsilons=(0.2, 0.1, 0.05), mc_runs=2))
+    return docs + [_blowup_document()]
+
+
+def test_seeded_cli_fuzz_ends_in_documented_outcomes(tmp_path, capsys):
+    codes = set()
+    for d, cfg in enumerate(_fuzz_documents()):
+        cfgpath = write_cfg(tmp_path, cfg, name=f"doc{d}.cfg")
+        for command in ("riccati", "gramian", "stability-cov", "stability-mean",
+                        "nongaussian", "smallnoise"):
+            out = tmp_path / f"{command}-{d}"
+            code = cli.main([command, "--config", cfgpath, "--out", str(out)])
+            err = capsys.readouterr().err
+            run = f"{command} on document {d}"
+            codes.add(code)
+            assert (out / "manifest.txt").exists() == (code != 2), run
+            assert err.startswith("error: ") == (code in (2, 3)), run
+            for csv in out.glob("*.csv"):
+                text = csv.read_text().lower()
+                assert "nan" not in text and "inf" not in text, f"{run}: {csv.name}"
+    # every documented exit code, and no other, occurs
+    assert codes == {0, 1, 2, 3}
