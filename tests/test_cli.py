@@ -357,9 +357,8 @@ def test_matrix_path_csv_roundtrip(tmp_path):
 
 def _blowup_document():
     # an unobserved unstable mode: P = 1000 e^{40 t} crosses 1e12 at t = 0.518
-    cfg = replace(builtin_scenario("scalar_basic"), horizon=2.0, dt=0.02, mc_runs=2,
-                  P0=np.array([[1000.0]]))
-    return replace(cfg, model=constant_model([[20.0]], [[0.0]], [[1.0]]))
+    return replace(builtin_scenario("scalar_basic"), model=constant_model([[20.0]], [[0.0]], [[1.0]]),
+                   P0=np.array([[1000.0]]), horizon=2.0, dt=0.02, mc_runs=2)
 
 
 @pytest.mark.parametrize("command", ["riccati", "stability-cov", "stability-mean"])
